@@ -535,6 +535,14 @@ AV_TIERS = {
 AV_VERSION = 3  # v2: planted near/contained dups; v3: planted scene cuts
 
 
+def _marker_has(marker: str, want: str) -> bool:
+    """True iff the versioned ``_*_DONE`` marker exists and names ``want``."""
+    if not os.path.exists(marker):
+        return False
+    with open(marker) as f:
+        return want in f.read()
+
+
 def ensure_av_tables(tier: str, out_dir: str, seed: int = 42) -> str:
     """Idempotently add audio.parquet / videos.parquet to a fixture tier
     (separate versioned marker so tiers generated before these tables —
@@ -543,7 +551,7 @@ def ensure_av_tables(tier: str, out_dir: str, seed: int = 42) -> str:
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "_AV_DONE")
     want = f"v={AV_VERSION}"
-    if os.path.exists(marker) and want in open(marker).read():
+    if _marker_has(marker, want):
         return out_dir
     n_clips, n_videos = AV_TIERS.get(tier, AV_TIERS["small"])
     pq.write_table(gen_audio(n_clips, seed=seed), os.path.join(out_dir, "audio.parquet"))
@@ -695,7 +703,7 @@ def ensure_raw_urls(tier: str, out_dir: str, seed: int = 42) -> str:
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "_RAWURLS_DONE")
     want = f"v={RAWURL_VERSION}"
-    if os.path.exists(marker) and want in open(marker).read():
+    if _marker_has(marker, want):
         return out_dir
     n = RAWURL_TIERS.get(tier, RAWURL_TIERS["small"])
     pq.write_table(
@@ -779,7 +787,7 @@ def ensure_robots_wildcards(out_dir: str, seed: int = 42) -> str:
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "_RWILD_DONE")
     want = f"v={RWILD_VERSION}"
-    if os.path.exists(marker) and want in open(marker).read():
+    if _marker_has(marker, want):
         return out_dir
     pq.write_table(
         gen_robots_wildcards(seed=seed),

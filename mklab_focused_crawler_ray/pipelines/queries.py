@@ -39,7 +39,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 
 NOW_MS = 1_706_745_600_000  # 2024-02-01T00:00:00Z — after the events table's max ts
 AVG_TIME_DIFF_MS = 600_000.0
@@ -1116,13 +1116,12 @@ def q_user_sessions(sf_dir: str):
     per-group-UDF trap); each bucket is sessionized in ONE vectorized numpy
     pass (lexsort + diff + boundary slicing) over all its users at once. At
     cluster scale raise session_buckets so a bucket fits a worker's heap."""
-    session_buckets = derive_buckets(sf_dir, "events", floor=32)
+    session_buckets = derive_buckets(_p(sf_dir, "events"), floor=32)
     import ray.data as rd
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        uid = batch["user_id"].to_numpy()
         # fixture ts is µs-grain; truncate to an EXPLICIT ms unit (floor for
         # post-epoch values) — exactly DuckDB's epoch_ms(ts) on the oracle
         # side, and unit mismatch is a known trap on these tables
@@ -1131,7 +1130,6 @@ def q_user_sessions(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(uid % session_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ms": ms,
@@ -1171,11 +1169,13 @@ def q_user_sessions(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "event_id", "ts"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessionize, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(
+            _p(sf_dir, "events"), columns=["user_id", "event_id", "ts"]
+        ).map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        sessionize,
+        session_buckets,
     )
 
 
@@ -1246,19 +1246,17 @@ def q_events_asof_click(sf_dir: str):
     np.maximum.accumulate of click positions, shifted one row for
     strictness, masked at user-segment starts. The same partitioning key
     as user_sessions, so a real pipeline co-locates both."""
-    session_buckets = derive_buckets(sf_dir, "events", floor=32)
+    session_buckets = derive_buckets(_p(sf_dir, "events"), floor=32)
     import ray.data as rd
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        uid = batch["user_id"].to_numpy()
         ms = pc.cast(
             pc.cast(batch["ts"], pa.timestamp("ms"), safe=False), pa.int64()
         )
         return pa.table(
             {
-                "bucket": pa.array(uid % session_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "event_type": batch["event_type"],
@@ -1296,13 +1294,13 @@ def q_events_asof_click(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _p(sf_dir, "events"), columns=["user_id", "event_id", "event_type", "ts"]
-        )
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof, batch_format="pandas")
+        ).map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        asof,
+        session_buckets,
     )
 
 

@@ -141,11 +141,10 @@ def q_robots_gate_counts(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
     store_ref = _robots_store(sf_dir)
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     def flag(batch: pa.Table) -> pa.Table:
         store = ray.get(store_ref)
@@ -156,7 +155,6 @@ def q_robots_gate_counts(sf_dir: str):
                 "url": batch["url"],
                 "host": batch["domain"],
                 "blocked": pa.array(_blocked_mask(urls, hosts, store)),
-                "b": pa.array(url_hash64_vec(batch["domain"]) % nb, pa.int64()),
             }
         )
 
@@ -173,11 +171,13 @@ def q_robots_gate_counts(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_fx(sf_dir, "frontier_seed"), columns=["url", "domain"])
-        .map_batches(flag, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(
+            _fx(sf_dir, "frontier_seed"), columns=["url", "domain"]
+        ).map_batches(flag, batch_format="pyarrow"),
+        "host",
+        per_bucket,
+        nb,
     )
 
 
@@ -210,10 +210,8 @@ def q_url_expand_final(sf_dir: str):
     import ray
     import ray.data as rd
 
+    from ..scale import cogroup, derive_buckets
     from ..stages.expand import build_redirect_store, make_expander
-
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
 
     redirects = pq.read_table(_fx(sf_dir, "redirects"))
     store_ref = ray.put(
@@ -222,25 +220,26 @@ def q_url_expand_final(sf_dir: str):
         )
     )
     expander = make_expander(store_ref)
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     # dedupe = local per-batch unique, then one bucketed cross-batch pass
     # (NB groups of vectorized pandas — never one Python call per url)
     def local_unique(batch: pa.Table) -> pa.Table:
-        u = batch["url"].unique()
-        return pa.table(
-            {"url": u, "b": pa.array(url_hash64_vec(u) % nb, pa.int64())}
-        )
+        return pa.table({"url": batch["url"].unique()})
 
     def bucket_unique(g) -> pa.Table:
         u = g["url"].drop_duplicates()
         return pa.table({"url": pa.array(u.tolist(), pa.string())})
 
     return (
-        rd.read_parquet(_fx(sf_dir, "frontier_seed"), columns=["url"])
-        .map_batches(local_unique, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(bucket_unique, batch_format="pandas")
+        cogroup(
+            rd.read_parquet(
+                _fx(sf_dir, "frontier_seed"), columns=["url"]
+            ).map_batches(local_unique, batch_format="pyarrow"),
+            "url",
+            bucket_unique,
+            nb,
+        )
         .map_batches(expander, batch_format="pyarrow")
         .select_columns(["url", "expanded_url", "expanded_host", "status"])
     )
@@ -292,10 +291,9 @@ def q_politeness_rounds(sf_dir: str):
     sort + cumcount (whole hosts co-locate, so bucket-local == global)."""
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     def score(batch: pa.Table) -> pa.Table:
         shares = batch["shares"].to_numpy(zero_copy_only=False)
@@ -305,7 +303,6 @@ def q_politeness_rounds(sf_dir: str):
                 "url": batch["url"],
                 "host": batch["domain"],
                 "score_micro": pa.array(_score_micro(shares, date_ms), pa.int64()),
-                "b": pa.array(url_hash64_vec(batch["domain"]) % nb, pa.int64()),
             }
         )
 
@@ -327,13 +324,13 @@ def q_politeness_rounds(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _fx(sf_dir, "frontier_seed"), columns=["url", "domain", "shares", "date"]
-        )
-        .map_batches(score, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(rounds, batch_format="pandas")
+        ).map_batches(score, batch_format="pyarrow"),
+        "host",
+        rounds,
+        nb,
     )
 
 
@@ -370,6 +367,7 @@ def q_frontier_schedule(sf_dir: str):
     import ray
     import ray.data as rd
 
+    from ..scale import cogroup, derive_buckets
     from ..stages.expand import build_redirect_store, make_expander
 
     redirects = pq.read_table(_fx(sf_dir, "redirects"))
@@ -397,14 +395,10 @@ def q_frontier_schedule(sf_dir: str):
                 "expanded_url": kept["expanded_url"],
                 "host": kept["expanded_host"],
                 "score_micro": pa.array(_score_micro(shares, date_ms), pa.int64()),
-                "b": pa.array(url_hash64_vec(kept["expanded_host"]) % nb, pa.int64()),
             }
         )
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
-
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     # ONE bucketed shuffle serves both finishers: host is functional of
     # expanded_url (host = host(expanded_url)), so a host-hash bucket
@@ -433,13 +427,13 @@ def q_frontier_schedule(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _fx(sf_dir, "frontier_seed"), columns=["url", "domain", "shares", "date"]
-        )
-        .map_batches(gate_and_score, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(finish, batch_format="pandas")
+        ).map_batches(gate_and_score, batch_format="pyarrow"),
+        "host",
+        finish,
+        nb,
     )
 
 
@@ -625,16 +619,12 @@ def q_frontier_hll_distinct(sf_dir: str):
     shuffle-free pass, which is the point of carrying it."""
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     def local(batch: pa.Table) -> pa.Table:
-        u = batch["url"].unique()
-        return pa.table(
-            {"url": u, "b": pa.array(url_hash64_vec(u) % nb, pa.int64())}
-        )
+        return pa.table({"url": batch["url"].unique()})
 
     def per_bucket(g) -> pa.Table:
         u = pa.array(g["url"].drop_duplicates().tolist(), pa.string())
@@ -646,13 +636,14 @@ def q_frontier_hll_distinct(sf_dir: str):
             }
         )
 
-    parts = (
-        rd.read_parquet(_fx(sf_dir, "frontier_seed"), columns=["url"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # (buckets × 65) rows — output-bounded fold
-    )
+    parts = cogroup(
+        rd.read_parquet(_fx(sf_dir, "frontier_seed"), columns=["url"]).map_batches(
+            local, batch_format="pyarrow"
+        ),
+        "url",
+        per_bucket,
+        nb,
+    ).to_pandas()  # (buckets × 65) rows — output-bounded fold
     true_n = int(parts.loc[parts["reg"] == -1, "val"].sum())
     regs = (
         parts.loc[parts["reg"] >= 0]
@@ -726,17 +717,13 @@ def q_frontier_skew_plan(sf_dir: str):
     shaped: millions, not corpus-shaped)."""
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     def local(batch: pa.Table) -> pa.Table:
         t = pa.table({"url": batch["url"], "host": batch["domain"]})
-        t = t.group_by(["url", "host"]).aggregate([])
-        return t.append_column(
-            "b", pa.array(url_hash64_vec(t["host"]) % nb, pa.int64())
-        )
+        return t.group_by(["url", "host"]).aggregate([])
 
     def per_bucket(g) -> pa.Table:
         g = g.drop_duplicates(subset=["url"])
@@ -748,13 +735,14 @@ def q_frontier_skew_plan(sf_dir: str):
             }
         )
 
-    counts = (
-        rd.read_parquet(_fx(sf_dir, "frontier_seed"), columns=["url", "domain"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # host-bounded
-    )
+    counts = cogroup(
+        rd.read_parquet(
+            _fx(sf_dir, "frontier_seed"), columns=["url", "domain"]
+        ).map_batches(local, batch_format="pyarrow"),
+        "host",
+        per_bucket,
+        nb,
+    ).to_pandas()  # host-bounded
     total = int(counts["n_urls"].sum())
     n = counts["n_urls"].to_numpy(np.int64)
     share = [(int(x) * 1_000_000) // max(total, 1) for x in n]  # Python ints
@@ -870,10 +858,9 @@ def q_recrawl_due_counts(sf_dir: str):
     hosts co-locate), same discipline as robots_gate_counts."""
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets_for_paths(_fx(sf_dir, "frontier_seed"), floor=8)
+    nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
     cutoff_ms = RECRAWL_NOW_MS - RECRAWL_TTL_MS
 
     def flag(batch: pa.Table) -> pa.Table:
@@ -883,7 +870,6 @@ def q_recrawl_due_counts(sf_dir: str):
                 "url": batch["url"],
                 "host": batch["domain"],
                 "due": pa.array((date_ms < cutoff_ms).astype(np.int64), pa.int64()),
-                "b": pa.array(url_hash64_vec(batch["domain"]) % nb, pa.int64()),
             }
         )
 
@@ -902,13 +888,13 @@ def q_recrawl_due_counts(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _fx(sf_dir, "frontier_seed"), columns=["url", "domain", "date"]
-        )
-        .map_batches(flag, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        ).map_batches(flag, batch_format="pyarrow"),
+        "host",
+        per_bucket,
+        nb,
     )
 
 
@@ -985,21 +971,9 @@ def q_url_canonical_audit(sf_dir: str):
         cols["changed"] = pa.array(changed, pa.int64())
         return pa.table(cols)
 
-    from ..functions.urls import url_hash64_vec
-    from ..scale import derive_buckets_for_paths
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets_for_paths(_fx_raw_urls(sf_dir), floor=16)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "b",
-            pa.array(
-                (url_hash64_vec(batch["canonical"]) % np.uint64(nb)).astype(
-                    np.int64
-                ),
-                pa.int64(),
-            ),
-        )
+    nb = derive_buckets(_fx_raw_urls(sf_dir), floor=16)
 
     def per_bucket(df) -> "pd.DataFrame":
         # a bucket holds WHOLE canonical groups (hash partitioning) —
@@ -1019,11 +993,14 @@ def q_url_canonical_audit(sf_dir: str):
         return pd.DataFrame(out)
 
     parts = (
-        rd.read_parquet(_fx_raw_urls(sf_dir), columns=["raw_url"])
-        .map_batches(canon_batch, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        cogroup(
+            rd.read_parquet(_fx_raw_urls(sf_dir), columns=["raw_url"]).map_batches(
+                canon_batch, batch_format="pyarrow"
+            ),
+            "canonical",
+            per_bucket,
+            nb,
+        )
         .to_pandas()  # bucket-bounded partial rows
         .sum()
     )

@@ -18,21 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..scale import derive_buckets_for_paths
-
-
-def _bucket_vec(col, nb: int) -> pa.Array:
-    """Vectorized deterministic bucket router: FNV-1a over the Arrow
-    string buffers (functions.urls.url_hash64_vec) — replaces the former
-    per-row ``zlib.crc32`` list comprehensions on co-group hot paths
-    (VERDICT r4 'What's wrong' #4). Bucket ids are internal routing only
-    (never part of query output); the one invariant is that EVERY side of
-    a co-group routes through this same function."""
-    from ..functions.urls import url_hash64_vec
-
-    return pa.array(
-        (url_hash64_vec(col) % np.uint64(nb)).astype(np.int64), pa.int64()
-    )
+from ..scale import bucket_of, cogroup, derive_buckets
 
 _TIER_FOR_SF = {"sf0.001": "tiny"}
 
@@ -472,13 +458,7 @@ def q_image_curation_funnel(sf_dir: str):
                 }
             )
 
-    nb = derive_buckets_for_paths(_images(sf_dir), floor=16)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        ph = batch["phash"].to_numpy().view(np.uint64)
-        return batch.append_column(
-            "b", pa.array((ph % np.uint64(nb)).astype(np.int64), pa.int64())
-        )
+    nb = derive_buckets(_images(sf_dir), floor=16)
 
     def per_bucket(df) -> "pd.DataFrame":
         # a bucket holds WHOLE phash groups (hash partitioning), so the
@@ -506,17 +486,12 @@ def q_image_curation_funnel(sf_dir: str):
             }
         )
 
+    gated = rd.read_parquet(
+        _images(sf_dir),
+        columns=["image_id", "bytes", "fmt", "caption", "phash"],
+    ).map_batches(Gates, batch_format="pyarrow", batch_size=64, concurrency=(1, 8))
     parts = (
-        rd.read_parquet(
-            _images(sf_dir),
-            columns=["image_id", "bytes", "fmt", "caption", "phash"],
-        )
-        .map_batches(
-            Gates, batch_format="pyarrow", batch_size=64, concurrency=(1, 8)
-        )
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        cogroup(gated, "phash", per_bucket, nb)
         .to_pandas()  # bucket-bounded partial rows
         .sum()
     )
@@ -947,7 +922,6 @@ def visual_clusters_parallel(emb_parquet: str, n_parts: int = 4):
     import pandas as pd
     import ray.data as rd
 
-    from ..functions.urls import url_hash64_vec
     from ..stages.dedup import embedding_cosine_pairs
     from ..state.visual_index import (
         CLUSTER_THRESHOLD,
@@ -957,8 +931,7 @@ def visual_clusters_parallel(emb_parquet: str, n_parts: int = 4):
 
     def add_part(batch: pa.Table) -> pa.Table:
         ids = [f"img{int(v):08d}" for v in batch["vec_id"].to_pylist()]
-        part = (url_hash64_vec(ids) % np.uint64(n_parts)).astype(np.int64)
-        return batch.append_column("part", pa.array(part, pa.int64()))
+        return batch.append_column("part", pa.array(bucket_of(ids, n_parts)))
 
     def replay_group(df: "pd.DataFrame") -> "pd.DataFrame":
         ids = [f"img{int(v):08d}" for v in df["vec_id"]]
@@ -988,9 +961,7 @@ def visual_clusters_parallel(emb_parquet: str, n_parts: int = 4):
     edges = []
     for a, b in zip(pairs["doc_a"], pairs["doc_b"]):
         ia, ib = f"img{int(a):08d}", f"img{int(b):08d}"
-        pa_, pb_ = (
-            url_hash64_vec([ia, ib]) % np.uint64(n_parts)
-        ).astype(np.int64)
+        pa_, pb_ = bucket_of([ia, ib], n_parts)
         if pa_ != pb_:
             edges.append((ia, ib))
     merged = merge_partition_clusters(labels, edges)
@@ -2278,13 +2249,12 @@ def q_multimodal_filter_aligned(sf_dir: str):
     alignment stage."""
     import ray.data as rd
 
-    nb = derive_buckets_for_paths(_images(sf_dir), floor=64)
+    nb = derive_buckets(_images(sf_dir), floor=64)
 
     def kept_side(batch: pa.Table) -> pa.Table:
         ids = batch["image_id"].to_pylist()
         return pa.table(
             {
-                "bucket": _bucket_vec(batch["image_id"], nb),
                 "image_id": batch["image_id"],
                 "fmt": batch["fmt"],
                 "quality_micro": batch["quality_micro"],
@@ -2299,7 +2269,6 @@ def q_multimodal_filter_aligned(sf_dir: str):
         ids = b["image_id"].to_pylist()
         return pa.table(
             {
-                "bucket": _bucket_vec(b["image_id"], nb),
                 "image_id": b["image_id"],
                 "fmt": pa.array([""] * len(ids), pa.string()),
                 "quality_micro": pa.array(np.zeros(len(ids), np.int64), pa.int64()),
@@ -2334,12 +2303,7 @@ def q_multimodal_filter_aligned(sf_dir: str):
     aligned = rd.read_parquet(
         alignment_scores_dir(fixture_dir_for(sf_dir))
     ).map_batches(align_side, batch_format="pyarrow")
-    return (
-        kept.union(aligned)
-        .repartition(16)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
-    )
+    return cogroup([kept, aligned], "image_id", join, nb)
 
 
 def q_multimodal_filter_kept(sf_dir: str):
@@ -2361,7 +2325,7 @@ def q_multimodal_filter_kept(sf_dir: str):
 
     from ..functions.text import lang_quality_batch
 
-    phash_buckets = derive_buckets_for_paths(_images(sf_dir), floor=64)
+    phash_buckets = derive_buckets(_images(sf_dir), floor=64)
 
     def candidates(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -2376,9 +2340,6 @@ def q_multimodal_filter_kept(sf_dir: str):
         sub = batch.take(pa.array(take, pa.int64()))
         return pa.table(
             {
-                "bucket": pa.array(
-                    (ph[take] % phash_buckets).astype(np.int64), pa.int64()
-                ),
                 "phash": sub["phash"],
                 "idnum": pa.array(idnum[take], pa.int64()),
                 "image_id": sub["image_id"],
@@ -2400,9 +2361,7 @@ def q_multimodal_filter_kept(sf_dir: str):
         keep = order[first]
         # size gate here (cheap int compare); caption scoring deferred
         keep = keep[g["pixels"].to_numpy()[keep] >= MIN_PIXELS]
-        return g.take(pa.array(np.sort(keep), pa.int64())).select(
-            ["image_id", "fmt", "caption"]
-        )
+        return g.iloc[np.sort(keep)][["image_id", "fmt", "caption"]]
 
     def score(batch: pa.Table) -> pa.Table:
         lq = lang_quality_batch(batch["caption"].to_pylist())
@@ -2417,15 +2376,12 @@ def q_multimodal_filter_kept(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(
-            _images(sf_dir),
-            columns=["image_id", "phash", "fmt", "caption", "w", "h"],
-        )
-        .map_batches(candidates, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pyarrow")
-        .map_batches(score, batch_format="pyarrow")
+    cands = rd.read_parquet(
+        _images(sf_dir),
+        columns=["image_id", "phash", "fmt", "caption", "w", "h"],
+    ).map_batches(candidates, batch_format="pyarrow")
+    return cogroup(cands, "phash", resolve, phash_buckets).map_batches(
+        score, batch_format="pyarrow"
     )
 
 
@@ -2439,7 +2395,7 @@ def q_page_image_join_stats(sf_dir: str):
 
     Scale shape: the page side explodes its id lists with Arrow kernels
     (``list_flatten``/``list_parent_indices``), both sides co-partition by
-    crc32(image_id) into ``pij_buckets`` fixed buckets (neither table
+    image_id into ``pij_buckets`` derived buckets (neither table
     broadcasts — both are corpus-sized), each bucket joins in one
     vectorized pandas merge, and only (host, count, pixels) sufficient
     statistics leave the bucket."""
@@ -2450,7 +2406,7 @@ def q_page_image_join_stats(sf_dir: str):
     from ..functions.urls import host_of
 
     pages = _pages_path(sf_dir)
-    pij_buckets = derive_buckets_for_paths(pages, _images(sf_dir), floor=64)
+    pij_buckets = derive_buckets(pages, _images(sf_dir), floor=64)
 
     def explode_pages(batch: pa.Table) -> pa.Table:
         links = batch["image_ids"]
@@ -2463,7 +2419,6 @@ def q_page_image_join_stats(sf_dir: str):
         ids = flat.to_pylist()
         return pa.table(
             {
-                "bucket": _bucket_vec(flat, pij_buckets),
                 "image_id": flat,
                 "host": ph,
                 "px": pa.array(np.zeros(len(ids), np.int64), pa.int64()),
@@ -2478,7 +2433,6 @@ def q_page_image_join_stats(sf_dir: str):
         ).to_numpy()
         return pa.table(
             {
-                "bucket": _bucket_vec(batch["image_id"], pij_buckets),
                 "image_id": batch["image_id"],
                 "host": pa.array([""] * len(ids), pa.string()),
                 "px": pa.array(px, pa.int64()),
@@ -2508,10 +2462,7 @@ def q_page_image_join_stats(sf_dir: str):
         _images(sf_dir), columns=["image_id", "w", "h"]
     ).map_batches(prep_images, batch_format="pyarrow")
     return (
-        page_side.union(image_side)
-        .repartition(pij_buckets)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup([page_side, image_side], "image_id", join, pij_buckets)
         .groupby("host")
         .aggregate(Sum("pn", alias_name="n_images"), Sum("ppx", alias_name="total_pixels"))
     )
@@ -2709,26 +2660,11 @@ def q_video_dup_pairs(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from ..scale import derive_buckets_for_paths
-
     fdir = _av_fixture_dir(sf_dir)
     vids = os.path.join(fdir, "videos.parquet")
-    nb = derive_buckets_for_paths(vids, floor=32)
+    nb = derive_buckets(vids, floor=32)
 
     stats = q_video_frame_stats(sf_dir)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        h = batch["frame_hash"].to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    (h.view(np.uint64) % np.uint64(nb)).astype(np.int64),
-                    pa.int64(),
-                ),
-                "frame_hash": batch["frame_hash"],
-                "video_id": batch["video_id"],
-            }
-        )
 
     def pair_partials(g) -> pa.Table:
         hh = g["frame_hash"].to_numpy(np.int64)
@@ -2774,9 +2710,12 @@ def q_video_dup_pairs(sf_dir: str):
         )
 
     inter = (
-        stats.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pair_partials, batch_format="pandas")
+        cogroup(
+            stats.select_columns(["frame_hash", "video_id"]),
+            "frame_hash",
+            pair_partials,
+            nb,
+        )
         .groupby(["video_a", "video_b"])
         .aggregate(Sum("pi", alias_name="i"))
     )

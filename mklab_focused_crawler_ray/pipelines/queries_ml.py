@@ -25,7 +25,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -50,7 +50,9 @@ def q_customers_without_urgent(sf_dir: str):
     ``np.isin`` pass. No broadcast: unlike the §2.10 broadcast lookups the
     build side here is O(|customers|), which does not fit one worker at
     cluster scale."""
-    join_buckets = derive_buckets(sf_dir, "customer", "orders", floor=64)
+    join_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("customer", "orders")), floor=64
+    )
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -58,7 +60,6 @@ def q_customers_without_urgent(sf_dir: str):
         key = batch["c_custkey"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "seg": batch["c_mktsegment"],
                 "side": pa.array(np.zeros(len(key), np.int64), pa.int64()),
@@ -72,7 +73,6 @@ def q_customers_without_urgent(sf_dir: str):
         key = np.unique(batch.filter(m)["o_custkey"].to_numpy())
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "seg": pa.array([""] * len(key), pa.string()),
                 "side": pa.array(np.ones(len(key), np.int64), pa.int64()),
@@ -102,9 +102,7 @@ def q_customers_without_urgent(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_custkey", "o_orderpriority"]
     ).map_batches(prep_orders, batch_format="pyarrow")
     return (
-        cust.union(urgent)
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
+        cogroup([cust, urgent], "key", anti, join_buckets)
         .groupby("c_mktsegment")
         .aggregate(Sum("pn", alias_name="n_customers"))
     )
@@ -119,7 +117,9 @@ def q_orders_join_nation(sf_dir: str):
     is the complementary shape for two large sides (both stream through
     the same fixed-cardinality shuffle — never per-key groups). The nation
     id → name map IS tiny, so it rides along as a broadcast lookup."""
-    join_buckets = derive_buckets(sf_dir, "nation", "customer", "orders", floor=64)
+    join_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("nation", "customer", "orders")), floor=64
+    )
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
@@ -136,7 +136,6 @@ def q_orders_join_nation(sf_dir: str):
         key = batch["c_custkey"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(
                     batch["c_nationkey"].to_numpy().astype(np.int64), pa.int64()
@@ -153,7 +152,6 @@ def q_orders_join_nation(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(np.full(len(key), -1, np.int64), pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
@@ -193,9 +191,7 @@ def q_orders_join_nation(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     ).map_batches(prep_orders, batch_format="pyarrow")
     return (
-        cust.union(orders)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup([cust, orders], "key", join, join_buckets)
         .groupby("n_name")
         .aggregate(Sum("pn", alias_name="n_orders"), Sum("ps", alias_name="total_cents"))
     )
@@ -302,20 +298,18 @@ def q_user_value_rolling3(sf_dir: str):
     shuffle cardinality); each bucket computes ALL its users' windows in
     one vectorized pass — lexsort, per-user segment starts, prefix sums,
     then ``cum[i] - cum[max(i-2, seg_start)]`` with no per-row Python."""
-    join_buckets = derive_buckets(sf_dir, "events", floor=64)
+    join_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        uid = batch["user_id"].to_numpy()
         ms = pc.cast(
             pc.cast(batch["ts"], pa.timestamp("ms"), safe=False), pa.int64()
         )
         cents = np.floor(batch["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % join_buckets, pa.int64()),
                 "user_id": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ms": ms,
@@ -345,13 +339,13 @@ def q_user_value_rolling3(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _p(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
-        )
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(roll, batch_format="pandas")
+        ).map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        roll,
+        join_buckets,
     )
 
 
@@ -496,7 +490,7 @@ def q_orders_above_cust_avg(sf_dir: str):
     the same co-partitioned bucket shuffle as ``q_orders_join_nation`` —
     the windowed ``AVG OVER (PARTITION BY)`` pattern without a per-key
     group or a broadcast of a customer-sized side."""
-    join_buckets = derive_buckets(sf_dir, "orders", floor=64)
+    join_buckets = derive_buckets(_p(sf_dir, "orders"), floor=64)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -526,7 +520,6 @@ def q_orders_above_cust_avg(sf_dir: str):
         key = batch["o_custkey"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "cnt": batch["cnt"],
                 "s": batch["s"],
@@ -544,7 +537,6 @@ def q_orders_above_cust_avg(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "cnt": pa.array(z, pa.int64()),
                 "s": pa.array(z, pa.int64()),
@@ -583,10 +575,12 @@ def q_orders_above_cust_avg(sf_dir: str):
         columns=["o_custkey", "o_totalprice", "o_orderpriority"],
     ).map_batches(prep_probe, batch_format="pyarrow")
     return (
-        agg.map_batches(prep_agg, batch_format="pyarrow")
-        .union(probe)
-        .groupby("bucket")
-        .map_groups(above, batch_format="pandas")
+        cogroup(
+            [agg.map_batches(prep_agg, batch_format="pyarrow"), probe],
+            "key",
+            above,
+            join_buckets,
+        )
         .groupby("o_orderpriority")
         .aggregate(Sum("pn", alias_name="n_above"))
     )
@@ -599,7 +593,7 @@ def q_latest_event_per_user(sf_dir: str):
     take-last), users hash-bucket into ``join_buckets`` groups, and each
     bucket resolves all its users in one vectorized pass — shuffle volume
     is O(users × blocks-containing-them), never the event stream."""
-    join_buckets = derive_buckets(sf_dir, "events", floor=64)
+    join_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -615,7 +609,6 @@ def q_latest_event_per_user(sf_dir: str):
         last = np.r_[uid[1:] != uid[:-1], True]  # last row of each user run
         return pa.table(
             {
-                "bucket": pa.array(uid[last] % join_buckets, pa.int64()),
                 "user_id": pa.array(uid[last], pa.int64()),
                 "event_id": pa.array(eid[last], pa.int64()),
                 "ms": pa.array(ms[last], pa.int64()),
@@ -637,11 +630,13 @@ def q_latest_event_per_user(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "event_id", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(
+            _p(sf_dir, "events"), columns=["user_id", "event_id", "ts"]
+        ).map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        resolve,
+        join_buckets,
     )
 
 
@@ -1227,7 +1222,7 @@ def q_user_event_signature(sf_dir: str):
     once into ``sig_buckets`` hash buckets — fixed cardinality, never a
     per-user group — and each bucket builds its signatures in one
     vectorized pandas groupby-join pass."""
-    sig_buckets = derive_buckets(sf_dir, "events", floor=64)
+    sig_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
     from ray.data.aggregate import Count
 
@@ -1252,16 +1247,6 @@ def q_user_event_signature(sf_dir: str):
             }
         )
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy()
-        return pa.table(
-            {
-                "bucket": pa.array(u % sig_buckets, pa.int64()),
-                "user_id": batch["user_id"],
-                "event_type": batch["event_type"],
-            }
-        )
-
     def finish(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["user_id", "event_type"], kind="stable")
         out = g.groupby("user_id", sort=True)["event_type"].agg(
@@ -1282,14 +1267,15 @@ def q_user_event_signature(sf_dir: str):
             }
         )
     )
-    return (
+    pairs_ds = (
         rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "event_type", "value"])
         .map_batches(pairs, batch_format="pyarrow")
         .groupby(["user_id", "event_type"])
         .aggregate(Count(alias_name="_n"))
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(finish, batch_format="pandas")
+        .select_columns(["user_id", "event_type"])
+    )
+    return (
+        cogroup(pairs_ds, "user_id", finish, sig_buckets)
         .select_columns(["user_id", "signature", "n_types"])
         .union(anchor)
     )
@@ -1556,7 +1542,9 @@ def q_order_reconciliation(sf_dir: str):
     buckets, each bucket reconciles all its orders in one vectorized
     pandas-groupby + searchsorted pass, and only (status, count, count)
     sufficient statistics leave the bucket."""
-    join_buckets = derive_buckets(sf_dir, "lineitem", "orders", floor=64)
+    join_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("lineitem", "orders")), floor=64
+    )
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -1575,7 +1563,6 @@ def q_order_reconciliation(sf_dir: str):
         key2 = g["key"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key2 % join_buckets, pa.int64()),
                 "key": pa.array(key2, pa.int64()),
                 "licents": g["licents_sum"],
                 "ocents": pa.array(np.zeros(len(key2), np.int64), pa.int64()),
@@ -1591,7 +1578,6 @@ def q_order_reconciliation(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(key % join_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "licents": pa.array(np.zeros(len(key), np.int64), pa.int64()),
                 "ocents": pa.array(cents, pa.int64()),
@@ -1629,9 +1615,7 @@ def q_order_reconciliation(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_totalprice", "o_orderstatus"]
     ).map_batches(prep_orders, batch_format="pyarrow")
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(reconcile, batch_format="pandas")
+        cogroup([li, orders], "key", reconcile, join_buckets)
         .groupby("o_orderstatus")
         .aggregate(Sum("pn", alias_name="n_orders"), Sum("pa", alias_name="n_above"))
     )

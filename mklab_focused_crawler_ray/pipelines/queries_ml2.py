@@ -25,7 +25,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 
 # tokenization shared with the heavy-hitter / budget oracles:
 # regexp_extract_all(lower(text), '[a-z0-9]+')
@@ -221,7 +221,7 @@ def q_user_top_event(sf_dir: str):
     per (user, type) seen; users hash-bucket into mode_buckets groups
     (fixed shuffle cardinality); each bucket sums partials and resolves
     every user's argmax in one vectorized lexsort pass."""
-    mode_buckets = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -238,11 +238,10 @@ def q_user_top_event(sf_dir: str):
             .size()
             .reset_index(name="pn")
         )
-        base["bucket"] = (base["user_id"] % mode_buckets).astype(np.int64)
         base["pn"] = base["pn"].astype(np.int64)
         base["user_id"] = base["user_id"].astype(np.int64)
         return pa.Table.from_pandas(
-            base[["bucket", "user_id", "event_type", "pn"]], preserve_index=False
+            base[["user_id", "event_type", "pn"]], preserve_index=False
         )
 
     def resolve(g) -> pa.Table:
@@ -267,11 +266,13 @@ def q_user_top_event(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(
+            _p(sf_dir, "events"), columns=["user_id", "event_type"]
+        ).map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        resolve,
+        mode_buckets,
     )
 
 
@@ -294,7 +295,9 @@ def q_q3_shipping_priority(sf_dir: str):
     limit. Revenue is exact integer: cents × (1e6 − discount_micro); at
     true 100-TB row counts this unit pair would need a 128-bit sum —
     documented tradeoff for bit-exact oracle equality at fixture scale."""
-    mode_buckets = derive_buckets(sf_dir, "customer", "orders", "lineitem", floor=64)
+    mode_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("customer", "orders", "lineitem")), floor=64
+    )
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -306,7 +309,6 @@ def q_q3_shipping_priority(sf_dir: str):
         ].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "okey": pa.array(np.zeros(len(key), np.int64), pa.int64()),
                 "odays": pa.array(np.zeros(len(key), np.int64), pa.int64()),
@@ -320,7 +322,6 @@ def q_q3_shipping_priority(sf_dir: str):
         key = batch["o_custkey"].to_numpy()[m]
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "okey": pa.array(batch["o_orderkey"].to_numpy()[m], pa.int64()),
                 "odays": pa.array(odays[m], pa.int64()),
@@ -336,7 +337,6 @@ def q_q3_shipping_priority(sf_dir: str):
         okey = keep["okey"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(okey % mode_buckets, pa.int64()),
                 "okey": pa.array(okey, pa.int64()),
                 "odays": pa.array(keep["odays"].to_numpy(np.int64), pa.int64()),
                 "rev_u": pa.array(np.zeros(len(okey), np.int64), pa.int64()),
@@ -365,7 +365,6 @@ def q_q3_shipping_priority(sf_dir: str):
         k = agg["okey"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(k % mode_buckets, pa.int64()),
                 "okey": pa.array(k, pa.int64()),
                 "odays": pa.array(np.zeros(len(k), np.int64), pa.int64()),
                 "rev_u": pa.array(agg["rev_u"].to_numpy(np.int64), pa.int64()),
@@ -419,21 +418,17 @@ def q_q3_shipping_priority(sf_dir: str):
     orders = rd.read_parquet(
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(prep_orders, batch_format="pyarrow")
-    stage1 = (
-        cust.union(orders)
-        .repartition(SHUFFLE_BLOCKS)
-        .groupby("bucket")
-        .map_groups(hop1, batch_format="pandas")
+    stage1 = cogroup(
+        cust.union(orders).repartition(SHUFFLE_BLOCKS), "key", hop1, mode_buckets
     )
     lines = rd.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(prep_line, batch_format="pyarrow")
     return (
-        stage1.union(lines)
-        .repartition(SHUFFLE_BLOCKS)
-        .groupby("bucket")
-        .map_groups(hop2, batch_format="pandas")
+        cogroup(
+            stage1.union(lines).repartition(SHUFFLE_BLOCKS), "okey", hop2, mode_buckets
+        )
         .map_batches(partial_topk, batch_format="pyarrow")
         .repartition(1)
         .map_batches(partial_topk, batch_format="pyarrow", batch_size=None)
@@ -559,14 +554,13 @@ def q_user_gap_stats(sf_dir: str):
     users' timestamps and computes all gap aggregates in one vectorized
     np.diff + reduceat pass. Gaps depend only on sorted timestamps, so
     tie order between equal timestamps cannot change the result."""
-    mode_buckets = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "ms": pa.array(_ms(batch), pa.int64()),
             }
@@ -596,11 +590,13 @@ def q_user_gap_stats(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
+        "user_id",
+        resolve,
+        mode_buckets,
     )
 
 
@@ -685,7 +681,8 @@ def q_q5_local_supplier_volume(sf_dir: str):
     hop on suppkey — same machinery as hop 2). Revenue is exact integer
     cents × (1e6 − discount_micro); per-nation partial sums collapse
     map-side before the final tiny groupby."""
-    mode_buckets = derive_buckets(sf_dir, "supplier", "nation", "region", "customer", "orders", "lineitem", floor=64)
+    tables = ("supplier", "nation", "region", "customer", "orders", "lineitem")
+    mode_buckets = derive_buckets(*(_p(sf_dir, t) for t in tables), floor=64)
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
@@ -714,7 +711,6 @@ def q_q5_local_supplier_volume(sf_dir: str):
         key = batch["c_custkey"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "okey": pa.array(np.zeros(len(key), np.int64), pa.int64()),
                 "nat": pa.array(batch["c_nationkey"].to_numpy(), pa.int64()),
@@ -728,7 +724,6 @@ def q_q5_local_supplier_volume(sf_dir: str):
         key = batch["o_custkey"].to_numpy()[m]
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "okey": pa.array(batch["o_orderkey"].to_numpy()[m], pa.int64()),
                 "nat": pa.array(np.zeros(len(key), np.int64), pa.int64()),
@@ -755,7 +750,6 @@ def q_q5_local_supplier_volume(sf_dir: str):
         cnat = cn[pos[hit]] if hit.any() else np.zeros(0, np.int64)
         return pa.table(
             {
-                "bucket": pa.array(okey % mode_buckets, pa.int64()),
                 "okey": pa.array(okey, pa.int64()),
                 "a": pa.array(cnat, pa.int64()),  # customer nation
                 "b": pa.array(np.zeros(len(okey), np.int64), pa.int64()),
@@ -774,7 +768,6 @@ def q_q5_local_supplier_volume(sf_dir: str):
         rev = cents * (1_000_000 - disc_u)
         return pa.table(
             {
-                "bucket": pa.array(okey % mode_buckets, pa.int64()),
                 "okey": pa.array(okey, pa.int64()),
                 "a": pa.array(batch["l_suppkey"].to_numpy(), pa.int64()),
                 "b": pa.array(rev, pa.int64()),
@@ -841,21 +834,17 @@ def q_q5_local_supplier_volume(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(prep_orders, batch_format="pyarrow")
     # pinned shuffle inputs — same superlinear block-count trap as Q3
-    stage1 = (
-        cust.union(orders)
-        .repartition(SHUFFLE_BLOCKS)
-        .groupby("bucket")
-        .map_groups(hop1, batch_format="pandas")
+    stage1 = cogroup(
+        cust.union(orders).repartition(SHUFFLE_BLOCKS), "key", hop1, mode_buckets
     )
     lines = rd.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     ).map_batches(prep_line, batch_format="pyarrow")
     return (
-        stage1.union(lines)
-        .repartition(SHUFFLE_BLOCKS)
-        .groupby("bucket")
-        .map_groups(hop2, batch_format="pandas")
+        cogroup(
+            stage1.union(lines).repartition(SHUFFLE_BLOCKS), "okey", hop2, mode_buckets
+        )
         .repartition(4)
         .groupby("n_name")
         .aggregate(Sum("pn", alias_name="rev_u"))
@@ -1043,7 +1032,7 @@ def q_user_event_sequence(sf_dir: str):
     mode_buckets groups, and each bucket re-applies the same top-K mask
     before building its strings — shuffle volume is O(users × K), never
     the event stream."""
-    mode_buckets = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     def topk_mask(uid: np.ndarray, ms: np.ndarray, eid: np.ndarray):
@@ -1062,7 +1051,6 @@ def q_user_event_sequence(sf_dir: str):
         keep = topk_mask(uid, ms, eid)
         return pa.table(
             {
-                "bucket": pa.array(uid[keep] % mode_buckets, pa.int64()),
                 "user_id": pa.array(uid[keep], pa.int64()),
                 "ms": pa.array(ms[keep], pa.int64()),
                 "event_id": pa.array(eid[keep], pa.int64()),
@@ -1094,13 +1082,13 @@ def q_user_event_sequence(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _p(sf_dir, "events"), columns=["user_id", "ts", "event_id", "event_type"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+        ).map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        resolve,
+        mode_buckets,
     )
 
 
@@ -1136,7 +1124,7 @@ def q_orders_join_nation_salted(sf_dir: str):
         salt = np.tile(np.arange(N_SALTS, dtype=np.int64), len(batch))
         return pa.table(
             {
-                "bucket": pa.array((key % JB) * N_SALTS + salt, pa.int64()),
+                "route": pa.array(key * N_SALTS + salt, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(nat_, pa.int64()),
                 "cents": pa.array(np.zeros(len(key), np.int64), pa.int64()),
@@ -1152,7 +1140,7 @@ def q_orders_join_nation_salted(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array((key % JB) * N_SALTS + salt, pa.int64()),
+                "route": pa.array(key * N_SALTS + salt, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(np.full(len(key), -1, np.int64), pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
@@ -1191,10 +1179,9 @@ def q_orders_join_nation_salted(sf_dir: str):
     orders = rd.read_parquet(
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_custkey", "o_totalprice"]
     ).map_batches(prep_orders, batch_format="pyarrow")
+    # the routing key is the (custkey, salt) pair packed into one int
     return (
-        cust.union(orders)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup([cust, orders], "route", join, JB * N_SALTS)
         .groupby("n_name")
         .aggregate(
             Sum("pn", alias_name="n_orders"), Sum("ps", alias_name="total_cents")
@@ -1221,7 +1208,7 @@ def q_funnel_users(sf_dir: str):
     by user hash); each bucket answers every click's "was there a view in
     my window?" with two searchsorted probes against a composite
     (user, ms) key — O((V+C) log V) per bucket, no pair explosion."""
-    mode_buckets = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import pyarrow.compute as pc
     import ray.data as rd
 
@@ -1236,7 +1223,6 @@ def q_funnel_users(sf_dir: str):
         uid = b["user_id"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "ms": pa.array(_ms(b), pa.int64()),
                 "is_then": pa.array(
@@ -1263,13 +1249,13 @@ def q_funnel_users(sf_dir: str):
         hits = np.unique(cu[hi > lo])
         return pa.table({"user_id": pa.array(hits, pa.int64())})
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _p(sf_dir, "events"), columns=["user_id", "ts", "event_type"]
-        )
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+        ).map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        resolve,
+        mode_buckets,
     )
 
 
@@ -1285,14 +1271,15 @@ def q_orders_without_lineitem(sf_dir: str):
     both hash-bucket on the join key and the lineitem side pre-dedupes its
     keys per batch — the shuffle moves distinct orderkeys, never line
     items."""
-    mode_buckets = derive_buckets(sf_dir, "orders", "lineitem", floor=64)
+    mode_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("orders", "lineitem")), floor=64
+    )
     import ray.data as rd
 
     def prep_orders(batch: pa.Table) -> pa.Table:
         key = batch["o_orderkey"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "side": pa.array(np.zeros(len(key), np.int64), pa.int64()),
             }
@@ -1302,7 +1289,6 @@ def q_orders_without_lineitem(sf_dir: str):
         key = np.unique(batch["l_orderkey"].to_numpy())
         return pa.table(
             {
-                "bucket": pa.array(key % mode_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "side": pa.array(np.ones(len(key), np.int64), pa.int64()),
             }
@@ -1321,9 +1307,7 @@ def q_orders_without_lineitem(sf_dir: str):
     lines = rd.read_parquet(
         _p(sf_dir, "lineitem"), columns=["l_orderkey"]
     ).map_batches(prep_lines, batch_format="pyarrow")
-    return (
-        orders.union(lines).groupby("bucket").map_groups(anti, batch_format="pandas")
-    )
+    return cogroup([orders, lines], "key", anti, mode_buckets)
 
 
 # --------------------------------------------------------------------------
@@ -1341,7 +1325,7 @@ def q_user_retention_cohort(sf_dir: str):
     resident user's cohort (min day) and its per-(cohort, offset) partial
     counts vectorized; the final groupby runs over the calendar-bounded
     (cohort × offset) key space."""
-    mode_buckets = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -1356,7 +1340,6 @@ def q_user_retention_cohort(sf_dir: str):
         uid = d["user_id"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "day": pa.array(d["day"].to_numpy(np.int64), pa.int64()),
             }
@@ -1382,10 +1365,14 @@ def q_user_retention_cohort(sf_dir: str):
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     return (
-        rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+        cogroup(
+            rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"]).map_batches(
+                prep, batch_format="pyarrow"
+            ),
+            "user_id",
+            resolve,
+            mode_buckets,
+        )
         .groupby(["cohort_day", "offset_day"])
         .aggregate(Sum("pn", alias_name="n_users"))
     )

@@ -33,12 +33,11 @@ sorted-column value hash matches bit-for-bit.
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 
 from .queries_ml2 import _p
 
@@ -85,24 +84,21 @@ def q_part_name_typo_pairs(sf_dir: str):
     cross join the blocking avoided). A final pair-keyed groupby dedupes
     the multi-variant hits. The DuckDB oracle genuinely cross-joins with
     ``levenshtein``."""
-    typo_buckets = derive_buckets(sf_dir, "part", floor=32)
+    typo_buckets = derive_buckets(_p(sf_dir, "part"), floor=32)
     import ray.data as rd
     from ray.data.aggregate import Count
 
     def variants(batch: pa.Table) -> pa.Table:
         names = sorted(set(batch["p_name"].to_pylist()))
-        out_b: list[int] = []
         out_v: list[str] = []
         out_n: list[str] = []
         for n in names:
             vs = {n} | {n[:i] + n[i + 1 :] for i in range(len(n))}
             for v in vs:
-                out_b.append(zlib.crc32(v.encode()) % typo_buckets)
                 out_v.append(v)
                 out_n.append(n)
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "variant": pa.array(out_v, pa.string()),
                 "name": pa.array(out_n, pa.string()),
             }
@@ -132,10 +128,13 @@ def q_part_name_typo_pairs(sf_dir: str):
         )
 
     return (
-        rd.read_parquet(_p(sf_dir, "part"), columns=["p_name"])
-        .map_batches(variants, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
+        cogroup(
+            rd.read_parquet(_p(sf_dir, "part"), columns=["p_name"])
+            .map_batches(variants, batch_format="pyarrow"),
+            "variant",
+            pairs,
+            typo_buckets,
+        )
         .groupby(["name_a", "name_b"])  # a pair can surface under 2+ variants
         .aggregate(Count(alias_name="_n"))
         .map_batches(
@@ -339,13 +338,12 @@ def q_chunk_dedup_groups(sf_dir: str):
     bucket a vectorized pandas groupby computes both counts in one pass.
     Only groups with n_occ>1 leave the bucket — output is dup-shaped, not
     corpus-shaped."""
-    chunk_buckets = derive_buckets(sf_dir, "documents", floor=64)
+    chunk_buckets = derive_buckets(_p(sf_dir, "documents"), floor=64)
     import ray.data as rd
 
     from .queries import CHUNK_W, TOKEN_RE
 
     def chunks(batch: pa.Table) -> pa.Table:
-        out_b: list[int] = []
         out_c: list[str] = []
         out_d: list[int] = []
         for d, t in zip(
@@ -354,12 +352,10 @@ def q_chunk_dedup_groups(sf_dir: str):
             tk = TOKEN_RE.findall(t.lower())
             for ci in range((len(tk) + CHUNK_W - 1) // CHUNK_W):
                 seg = " ".join(tk[ci * CHUNK_W : (ci + 1) * CHUNK_W])
-                out_b.append(zlib.crc32(seg.encode()) % chunk_buckets)
                 out_c.append(seg)
                 out_d.append(int(d))
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "chunk": pa.array(out_c, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
             }
@@ -380,11 +376,12 @@ def q_chunk_dedup_groups(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-        .map_batches(chunks, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dups, batch_format="pandas")
+        .map_batches(chunks, batch_format="pyarrow"),
+        "chunk",
+        dups,
+        chunk_buckets,
     )
 
 
@@ -409,7 +406,9 @@ def q_bloom_semijoin_lines(sf_dir: str):
 
     The oracle is the plain EXISTS semi-join — bit-equality proves the
     bloom+verify composition is lossless."""
-    semi_buckets = derive_buckets(sf_dir, "orders", "lineitem", floor=64)
+    semi_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("orders", "lineitem")), floor=64
+    )
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
@@ -434,7 +433,6 @@ def q_bloom_semijoin_lines(sf_dir: str):
         flags = np.asarray(batch["l_returnflag"].to_pylist(), object)[keep]
         return pa.table(
             {
-                "bucket": pa.array(okey[keep] % semi_buckets, pa.int64()),
                 "key": pa.array(okey[keep], pa.int64()),
                 "flag": pa.array(list(flags), pa.string()),
                 "qty": pa.array(qty[keep], pa.int64()),
@@ -446,7 +444,6 @@ def q_bloom_semijoin_lines(sf_dir: str):
         k = np.unique(batch["o_orderkey"].to_numpy().astype(np.int64))
         return pa.table(
             {
-                "bucket": pa.array(k % semi_buckets, pa.int64()),
                 "key": pa.array(k, pa.int64()),
                 "flag": pa.array([""] * len(k), pa.string()),
                 "qty": pa.array(np.zeros(len(k), np.int64), pa.int64()),
@@ -486,9 +483,7 @@ def q_bloom_semijoin_lines(sf_dir: str):
         8
     ).map_batches(prep_build, batch_format="pyarrow")
     return (
-        survivors.union(build_ds)
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+        cogroup([survivors, build_ds], "key", verify, semi_buckets)
         .groupby("l_returnflag")
         .aggregate(Sum("pn", alias_name="n_lines"), Sum("pq", alias_name="sum_qty"))
     )
@@ -647,7 +642,9 @@ def q_orders_constraint_audit(sf_dir: str):
     check reuses the two-fact-table bucketed anti-join, whose shuffle moves
     per-batch-deduped keys only. The zero-row seed guarantees the full
     5-row output shape."""
-    semi_buckets = derive_buckets(sf_dir, "orders", "lineitem", floor=64)
+    semi_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("orders", "lineitem")), floor=64
+    )
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -683,7 +680,6 @@ def q_orders_constraint_audit(sf_dir: str):
         k = np.unique(batch["l_orderkey"].to_numpy().astype(np.int64))
         return pa.table(
             {
-                "bucket": pa.array(k % semi_buckets, pa.int64()),
                 "key": pa.array(k, pa.int64()),
                 "side": pa.array(np.zeros(len(k), np.int64), pa.int64()),
             }
@@ -693,7 +689,6 @@ def q_orders_constraint_audit(sf_dir: str):
         k = batch["o_orderkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(k % semi_buckets, pa.int64()),
                 "key": pa.array(k, pa.int64()),
                 "side": pa.array(np.ones(len(k), np.int64), pa.int64()),
             }
@@ -742,17 +737,20 @@ def q_orders_constraint_audit(sf_dir: str):
         override_num_blocks=4,
     ).map_batches(line_checks, batch_format="pyarrow")
     orphans = (
-        rd.read_parquet(
-            _p(sf_dir, "lineitem"), columns=["l_orderkey"], override_num_blocks=4
-        )
-        .map_batches(prep_lkeys, batch_format="pyarrow")
-        .union(
+        cogroup(
             rd.read_parquet(
-                _p(sf_dir, "orders"), columns=["o_orderkey"], override_num_blocks=4
-            ).map_batches(prep_okeys, batch_format="pyarrow")
+                _p(sf_dir, "lineitem"), columns=["l_orderkey"], override_num_blocks=4
+            )
+            .map_batches(prep_lkeys, batch_format="pyarrow")
+            .union(
+                rd.read_parquet(
+                    _p(sf_dir, "orders"), columns=["o_orderkey"], override_num_blocks=4
+                ).map_batches(prep_okeys, batch_format="pyarrow")
+            ),
+            "key",
+            orphan_count,
+            semi_buckets,
         )
-        .groupby("bucket")
-        .map_groups(orphan_count, batch_format="pandas")
     )
     return (
         seed.union(orders_c)
@@ -921,7 +919,9 @@ def q_nation_region_share(sf_dir: str):
     co-partition; per-bucket joins partial-aggregate to per-nation cents
     before the |nations|-row final groupby; the region hierarchy and the
     percent-of-parent window both run on the 25-row dimension block."""
-    share_buckets = derive_buckets(sf_dir, "nation", "region", "customer", "orders", floor=64)
+    share_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("nation", "region", "customer", "orders")), floor=64
+    )
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
@@ -951,7 +951,6 @@ def q_nation_region_share(sf_dir: str):
         key = batch["c_custkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(key % share_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(
                     batch["c_nationkey"].to_numpy().astype(np.int64), pa.int64()
@@ -968,7 +967,6 @@ def q_nation_region_share(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(key % share_buckets, pa.int64()),
                 "key": pa.array(key, pa.int64()),
                 "nat": pa.array(np.full(len(key), -1, np.int64), pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
@@ -1036,9 +1034,7 @@ def q_nation_region_share(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     ).map_batches(prep_orders, batch_format="pyarrow")
     return (
-        cust.union(orders)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup([cust, orders], "key", join, share_buckets)
         .groupby("nat")
         .aggregate(Sum("pcents", alias_name="rev_cents"))
         .repartition(1)
@@ -1121,7 +1117,7 @@ def q_user_late_events(sf_dir: str):
     Scale shape: ONE user-bucketed shuffle of (arrival, ms) pairs; inside
     each bucket the watermark is a per-user sorted cummax (numpy) and the
     late flags collapse to per-user counts before output."""
-    mode_buckets_late = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets_late = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     from .queries_ml2 import _ms
@@ -1131,7 +1127,6 @@ def q_user_late_events(sf_dir: str):
         eid = batch["event_id"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets_late, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "arr": pa.array((eid * ARRIVAL_MULT) % (1 << 32), pa.int64()),
                 "eid": pa.array(eid, pa.int64()),
@@ -1169,11 +1164,12 @@ def q_user_late_events(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(_p(sf_dir, "events"), columns=["event_id", "ts", "user_id"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(late, batch_format="pandas")
+        .map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        late,
+        mode_buckets_late,
     )
 
 
@@ -1411,7 +1407,7 @@ def q_user_longest_streak(sf_dir: str):
     Scale shape: events collapse to distinct (user, day) map-side; ONE
     user-bucketed shuffle; per-bucket the streaks fall out of one lexsort
     + run-length encoding over day diffs."""
-    mode_buckets_late = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets_late = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
 
     from .queries_ml2 import _ms
@@ -1427,7 +1423,6 @@ def q_user_longest_streak(sf_dir: str):
         uid = d["user_id"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets_late, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "day": pa.array(d["day"].to_numpy(np.int64), pa.int64()),
             }
@@ -1468,11 +1463,12 @@ def q_user_longest_streak(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(_p(sf_dir, "events"), columns=["user_id", "ts"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(streaks, batch_format="pandas")
+        .map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        streaks,
+        mode_buckets_late,
     )
 
 
@@ -1490,7 +1486,7 @@ def q_event_type_markov(sf_dir: str):
     fall out of one lexsort and a shifted comparison (no Python loop);
     per-bucket partial counts collapse before the |types|²-key final
     groupby."""
-    mode_buckets_late = derive_buckets(sf_dir, "events", floor=64)
+    mode_buckets_late = derive_buckets(_p(sf_dir, "events"), floor=64)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -1500,7 +1496,6 @@ def q_event_type_markov(sf_dir: str):
         uid = batch["user_id"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(uid % mode_buckets_late, pa.int64()),
                 "user_id": pa.array(uid, pa.int64()),
                 "ms": pa.array(_ms(batch), pa.int64()),
                 "eid": pa.array(
@@ -1537,12 +1532,15 @@ def q_event_type_markov(sf_dir: str):
         )
 
     return (
-        rd.read_parquet(
-            _p(sf_dir, "events"), columns=["event_id", "ts", "user_id", "event_type"]
+        cogroup(
+            rd.read_parquet(
+                _p(sf_dir, "events"), columns=["event_id", "ts", "user_id", "event_type"]
+            )
+            .map_batches(prep, batch_format="pyarrow"),
+            "user_id",
+            transitions,
+            mode_buckets_late,
         )
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(transitions, batch_format="pandas")
         .groupby(["prev_type", "next_type"])
         .aggregate(Sum("pn", alias_name="n"))
     )
@@ -1984,7 +1982,9 @@ def q_order_size_histogram(sf_dir: str):
     order with its count partials; per bucket the totals are one
     sort + reduceat and the histogram partials are |distinct sizes|
     rows; the final groupby runs over the tiny size domain."""
-    semi_buckets = derive_buckets(sf_dir, "orders", "lineitem", floor=64)
+    semi_buckets = derive_buckets(
+        *(_p(sf_dir, t) for t in ("orders", "lineitem")), floor=64
+    )
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -1992,7 +1992,6 @@ def q_order_size_histogram(sf_dir: str):
         k = batch["o_orderkey"].to_numpy().astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(k % semi_buckets, pa.int64()),
                 "key": pa.array(k, pa.int64()),
                 "pn": pa.array(np.zeros(len(k), np.int64), pa.int64()),
                 "side": pa.array(np.zeros(len(k), np.int64), pa.int64()),
@@ -2004,7 +2003,6 @@ def q_order_size_histogram(sf_dir: str):
         uk, cnt = np.unique(k, return_counts=True)
         return pa.table(
             {
-                "bucket": pa.array(uk % semi_buckets, pa.int64()),
                 "key": pa.array(uk, pa.int64()),
                 "pn": pa.array(cnt.astype(np.int64), pa.int64()),
                 "side": pa.array(np.ones(len(uk), np.int64), pa.int64()),
@@ -2050,9 +2048,7 @@ def q_order_size_histogram(sf_dir: str):
         _p(sf_dir, "lineitem"), columns=["l_orderkey"]
     ).map_batches(prep_lines, batch_format="pyarrow")
     return (
-        orders.union(lines)
-        .groupby("bucket")
-        .map_groups(histogram, batch_format="pandas")
+        cogroup([orders, lines], "key", histogram, semi_buckets)
         .groupby("n_lines")
         .aggregate(Sum("pn", alias_name="n_orders"))
     )
@@ -2202,7 +2198,7 @@ def q_custs_all_priorities(sf_dir: str):
     stream); the divisor domain is a domain-bounded broadcast gathered
     from per-batch uniques; ONE customer-bucketed shuffle, then a
     vectorized distinct-count == |domain| check per bucket."""
-    semi_buckets = derive_buckets(sf_dir, "orders", floor=64)
+    semi_buckets = derive_buckets(_p(sf_dir, "orders"), floor=64)
     import ray.data as rd
 
     def dom_partial(batch: pa.Table) -> pa.Table:
@@ -2233,7 +2229,6 @@ def q_custs_all_priorities(sf_dir: str):
         cust = d["cust"].to_numpy(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(cust % semi_buckets, pa.int64()),
                 "cust": pa.array(cust, pa.int64()),
                 "prio": pa.array(d["prio"], pa.string()),
             }
@@ -2251,13 +2246,14 @@ def q_custs_all_priorities(sf_dir: str):
         keep = nd[nd == k].index.to_numpy(np.int64)
         return pa.table({"o_custkey": pa.array(np.sort(keep), pa.int64())})
 
-    return (
+    return cogroup(
         rd.read_parquet(
             _p(sf_dir, "orders"), columns=["o_custkey", "o_orderpriority"]
         )
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(divide, batch_format="pandas")
+        .map_batches(prep, batch_format="pyarrow"),
+        "cust",
+        divide,
+        semi_buckets,
     )
 
 
@@ -2492,64 +2488,52 @@ def _pair_expand(vals: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     return vals[a_idx], vals[b_idx]
 
 
-def _prep_basket_dedup_fn(nb: int):
-    """Factory: lineitem batch → (okey-hash bucket, okey, part) with
-    per-batch (okey, part) dedup. Per-batch dedup is exact only within a
-    batch; downstream kernels re-dedup inside the okey-bucketed group, so
-    cross-batch duplicates of one (okey, part) are removed exactly once
-    all of an order's rows co-locate."""
+def _prep_basket_dedup(batch: pa.Table) -> pa.Table:
+    """lineitem batch → (okey, part) with per-batch (okey, part) dedup.
+    Per-batch dedup is exact only within a batch; downstream kernels
+    re-dedup inside the okey-bucketed group, so cross-batch duplicates of
+    one (okey, part) are removed exactly once all of an order's rows
+    co-locate."""
+    import pandas as pd
 
-    def prep(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        d = (
-            pd.DataFrame(
-                {
-                    "okey": batch["l_orderkey"].to_numpy(),
-                    "part": batch["l_partkey"].to_numpy(),
-                }
-            )
-            .drop_duplicates()
-        )
-        okey = d["okey"].to_numpy(np.int64)
-        return pa.table(
+    d = (
+        pd.DataFrame(
             {
-                "bucket": pa.array(okey % nb, pa.int64()),
-                "okey": pa.array(okey, pa.int64()),
-                "part": pa.array(d["part"].to_numpy(np.int64), pa.int64()),
+                "okey": batch["l_orderkey"].to_numpy(),
+                "part": batch["l_partkey"].to_numpy(),
             }
         )
+        .drop_duplicates()
+    )
+    return pa.table(
+        {
+            "okey": pa.array(d["okey"].to_numpy(np.int64), pa.int64()),
+            "part": pa.array(d["part"].to_numpy(np.int64), pa.int64()),
+        }
+    )
 
-    return prep
 
-
-def _basket_pairs_fn(nb: int):
-    """Factory: okey-bucketed group → within-basket ordered part pairs,
-    routed by pair hash. Support counting happens inside the NEXT
-    bucketed map_groups with a vectorized pandas groupby — a global
-    aggregate over ~all-unique pair keys pays Ray's per-group overhead
-    millions of times (the measured singleton-group trap)."""
-
-    def pairs(g) -> pa.Table:
-        d = g[["okey", "part"]].drop_duplicates()
-        okey = d["okey"].to_numpy(np.int64)
-        part = d["part"].to_numpy(np.int64)
-        order = np.lexsort((part, okey))
-        okey, part = okey[order], part[order]
-        starts = np.r_[0, np.flatnonzero(okey[1:] != okey[:-1]) + 1]
-        ends = np.r_[starts[1:], len(okey)]
-        out_a, out_b = _pair_expand(part, starts, ends)
-        return pa.table(
-            {
-                "pbucket": pa.array(
-                    (out_a * 1_000_003 + out_b) % nb, pa.int64()
-                ),
-                "part_a": pa.array(out_a, pa.int64()),
-                "part_b": pa.array(out_b, pa.int64()),
-            }
-        )
-
-    return pairs
+def _basket_pairs(g) -> pa.Table:
+    """okey-bucketed group → within-basket ordered part pairs, keyed by
+    the packed pair. Support counting happens inside the NEXT bucketed
+    co-group with a vectorized pandas groupby — a global aggregate over
+    ~all-unique pair keys pays Ray's per-group overhead millions of times
+    (the measured singleton-group trap)."""
+    d = g[["okey", "part"]].drop_duplicates()
+    okey = d["okey"].to_numpy(np.int64)
+    part = d["part"].to_numpy(np.int64)
+    order = np.lexsort((part, okey))
+    okey, part = okey[order], part[order]
+    starts = np.r_[0, np.flatnonzero(okey[1:] != okey[:-1]) + 1]
+    ends = np.r_[starts[1:], len(okey)]
+    out_a, out_b = _pair_expand(part, starts, ends)
+    return pa.table(
+        {
+            "pair": pa.array(out_a * 1_000_003 + out_b, pa.int64()),
+            "part_a": pa.array(out_a, pa.int64()),
+            "part_b": pa.array(out_b, pa.int64()),
+        }
+    )
 
 
 def _pair_count_filter_fn(min_support: int):
@@ -2576,21 +2560,17 @@ def _pair_count_filter_fn(min_support: int):
     return count_filter
 
 
-def _basket_dedup_ds(sf_dir: str, nb: int):
+def _basket_dedup_ds(sf_dir: str):
     import ray.data as rd
 
     return rd.read_parquet(
         _p(sf_dir, "lineitem"), columns=["l_orderkey", "l_partkey"]
-    ).map_batches(_prep_basket_dedup_fn(nb), batch_format="pyarrow")
+    ).map_batches(_prep_basket_dedup, batch_format="pyarrow")
 
 
 def _mined_pairs_ds(dedup_ds, nb: int, min_support: int):
-    return (
-        dedup_ds.groupby("bucket")
-        .map_groups(_basket_pairs_fn(nb), batch_format="pandas")
-        .groupby("pbucket")
-        .map_groups(_pair_count_filter_fn(min_support), batch_format="pandas")
-    )
+    pairs = cogroup(dedup_ds, "okey", _basket_pairs, nb)
+    return cogroup(pairs, "pair", _pair_count_filter_fn(min_support), nb)
 
 
 def q_part_pair_support(sf_dir: str):
@@ -2606,9 +2586,9 @@ def q_part_pair_support(sf_dir: str):
     ONE order-bucketed shuffle co-locates every basket; per-basket pair
     expansion is bounded by basket size²; the (pair → support) groupby
     moves only pair rows; the HAVING filter makes output support-shaped."""
-    basket_buckets = derive_buckets(sf_dir, "lineitem", floor=1024)
+    basket_buckets = derive_buckets(_p(sf_dir, "lineitem"), floor=1024)
     return _mined_pairs_ds(
-        _basket_dedup_ds(sf_dir, basket_buckets),
+        _basket_dedup_ds(sf_dir),
         basket_buckets,
         BASKET_MIN_SUPPORT,
     )
@@ -2631,7 +2611,7 @@ def q_part_pair_lift(sf_dir: str):
     table is support-shaped (already HAVING-filtered), item supports are
     a dimension-bounded broadcast (sorted part-key array + counts), and
     the basket total rides the same shuffle as a sentinel row."""
-    basket_buckets = derive_buckets(sf_dir, "lineitem", floor=1024)
+    basket_buckets = derive_buckets(_p(sf_dir, "lineitem"), floor=1024)
     import ray
     from ray.data.aggregate import Sum
 
@@ -2649,10 +2629,9 @@ def q_part_pair_lift(sf_dir: str):
             }
         )
 
-    dedup_ds = _basket_dedup_ds(sf_dir, basket_buckets).materialize()
+    dedup_ds = _basket_dedup_ds(sf_dir).materialize()
     singles = (
-        dedup_ds.groupby("bucket")
-        .map_groups(count_parts, batch_format="pandas")
+        cogroup(dedup_ds, "okey", count_parts, basket_buckets)
         .groupby("part")
         .aggregate(Sum("pn", alias_name="n"))
         .to_pandas()  # dimension-bounded: one row per part in the catalog
@@ -2746,7 +2725,7 @@ def q_part_graph_triangles(sf_dir: str):
     re-mined baskets per consumer); ONE shuffle routes wedges + edges by
     (v, w) hash and each bucket resolves membership with a sorted-key
     searchsorted. Output is a single count row."""
-    basket_buckets = derive_buckets(sf_dir, "lineitem", floor=1024)
+    basket_buckets = derive_buckets(_p(sf_dir, "lineitem"), floor=1024)
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -2773,7 +2752,6 @@ def q_part_graph_triangles(sf_dir: str):
         src, dst, ddeg = _orient_edges(a, b, keys, deg)
         return pa.table(
             {
-                "grp": pa.array(src % basket_buckets, pa.int64()),
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
                 "ddeg": pa.array(ddeg, pa.int64()),
@@ -2792,10 +2770,9 @@ def q_part_graph_triangles(sf_dir: str):
         starts = np.r_[0, np.flatnonzero(src[1:] != src[:-1]) + 1]
         ends = np.r_[starts[1:], len(src)]
         out_b, out_c = _pair_expand(dst, starts, ends)  # wedges, vectorized
-        key = out_b * 1_000_003 + out_c
         return pa.table(
             {
-                "bucket": pa.array(key % basket_buckets, pa.int64()),
+                "key": pa.array(out_b * 1_000_003 + out_c, pa.int64()),
                 "b": pa.array(out_b, pa.int64()),
                 "c": pa.array(out_c, pa.int64()),
                 "side": pa.array(np.zeros(len(out_b), np.int64), pa.int64()),
@@ -2807,10 +2784,9 @@ def q_part_graph_triangles(sf_dir: str):
         a = batch["part_a"].to_numpy().astype(np.int64)
         b = batch["part_b"].to_numpy().astype(np.int64)
         src, dst, _ = _orient_edges(a, b, keys, deg)
-        key = src * 1_000_003 + dst
         return pa.table(
             {
-                "bucket": pa.array(key % basket_buckets, pa.int64()),
+                "key": pa.array(src * 1_000_003 + dst, pa.int64()),
                 "b": pa.array(src, pa.int64()),
                 "c": pa.array(dst, pa.int64()),
                 "side": pa.array(np.ones(len(src), np.int64), pa.int64()),
@@ -2861,7 +2837,7 @@ def q_part_graph_triangles(sf_dir: str):
     # below (degrees, wedge expansion, membership side) — lazy lineage
     # would re-mine the baskets once per consumer
     edge_ds = _mined_pairs_ds(
-        _basket_dedup_ds(sf_dir, basket_buckets),
+        _basket_dedup_ds(sf_dir),
         basket_buckets,
         TRI_MIN_SUPPORT,
     ).materialize()
@@ -2875,17 +2851,20 @@ def q_part_graph_triangles(sf_dir: str):
     dv = deg_df["d"].to_numpy(np.int64)
     o = np.argsort(dk, kind="stable")
     deg_ref = ray.put((dk[o], dv[o]))
-    wedge_ds = (
-        edge_ds.map_batches(reprep, batch_format="pyarrow")
-        .groupby("grp")
-        .map_groups(wedges, batch_format="pandas")
+    wedge_ds = cogroup(
+        edge_ds.map_batches(reprep, batch_format="pyarrow"),
+        "src",
+        wedges,
+        basket_buckets,
     )
     edge_side = edge_ds.map_batches(edge_rows, batch_format="pyarrow")
     return (
-        wedge_ds.union(edge_side)
-        .repartition(SHUFFLE_BLOCKS_TRI)
-        .groupby("bucket")
-        .map_groups(close_count, batch_format="pandas")
+        cogroup(
+            wedge_ds.union(edge_side).repartition(SHUFFLE_BLOCKS_TRI),
+            "key",
+            close_count,
+            basket_buckets,
+        )
         .repartition(1)
         .map_batches(finish, batch_format="pyarrow", batch_size=None)
     )

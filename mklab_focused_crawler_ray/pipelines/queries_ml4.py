@@ -349,30 +349,26 @@ def q_boilerplate_gram_docs(sf_dir: str):
     the surviving boilerplate set is threshold-bounded and broadcasts;
     pass 2 re-scans documents map-side counting hits against the
     broadcast sorted array. Two document scans total, both streaming."""
-    import zlib
-
     import ray
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
     from .queries import TOKEN_RE
 
-    nb = derive_buckets(sf_dir, "documents", floor=64)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
 
     def doc_grams(text: str) -> list[str]:
         tk = TOKEN_RE.findall(text.lower())
         return [" ".join(tk[i : i + BOILER_W]) for i in range(len(tk) - BOILER_W + 1)]
 
     def gram_doc_pairs(batch: pa.Table) -> pa.Table:
-        out_b, out_g, out_d = [], [], []
+        out_g, out_d = [], []
         for d, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             for g in set(doc_grams(t)):  # per-doc dedup before the shuffle
-                out_b.append(zlib.crc32(g.encode()) % nb)
                 out_g.append(g)
                 out_d.append(int(d))
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "gram": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
             }
@@ -384,12 +380,12 @@ def q_boilerplate_gram_docs(sf_dir: str):
         return pa.table({"gram": pa.array(keep.index.tolist(), pa.string())})
 
     docs = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    boiler = (
-        docs.map_batches(gram_doc_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(boiler_grams, batch_format="pandas")
-        .to_pandas()  # threshold-bounded: only cross-doc-repeated grams
-    )
+    boiler = cogroup(
+        docs.map_batches(gram_doc_pairs, batch_format="pyarrow"),
+        "gram",
+        boiler_grams,
+        nb,
+    ).to_pandas()  # threshold-bounded: only cross-doc-repeated grams
     bset = np.sort(np.array(boiler["gram"].tolist(), object).astype(str))
     bref = ray.put(bset)
 
@@ -455,26 +451,21 @@ def q_delta_tokenset_dedup(sf_dir: str):
     bucket); output is delta-shaped. At production scale the base side
     is the standing key index (the keyed-merge sink layout), not a
     rescan."""
-    import zlib
-
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
     from .queries import TOKEN_RE
 
-    nb = derive_buckets(sf_dir, "documents", floor=64)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
 
     def prep(batch: pa.Table) -> pa.Table:
-        out_b, out_k, out_d, out_s = [], [], [], []
+        out_k, out_d, out_s = [], [], []
         for d, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            key = " ".join(sorted(set(TOKEN_RE.findall(t.lower()))))
-            out_b.append(zlib.crc32(key.encode()) % nb)
-            out_k.append(key)
+            out_k.append(" ".join(sorted(set(TOKEN_RE.findall(t.lower())))))
             out_d.append(int(d))
             out_s.append(1 if d % DELTA_MOD == 0 else 0)
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "key": pa.array(out_k, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
                 "side": pa.array(out_s, pa.int64()),
@@ -499,11 +490,12 @@ def q_delta_tokenset_dedup(sf_dir: str):
             }
         )
 
-    return (
+    return cogroup(
         rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+        .map_batches(prep, batch_format="pyarrow"),
+        "key",
+        resolve,
+        nb,
     )
 
 

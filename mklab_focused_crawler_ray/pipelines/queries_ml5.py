@@ -20,7 +20,6 @@ that DuckDB replays bit-for-bit with window functions.
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -67,7 +66,7 @@ def q_substring_dup_spans(sf_dir: str):
 
     Scale shape: pass 1 ships (gram, partial_count) — per-batch
     ``np.unique`` combiner, so the shuffle carries each distinct gram
-    once per batch, never positions — through a crc32-bucketed groupby;
+    once per batch, never positions — through one bucketed co-group;
     the surviving duplicated-gram set is threshold-bounded and
     broadcasts (``ray.put`` once) exactly like the decontam/boilerplate
     family; pass 2 re-scans documents map-side (sliding-window +
@@ -80,9 +79,9 @@ def q_substring_dup_spans(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets(sf_dir, "documents", floor=64)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
 
     def gram_partials(batch: pa.Table) -> pa.Table:
         per_doc = [_doc_grams_u(t) for t in batch["text"].to_pylist()]
@@ -90,18 +89,13 @@ def q_substring_dup_spans(sf_dir: str):
         if not per_doc:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int64()),
                     "gram": pa.array([], pa.string()),
                     "n": pa.array([], pa.int64()),
                 }
             )
         grams, counts = np.unique(np.concatenate(per_doc), return_counts=True)
-        buckets = np.array(
-            [zlib.crc32(g.encode()) % nb for g in grams.tolist()], np.int64
-        )
         return pa.table(
             {
-                "bucket": pa.array(buckets),
                 "gram": pa.array(grams),
                 "n": pa.array(counts.astype(np.int64)),
             }
@@ -113,12 +107,9 @@ def q_substring_dup_spans(sf_dir: str):
         return pa.table({"gram": pa.array(keep.index.to_numpy().astype(str))})
 
     docs = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-    dup = (
-        docs.map_batches(gram_partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dup_grams, batch_format="pandas")
-        .to_pandas()  # threshold-bounded: only corpus-repeated grams
-    )
+    dup = cogroup(
+        docs.map_batches(gram_partials, batch_format="pyarrow"), "gram", dup_grams, nb
+    ).to_pandas()  # threshold-bounded: only corpus-repeated grams
     dset = np.sort(np.asarray(dup["gram"].to_numpy(), dtype=f"U{DUPSPAN_L}"))
     dref = ray.put(dset)
 
@@ -238,23 +229,6 @@ def _link_explode_fn(bloom_ref):
     return explode
 
 
-def _bucketed_fn(nb: int):
-    """Deterministic crc32 bucket column factory (python hash() is
-    seed-randomized per worker, which would silently break co-groups)."""
-
-    def bucketed(col: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            h = np.array(
-                [zlib.crc32(u.encode()) % nb for u in batch[col].to_pylist()],
-                np.int64,
-            )
-            return batch.append_column("bucket", pa.array(h, pa.int64()))
-
-        return fn
-
-    return bucketed
-
-
 def _internal_edges_exact(pages: str, nb: int):
     """Exact internal edge list (src, dst): exploded out-links bloom-
     prefiltered, then bucketed co-group with the node table by hash(dst)
@@ -262,6 +236,8 @@ def _internal_edges_exact(pages: str, nb: int):
     (a url listed twice in one page's out_links) are KEPT — mass-flow
     operators count them, exactly like unnest does SQL-side."""
     import ray.data as rd
+
+    from ..scale import cogroup
 
     node_ds = rd.read_parquet(pages, columns=["url"]).materialize()
     raw = rd.read_parquet(pages, columns=["url", "out_links"]).map_batches(
@@ -277,8 +253,6 @@ def _internal_edges_exact(pages: str, nb: int):
         ),
         batch_format="pyarrow",
     )
-    bucketed = _bucketed_fn(nb)
-
     def verify(g) -> pa.Table:
         nodeset = g[g["side"] == 0]["dst"].to_numpy(object)
         ee = g[g["side"] == 1]
@@ -291,13 +265,9 @@ def _internal_edges_exact(pages: str, nb: int):
         )
 
     return (
-        raw.union(node_side)
-        .repartition(nb)
-        .map_batches(bucketed("dst"), batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
-        .materialize()
-    ), node_ds
+        cogroup(raw.union(node_side).repartition(nb), "dst", verify, nb).materialize(),
+        node_ds,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -317,12 +287,12 @@ def _graph_layout(sf_dir: str) -> tuple[str, int]:
     edge table stops re-shuffling through every iteration)."""
     import hashlib
 
-    from ..scale import derive_buckets_for_paths
+    from ..scale import derive_buckets
     from ..stages.pregel import build_graph_layout
     from .queries_media import _pages_path
 
     pages = _pages_path(sf_dir)
-    nb = derive_buckets_for_paths(pages, floor=32)
+    nb = derive_buckets(pages, floor=32)
     st = os.stat(pages)
     fp = hashlib.blake2b(
         f"{os.path.abspath(pages)}:{st.st_size}:{st.st_mtime_ns}".encode(),
@@ -871,16 +841,9 @@ def q_source_budget_docs(sf_dir: str):
     parallelism, same discipline as ``doc_pack_sequences``."""
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets(sf_dir, "documents", floor=16)
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        b = np.array(
-            [zlib.crc32(s.encode()) % nb for s in batch["source"].to_pylist()],
-            np.int64,
-        )
-        return batch.append_column("bucket", pa.array(b, pa.int64()))
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=16)
 
     def gate(g) -> pa.Table:
         ids = g["doc_id"].to_numpy(np.int64)
@@ -908,11 +871,11 @@ def q_source_budget_docs(sf_dir: str):
             }
         )
 
-    return (
-        rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "source", "n_chars"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(gate, batch_format="pandas")
+    return cogroup(
+        rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "source", "n_chars"]),
+        "source",
+        gate,
+        nb,
     )
 
 
@@ -947,9 +910,9 @@ def q_substring_dup_stats(sf_dir: str):
     (doc_id, n_chars) — text is never re-read."""
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
 
-    nb = derive_buckets(sf_dir, "documents", floor=16)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=16)
 
     spans_side = q_substring_dup_spans(sf_dir).map_batches(
         lambda b: pa.table(
@@ -976,10 +939,6 @@ def q_substring_dup_stats(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        b = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64) % nb
-        return batch.append_column("bucket", pa.array(b, pa.int64()))
-
     def rollup(g) -> pa.Table:
         import pandas as pd
 
@@ -998,13 +957,7 @@ def q_substring_dup_stats(sf_dir: str):
             }
         )
 
-    return (
-        doc_side.union(spans_side)
-        .repartition(nb)
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(rollup, batch_format="pandas")
-    )
+    return cogroup(doc_side.union(spans_side).repartition(nb), "doc_id", rollup, nb)
 
 
 def _dupstats_sql() -> str:

@@ -23,12 +23,10 @@ integers end-to-end — Python ints engine-side, HUGEINT oracle-side).
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 from .queries_ml2 import _p
 
 # --------------------------------------------------------------------------
@@ -293,10 +291,9 @@ def q_source_vocab_overlap(sf_dir: str):
     token contributes its source-pair combinations inside one bucket."""
     import ray.data as rd
 
-    from ..scale import derive_buckets
     from .queries import TOKEN_RE
 
-    nb = derive_buckets(sf_dir, "documents", floor=64)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
 
     def pairs(batch: pa.Table) -> pa.Table:
         seen = set()
@@ -307,9 +304,6 @@ def q_source_vocab_overlap(sf_dir: str):
         toks = [w for _, w in seen]
         return pa.table(
             {
-                "bucket": pa.array(
-                    [zlib.crc32(w.encode()) % nb for w in toks], pa.int64()
-                ),
                 "source": pa.array(srcs, pa.string()),
                 "token": pa.array(toks, pa.string()),
             }
@@ -341,9 +335,9 @@ def q_source_vocab_overlap(sf_dir: str):
 
     docs = rd.read_parquet(_p(sf_dir, "documents"), columns=["source", "text"])
     agg = (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_partials, batch_format="pandas")
+        cogroup(
+            docs.map_batches(pairs, batch_format="pyarrow"), "token", bucket_partials, nb
+        )
         .groupby(["src_a", "src_b"])
         .sum("c")
         .to_pandas()  # |sources|²-bounded
@@ -794,7 +788,7 @@ def q_doc_bigram_logprob(sf_dir: str):
     Reference: no LM scoring exists in the reference (its text scoring is
     the shares/pubtime ranker, RankerBolt.java:78-92); this is the build
     brief's quality-scoring tier."""
-    bg_buckets = derive_buckets(sf_dir, "documents", floor=64)
+    bg_buckets = derive_buckets(_p(sf_dir, "documents"), floor=64)
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -840,7 +834,7 @@ def q_doc_bigram_logprob(sf_dir: str):
     def bigram_rows(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
-        out_b, out_g, out_d, out_n = [], [], [], []
+        out_g, out_d, out_n = [], [], []
         for d, t in zip(batch["doc_id"].to_numpy(), batch["text"].to_pylist()):
             tk = TOKEN_RE.findall(t.lower())
             if len(tk) < 2:
@@ -849,13 +843,11 @@ def q_doc_bigram_logprob(sf_dir: str):
                 tk[i] + " " + tk[i + 1] for i in range(len(tk) - 1)
             )
             for g, n in c.items():
-                out_b.append(zlib.crc32(g.encode()) % bg_buckets)
                 out_g.append(g)
                 out_d.append(int(d))
                 out_n.append(n)
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "bigram": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
                 "n": pa.array(out_n, pa.int64()),
@@ -894,9 +886,12 @@ def q_doc_bigram_logprob(sf_dir: str):
         )
 
     return (
-        docs.map_batches(bigram_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
+        cogroup(
+            docs.map_batches(bigram_rows, batch_format="pyarrow"),
+            "bigram",
+            score_bucket,
+            bg_buckets,
+        )
         .groupby("doc_id")
         .aggregate(
             Sum("pn", alias_name="n_bigrams"),
@@ -948,14 +943,14 @@ def q_doc_novel_grams(sf_dir: str):
     lexsort pass; the final groupby is doc-bounded. Gram strings shuffle
     verbatim (exact, like chunk_dedup_groups) rather than as 64-bit
     hashes, so the oracle's string grouping is replayed literally."""
-    gram_buckets = derive_buckets(sf_dir, "documents", floor=64)
+    gram_buckets = derive_buckets(_p(sf_dir, "documents"), floor=64)
     import ray.data as rd
     from ray.data.aggregate import Sum
 
     from .queries import TOKEN_RE
 
     def gram_rows(batch: pa.Table) -> pa.Table:
-        out_b, out_g, out_d = [], [], []
+        out_g, out_d = [], []
         for d, t in zip(batch["doc_id"].to_numpy(), batch["text"].to_pylist()):
             tk = TOKEN_RE.findall(t.lower())
             if len(tk) < NOVEL_W:
@@ -965,12 +960,10 @@ def q_doc_novel_grams(sf_dir: str):
                 for i in range(len(tk) - NOVEL_W + 1)
             }
             for g in grams:
-                out_b.append(zlib.crc32(g.encode()) % gram_buckets)
                 out_g.append(g)
                 out_d.append(int(d))
         return pa.table(
             {
-                "bucket": pa.array(out_b, pa.int64()),
                 "gram": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
             }
@@ -1011,10 +1004,13 @@ def q_doc_novel_grams(sf_dir: str):
         )
 
     return (
-        rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
-        .map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(novelty_bucket, batch_format="pandas")
+        cogroup(
+            rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
+            .map_batches(gram_rows, batch_format="pyarrow"),
+            "gram",
+            novelty_bucket,
+            gram_buckets,
+        )
         .groupby("doc_id")
         .aggregate(
             Sum("pn", alias_name="n_grams"),
@@ -1074,11 +1070,11 @@ def q_containment_dup_pairs(sf_dir: str):
 
     from ..functions.hashing import word_ngram_hashes
 
-    buckets = derive_buckets(sf_dir, "documents", floor=64)
+    buckets = derive_buckets(_p(sf_dir, "documents"), floor=64)
     docs = rd.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        out_b, out_s, out_d, out_p = [], [], [], []
+        out_s, out_d, out_p = [], [], []
         for did, text in zip(batch["doc_id"].to_numpy(), batch["text"].to_pylist()):
             h = word_ngram_hashes(text, 3)  # sorted unique uint64
             n = len(h)
@@ -1086,7 +1082,6 @@ def q_containment_dup_pairs(sf_dir: str):
                 continue
             plen = n - math.ceil(CONTAIN_NUM * n / CONTAIN_DEN) + 1
             hi = h.view(np.int64)
-            out_b.append((h % np.uint64(buckets)).astype(np.int64))
             out_s.append(hi)
             out_d.append(np.full(n, did, np.int64))
             pref = np.zeros(n, np.int64)
@@ -1095,7 +1090,6 @@ def q_containment_dup_pairs(sf_dir: str):
         if not out_s:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int64()),
                     "shingle": pa.array([], pa.int64()),
                     "doc_id": pa.array([], pa.int64()),
                     "is_prefix": pa.array([], pa.int64()),
@@ -1103,7 +1097,6 @@ def q_containment_dup_pairs(sf_dir: str):
             )
         return pa.table(
             {
-                "bucket": pa.array(np.concatenate(out_b), pa.int64()),
                 "shingle": pa.array(np.concatenate(out_s), pa.int64()),
                 "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
                 "is_prefix": pa.array(np.concatenate(out_p), pa.int64()),
@@ -1143,9 +1136,9 @@ def q_containment_dup_pairs(sf_dir: str):
         )
 
     cand = (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(cands, batch_format="pandas")
+        cogroup(
+            docs.map_batches(explode, batch_format="pyarrow"), "shingle", cands, buckets
+        )
         .to_pandas()  # candidate pairs — pairs-shaped, the
         # _pairs_distributed output contract (bounded by true pair volume
         # × prefix redundancy, never corpus-shaped)

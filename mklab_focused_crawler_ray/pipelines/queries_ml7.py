@@ -384,14 +384,15 @@ def q_source_unigram_kl(sf_dir: str):
     Scale shape: one (source, token) count shuffle (vocabulary×sources
     bounded) materialized once and reused; per-source totals are a
     source-count-bounded broadcast; corpus counts C_t come from a
-    token-keyed map_groups over the SAME bounded table (each group is
-    ≤ |sources| rows); the per-source finisher accumulates Σ c·Δlp in
-    Python ints (int64 wraps once c·Δlp passes ~10¹⁹ — the
-    lang_token_fertility ADVICE-r4 rule)."""
+    token-bucketed co-group over the SAME bounded table (the kernel
+    loops over the bucket's tokens, ≤ |sources| rows each); the
+    per-source finisher accumulates Σ c·Δlp in Python ints (int64 wraps
+    once c·Δlp passes ~10¹⁹ — the lang_token_fertility ADVICE-r4 rule)."""
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
 
+    from ..scale import cogroup, derive_buckets
     from .queries import TOKEN_RE
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -461,9 +462,14 @@ def q_source_unigram_kl(sf_dir: str):
             }
         )
 
+    def per_bucket(g) -> pa.Table:
+        return pa.concat_tables(
+            [per_token(tg) for _, tg in g.groupby("token", sort=False)]
+        )
+
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
     return (
-        counts.groupby("token")
-        .map_groups(per_token, batch_format="pandas")
+        cogroup(counts, "token", per_bucket, nb)
         .groupby("source")
         .map_groups(finish, batch_format="pandas")
     )
@@ -757,13 +763,12 @@ def q_ccnet_perplexity_buckets(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..scale import derive_buckets
+    from ..scale import cogroup, derive_buckets
 
-    nb_buckets = derive_buckets(sf_dir, "documents", floor=16)
+    nb_buckets = derive_buckets(_p(sf_dir, "documents"), floor=16)
     lp = q_doc_bigram_logprob_shared(sf_dir)
 
     def score(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         lpm = np.asarray(
             batch["logprob_micro"].to_numpy(zero_copy_only=False), np.int64
         ).astype(object)
@@ -777,9 +782,6 @@ def q_ccnet_perplexity_buckets(sf_dir: str):
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    np.asarray(ids, np.int64) % nb_buckets, pa.int64()
-                ),
                 "doc_id": batch["doc_id"],
                 "side": pa.array(np.zeros(len(ppt), np.int64), pa.int64()),
                 "lang": pa.array([""] * len(ppt), pa.string()),
@@ -789,10 +791,8 @@ def q_ccnet_perplexity_buckets(sf_dir: str):
 
     def lang_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        ids = np.asarray(batch["doc_id"].to_numpy(zero_copy_only=False), np.int64)
         return pa.table(
             {
-                "bucket": pa.array(ids % nb_buckets, pa.int64()),
                 "doc_id": batch["doc_id"],
                 "side": pa.array(np.ones(n, np.int64), pa.int64()),
                 "lang": batch["lang"],
@@ -836,10 +836,12 @@ def q_ccnet_perplexity_buckets(sf_dir: str):
         )
 
     return (
-        lp.map_batches(score, batch_format="pyarrow")
-        .union(langs)
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup(
+            [lp.map_batches(score, batch_format="pyarrow"), langs],
+            "doc_id",
+            join,
+            nb_buckets,
+        )
         .groupby("lang")
         .map_groups(terciles, batch_format="pandas")
     )
@@ -2934,7 +2936,8 @@ def q_source_js_divergence(sf_dir: str):
     engines; every division is the portable sign-split floor.
 
     Scale shape: ONE (source, token) count shuffle (the KL/IG
-    materialization); each token group (≤ |sources| rows) emits its
+    materialization); a token-bucketed co-group loops over the bucket's
+    tokens and each token (≤ |sources| rows) emits its
     per-(directed source, peer) contribution rows — the shuffle is
     vocabulary×sources² bounded, the explicit cost of an all-pairs
     divergence matrix (prune the source list first at large fan-in);
@@ -2943,6 +2946,7 @@ def q_source_js_divergence(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
+    from ..scale import cogroup, derive_buckets
     from .queries import TOKEN_RE
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -3029,9 +3033,14 @@ def q_source_js_divergence(sf_dir: str):
             }
         )
 
+    def per_bucket(g) -> pa.Table:
+        return pa.concat_tables(
+            [per_token(tg) for _, tg in g.groupby("token", sort=False)]
+        )
+
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
     kl_df = (
-        counts.groupby("token")
-        .map_groups(per_token, batch_format="pandas")
+        cogroup(counts, "token", per_bucket, nb)
         .groupby(["src", "peer"])
         .map_groups(finish, batch_format="pandas")
         .to_pandas()  # sources² bounded

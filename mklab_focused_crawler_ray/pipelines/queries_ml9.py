@@ -28,12 +28,11 @@ build-brief crawl-scheduler / curation additions.
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
 
-from ..scale import derive_buckets
+from ..scale import cogroup, derive_buckets
 from .queries_ml2 import _p
 from .queries_ml3 import SPLIT_MULT, SPLIT_TRAIN_PCT
 
@@ -313,7 +312,7 @@ def q_doc_trigram_backoff(sf_dir: str):
     total; the final groupby is doc-bounded. DOUBLE-cast literals in the
     oracle are load-bearing: DuckDB's bare 0.4/0.16 are DECIMAL and
     round differently from float64."""
-    nb = derive_buckets(sf_dir, "documents", floor=64)
+    nb = derive_buckets(_p(sf_dir, "documents"), floor=64)
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -354,9 +353,6 @@ def q_doc_trigram_backoff(sf_dir: str):
     c1_ref = ray.put(
         (uni["token"].to_numpy(str), uni["c1"].to_numpy(np.int64))
     )
-
-    def _bk(strs: list[str]) -> list[int]:
-        return [zlib.crc32(s.encode()) % nb for s in strs]
 
     # side rows: 0 = train trigram partials, 1 = train bigram partials,
     # 2 = held-out doc trigram rows — all keyed by hash(ab) in pass 1
@@ -399,7 +395,7 @@ def q_doc_trigram_backoff(sf_dir: str):
         ]
         return pa.table(
             {
-                "bucket": pa.array(_bk(ab), pa.int64()),
+                "ab": pa.array(ab, pa.string()),
                 "side": pa.array(out_s, pa.int64()),
                 "key": pa.array(out_k, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
@@ -427,7 +423,6 @@ def q_doc_trigram_backoff(sf_dir: str):
         if not rows.any():
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int64()),
                     "side": pa.array([], pa.int64()),
                     "key": pa.array([], pa.string()),
                     "doc_id": pa.array([], pa.int64()),
@@ -444,7 +439,6 @@ def q_doc_trigram_backoff(sf_dir: str):
         bc = sp.str.split(" ", n=1).str[1].to_numpy(object).astype(str)
         return pa.table(
             {
-                "bucket": pa.array(_bk(bc.tolist()), pa.int64()),
                 "side": pa.array(np.ones(rows.sum(), np.int64), pa.int64()),
                 "key": pa.array(bc, pa.string()),
                 "doc_id": pa.array(g["doc_id"].to_numpy(np.int64)[rows], pa.int64()),
@@ -468,7 +462,6 @@ def q_doc_trigram_backoff(sf_dir: str):
         nn = len(keys)
         return pa.table(
             {
-                "bucket": pa.array(_bk(keys), pa.int64()),
                 "side": pa.array(np.zeros(nn, np.int64), pa.int64()),
                 "key": pa.array(keys, pa.string()),
                 "doc_id": pa.array(np.full(nn, -1, np.int64), pa.int64()),
@@ -533,15 +526,12 @@ def q_doc_trigram_backoff(sf_dir: str):
             }
         )
 
-    pass1 = (
-        docs.map_batches(pass1_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(attach_pass1, batch_format="pandas")
+    pass1 = cogroup(
+        docs.map_batches(pass1_rows, batch_format="pyarrow"), "ab", attach_pass1, nb
     )
+    bigrams = docs.map_batches(bigram_side0, batch_format="pyarrow")
     return (
-        pass1.union(docs.map_batches(bigram_side0, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(score_pass2, batch_format="pandas")
+        cogroup([pass1, bigrams], "key", score_pass2, nb)
         .groupby("doc_id")
         .aggregate(
             Sum("pn", alias_name="n_trigrams"),
@@ -1601,7 +1591,7 @@ def q_ann_matryoshka_recall(sf_dir: str):
             for e in qt["embedding"].to_pylist()
         ]
     )
-    qmat = qmat / np.linalg.norm(qmat, axis=1, keepdims=True)
+    qmat = _unit_rows(qmat)
     q_ref = ray.put((qids, qmat))
 
     def sims(batch: pa.Table) -> pa.Table:
@@ -1615,8 +1605,7 @@ def q_ann_matryoshka_recall(sf_dir: str):
                 for e in batch["embedding"].to_pylist()
             ]
         )
-        emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        cm = _micro(emb @ bqmat.T)
+        cm = _micro(_unit_rows(emb) @ bqmat.T)
         out_q, out_v, out_c = [], [], []
         for qi, qid in enumerate(bqids):
             mask = vids != qid
@@ -1662,10 +1651,25 @@ def q_ann_matryoshka_recall(sf_dir: str):
     )
 
 
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; an all-zero row (a zero truncated prefix)
+    stays zero, so its cosine with anything is 0 — never NaN, which would
+    make the top-k order undefined. The oracle's prefix side applies the
+    same zero-norm rule."""
+    norm = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / np.where(norm == 0, 1.0, norm)
+
+
 def _matryoshka_sql() -> str:
     from .queries import N_QUERIES, TOP_K
 
     def side(slice_expr: str) -> str:
+        cos = "list_cosine_similarity(q.qe, v.ve)"
+        if slice_expr:  # zero-norm prefix → cosine 0 (the engine's rule)
+            cos = (
+                "CASE WHEN list_dot_product(q.qe, q.qe) = 0 OR "
+                f"list_dot_product(v.ve, v.ve) = 0 THEN 0.0 ELSE {cos} END"
+            )
         return (
             "SELECT q.query_id, v.vec_id FROM "
             "(SELECT vec_id AS query_id, "
@@ -1676,7 +1680,7 @@ def _matryoshka_sql() -> str:
             "FROM embeddings) v "
             "WHERE v.vec_id != q.query_id "
             "QUALIFY ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            "CAST(FLOOR(list_cosine_similarity(q.qe, v.ve)*1000000 + 0.5) "
+            f"CAST(FLOOR({cos}*1000000 + 0.5) "
             f"AS BIGINT) DESC, v.vec_id ASC) <= {TOP_K}"
         )
 
@@ -1824,7 +1828,11 @@ def q_kmeans_nmi(sf_dir: str):
     Scale shape: the same single assignment pass as kmeans_purity
     (shared ``_kmeans_cells``); every entropy folds over the
     K × |labels|-bounded contingency table in PYTHON ints."""
-    cells = _kmeans_cells(sf_dir)
+    return _nmi_row(_kmeans_cells(sf_dir))
+
+
+def _nmi_row(cells) -> pa.Table:
+    """The NMI fold over a (centroid_id, label, cnt) contingency frame."""
 
     def _h(c: np.ndarray) -> tuple[int, int]:
         t = int(c.sum())
@@ -1901,8 +1909,12 @@ def _kmeans_nmi_sql() -> str:
         "SELECT n.n AS n_vecs, hl.h AS h_label_micro, "
         "hk.h AS h_cluster_micro, hw.h AS h_within_micro, "
         "hl.h - hw.h AS mi_micro, "
-        "CASE WHEN hl.h + hk.h = 0 THEN 0 ELSE "
-        "2 * (hl.h - hw.h) * 1000000 // (hl.h + hk.h) END AS nmi_micro "
+        "CASE WHEN hl.h + hk.h = 0 THEN 0 "
+        # floor toward -inf when MI < 0 (DuckDB // truncates) — the
+        # sign-split of _kmeans_ari_sql; the denominator is never negative
+        "WHEN hl.h < hw.h AND 2 * (hl.h - hw.h) * 1000000 % (hl.h + hk.h) <> 0 "
+        "THEN 2 * (hl.h - hw.h) * 1000000 // (hl.h + hk.h) - 1 "
+        "ELSE 2 * (hl.h - hw.h) * 1000000 // (hl.h + hk.h) END AS nmi_micro "
         "FROM n CROSS JOIN hl CROSS JOIN hk CROSS JOIN hw"
     )
 

@@ -42,32 +42,31 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-CC_BUCKETS = 32  # node-hash gather buckets per star half-round
+from ..scale import cogroup, derive_buckets
+
+CC_BUCKETS = 32  # node-hash gather bucket floor per star half-round
 
 
-def _bucket_of(nodes: np.ndarray) -> np.ndarray:
-    return np.fromiter(
-        (zlib.crc32(x.encode()) % CC_BUCKETS for x in nodes), np.int64, len(nodes)
-    )
-
-
-def _sym_bucketed(edges_ds):
-    """Both directions of every edge, keyed by the gather node's bucket."""
+def _star_round(edges_ds, large: bool, nb: int):
+    """One star half-round: both directions of every edge, co-grouped by
+    the gather node u."""
 
     def both(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy(zero_copy_only=False).astype(str)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(str)
-        u = np.concatenate([a, b])
-        v = np.concatenate([b, a])
         return pa.table(
             {
-                "bk": pa.array(_bucket_of(u), pa.int64()),
-                "u": pa.array(u, pa.string()),
-                "v": pa.array(v, pa.string()),
+                "u": pa.array(np.concatenate([a, b]), pa.string()),
+                "v": pa.array(np.concatenate([b, a]), pa.string()),
             }
         )
 
-    return edges_ds.map_batches(both, batch_format="pyarrow")
+    return cogroup(
+        edges_ds.map_batches(both, batch_format="pyarrow"),
+        "u",
+        _star_bucket_fn(large),
+        nb,
+    )
 
 
 def _star_bucket_fn(large: bool):
@@ -159,21 +158,18 @@ def cc_star_components(edges_ds, max_rounds: int = 64):
         a = batch["a"].to_numpy(zero_copy_only=False).astype(str)
         b = batch["b"].to_numpy(zero_copy_only=False).astype(str)
         n = np.unique(np.concatenate([a, b]))
-        return pa.table(
-            {
-                "bk": pa.array(_bucket_of(n), pa.int64()),
-                "node": pa.array(n, pa.string()),
-            }
-        )
+        return pa.table({"node": pa.array(n, pa.string())})
 
     def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(g["node"].to_numpy(object).astype(str))
         return pd.DataFrame({"node": n, "lab": n})
 
-    self_labels = (
-        edges_ds.map_batches(node_rows, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(dedup_nodes, batch_format="pandas")
+    nb = derive_buckets(floor=CC_BUCKETS)
+    self_labels = cogroup(
+        edges_ds.map_batches(node_rows, batch_format="pyarrow"),
+        "node",
+        dedup_nodes,
+        nb,
     )
 
     cur = edges_ds.map_batches(drop_self, batch_format="pyarrow").materialize()
@@ -183,17 +179,7 @@ def cc_star_components(edges_ds, max_rounds: int = 64):
         if fp == prev_fp or fp[0] == 0:
             break
         prev_fp = fp
-        cur = (
-            _sym_bucketed(cur)
-            .groupby("bk")
-            .map_groups(_star_bucket_fn(True), batch_format="pandas")
-        )
-        cur = (
-            _sym_bucketed(cur)
-            .groupby("bk")
-            .map_groups(_star_bucket_fn(False), batch_format="pandas")
-            .materialize()
-        )
+        cur = _star_round(_star_round(cur, True, nb), False, nb).materialize()
 
     # Converged star forest: every edge is (child, root). Label = root for
     # children, self for roots and self-loop-only nodes; the min-combine
@@ -204,19 +190,8 @@ def cc_star_components(edges_ds, max_rounds: int = 64):
         b = batch["b"].to_numpy(zero_copy_only=False).astype(str)
         return pa.table(
             {
-                "bk": pa.array(_bucket_of(a), pa.int64()),
                 "node": pa.array(a, pa.string()),
                 "lab": pa.array(b, pa.string()),
-            }
-        )
-
-    def relabel_self(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy(zero_copy_only=False).astype(str)
-        return pa.table(
-            {
-                "bk": pa.array(_bucket_of(n), pa.int64()),
-                "node": batch["node"],
-                "lab": batch["lab"],
             }
         )
 
@@ -229,9 +204,9 @@ def cc_star_components(edges_ds, max_rounds: int = 64):
         starts[1:] = n[1:] != n[:-1]
         return pd.DataFrame({"node": n[starts], "comp_rep": l[starts]})
 
-    return (
-        cur.map_batches(edge_labels, batch_format="pyarrow")
-        .union(self_labels.map_batches(relabel_self, batch_format="pyarrow"))
-        .groupby("bk")
-        .map_groups(pick_min, batch_format="pandas")
+    return cogroup(
+        [cur.map_batches(edge_labels, batch_format="pyarrow"), self_labels],
+        "node",
+        pick_min,
+        nb,
     )

@@ -634,9 +634,12 @@ def embedding_cosine_pairs(
     multi-probe omitted). Buckets beyond ``bucket_cap`` members are capped
     (sorted by vec_id) with logged dropped coverage, so one hot bucket
     (near-constant embeddings) can no longer become an unbounded O(n²)
-    task."""
+    task. The LSH buckets themselves ride one hash-bucketed co-group whose
+    kernel loops over the LSH keys it holds."""
     import ray.data as rd
     from ray.data.aggregate import Count
+
+    from ..scale import cogroup, derive_buckets
 
     def make_stage(seed_offset: int):
         plane_cache: dict[int, np.ndarray] = {}
@@ -663,7 +666,7 @@ def embedding_cosine_pairs(
             out = pa.table(
                 {
                     "vec_id": batch["vec_id"],
-                    "bucket": pa.array(key + (seed_offset << 32), pa.int64()),
+                    "lsh_key": pa.array(key + (seed_offset << 32), pa.int64()),
                     "norm_emb": pa.array(
                         [e.tolist() for e in emb], pa.list_(pa.float64())
                     ),
@@ -673,13 +676,13 @@ def embedding_cosine_pairs(
 
         return bucketize
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def key_pairs(lsh_key: int, g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates("vec_id").sort_values("vec_id")
         ids = g["vec_id"].to_numpy()
         if len(ids) > bucket_cap:
             _log_overflow(
                 "embedding_cosine_pairs",
-                int(g["bucket"].iloc[0]),
+                int(lsh_key),
                 len(ids),
                 bucket_cap,
             )
@@ -703,14 +706,18 @@ def embedding_cosine_pairs(
             }
         )
 
+    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [key_pairs(k, sub) for k, sub in g.groupby("lsh_key", sort=False)],
+            ignore_index=True,
+        )
+
     ds = rd.read_parquet(emb_parquet, columns=["vec_id", "embedding"])
     branches = [
         ds.map_batches(make_stage(k), batch_format="pyarrow") for k in range(2)
     ]
-    un = branches[0].union(branches[1])
     return (
-        un.groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
+        cogroup(branches, "lsh_key", pairs, derive_buckets(emb_parquet, floor=16))
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count(alias_name="nb"))
         .drop_columns(["nb"])

@@ -41,13 +41,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..scale import bucket_of
+
 HITS_SCALE = 1_000_000
-
-
-def _ub(urls, nb: int) -> np.ndarray:
-    from ..functions.urls import url_hash64_vec
-
-    return (url_hash64_vec(urls) % np.uint64(nb)).astype(np.int64)
 
 
 def build_graph_layout(edges_ds, node_ds, out_dir: str, nb: int) -> str:
@@ -62,11 +58,11 @@ def build_graph_layout(edges_ds, node_ds, out_dir: str, nb: int) -> str:
 
     def add_buckets(b: pa.Table) -> pa.Table:
         return b.append_column(
-            "sb", pa.array(_ub(b["src"], nb), pa.int64())
-        ).append_column("db", pa.array(_ub(b["dst"], nb), pa.int64()))
+            "sb", pa.array(bucket_of(b["src"], nb))
+        ).append_column("db", pa.array(bucket_of(b["dst"], nb)))
 
     def add_ub(b: pa.Table) -> pa.Table:
-        return b.append_column("ub", pa.array(_ub(b["url"], nb), pa.int64()))
+        return b.append_column("ub", pa.array(bucket_of(b["url"], nb)))
 
     eb = edges_ds.map_batches(add_buckets, batch_format="pyarrow").materialize()
     eb.write_parquet(os.path.join(tmp, "by_src"), partition_cols=["sb"])
@@ -369,7 +365,7 @@ def bfs_hops(layout: str, nb: int, seeds: np.ndarray, hop_max: int):
 
     actors, route = _spawn_shards(layout, nb)
     seeds = np.asarray(seeds, dtype=object).astype(str)
-    sb = _ub(seeds.tolist(), nb)
+    sb = bucket_of(seeds.tolist(), nb)
     msgs: dict[int, list[np.ndarray]] = {}
     for k in np.unique(sb):
         msgs.setdefault(route(int(k)), []).append(seeds[sb == k])

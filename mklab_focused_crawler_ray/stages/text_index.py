@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
 
-from ..functions.urls import url_hash64, url_hash64_vec
+from ..scale import bucket_of
 
 TOKEN_RE_PATTERN = "[a-z0-9]+"
 
@@ -52,12 +51,11 @@ def build_inverted_index(
             uniq = set(token_re.findall(text.lower()))
             toks.extend(uniq)
             dids.extend([did] * len(uniq))
-        bucket = (url_hash64_vec(toks) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
                 "token": pa.array(toks, pa.string()),
                 "doc_id": pa.array(dids, pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
+                "bucket": pa.array(bucket_of(toks, n_buckets)),
             }
         )
 
@@ -75,9 +73,7 @@ def lookup_postings(index_dir: str, tokens: list[str], n_buckets: int = 16):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    # pure-Python modulo: mixing a Python int with np.uint64 promotes to
-    # float64 and corrupts the low bits for hashes > 2^53
-    need = sorted({url_hash64(t) % n_buckets for t in tokens})
+    need = sorted(set(bucket_of(list(tokens), n_buckets).tolist()))
     files = [
         os.path.join(index_dir, f"bucket={b}", f)
         for b in need
