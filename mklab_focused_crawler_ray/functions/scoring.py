@@ -31,10 +31,13 @@ def pubtime_score(now_ms: int, pub_ms: np.ndarray) -> np.ndarray:
     """(e^(-(now-pub)/600000) + 1) / 2 — RankerBolt.java:84-89.
 
     ``now_ms`` must be an explicit argument (no wall clock in kernels) so the
-    score is reproducible and oracle-comparable.
+    score is reproducible and oracle-comparable. A page published more than
+    ~5 days after ``now_ms`` saturates to +inf (``exp`` overflows float64);
+    those pages tie and fall to the crawl order's url tie-break.
     """
     age = now_ms - np.asarray(pub_ms, dtype=np.float64)
-    return (np.exp(-age / AVG_TIME_DIFF_MS) + 1.0) / 2.0
+    with np.errstate(over="ignore"):
+        return (np.exp(-age / AVG_TIME_DIFF_MS) + 1.0) / 2.0
 
 
 def webpage_score(shares: np.ndarray, pub_ms: np.ndarray, now_ms: int) -> np.ndarray:

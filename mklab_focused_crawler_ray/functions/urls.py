@@ -14,6 +14,7 @@ Reference semantics:
 
 from __future__ import annotations
 
+import sys
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -74,27 +75,47 @@ def url_hash64(url: str) -> int:
     return h
 
 
-def url_hash64_vec(urls) -> np.ndarray:
-    """Vectorized FNV-1a over strings → uint64 ndarray. Runs over the Arrow
-    string buffers (one contiguous uint8 view + offsets) so the cost is
-    O(total bytes) of numpy work with no per-row Python objects."""
-    import pyarrow as pa
+def utf8_blob(strs) -> tuple[np.ndarray, np.ndarray]:
+    """Strings → (one contiguous UTF-8 uint8 buffer, int64 offsets of
+    length n+1), the layout Arrow string arrays use. Built with
+    ``str.encode`` + ``b"".join``, so no pyarrow (and no pandas import)
+    is involved. A None encodes as ''."""
+    enc = [b"" if s is None else s.encode("utf-8") for s in strs]
+    offsets = np.zeros(len(enc) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, enc), np.int64, len(enc)), out=offsets[1:])
+    return np.frombuffer(b"".join(enc), dtype=np.uint8), offsets
 
-    if isinstance(urls, (pa.Array, pa.ChunkedArray)):
+
+def utf8_unblob(data: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Inverse of :func:`utf8_blob`."""
+    b = data.tobytes()
+    o = offsets.tolist()
+    return [b[s:e].decode("utf-8") for s, e in zip(o, o[1:])]
+
+
+def url_hash64_vec(urls) -> np.ndarray:
+    """Vectorized FNV-1a over strings → uint64 ndarray, bit-identical to
+    :func:`url_hash64` (a None in a list hashes like ''). Runs over one
+    contiguous uint8 buffer + offsets, so the cost is O(total bytes) of
+    numpy work with no per-byte Python. Arrow input is hashed in place
+    from its own string buffers; anything else goes through
+    :func:`utf8_blob`, never ``pa.array`` — pyarrow imports pandas on its
+    first ``pa.array`` call, which a fresh frontier shard would pay."""
+    # an Arrow array can only exist once pyarrow is imported
+    pa = sys.modules.get("pyarrow")
+    if pa is not None and isinstance(urls, (pa.Array, pa.ChunkedArray)):
         arr = (
             urls.combine_chunks() if isinstance(urls, pa.ChunkedArray) else urls
         ).cast(pa.large_string())
-    else:
-        urls = list(urls)
-        if len(urls) == 0:
+        n = len(arr)
+        if n == 0:
             return np.empty(0, dtype=np.uint64)
-        arr = pa.array(urls, pa.large_string())
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    bufs = arr.buffers()
-    offsets = np.frombuffer(bufs[1], dtype=np.int64)[arr.offset : arr.offset + n + 1]
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
+        bufs = arr.buffers()
+        offsets = np.frombuffer(bufs[1], dtype=np.int64)[arr.offset : arr.offset + n + 1]
+        data = np.frombuffer(bufs[2], dtype=np.uint8)
+    else:
+        data, offsets = utf8_blob(urls)
+        n = len(offsets) - 1
     starts = offsets[:-1]
     lengths = offsets[1:] - starts
     h = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
@@ -135,7 +156,9 @@ def canonicalize_url(url: str) -> tuple[str, tuple[bool, ...]]:
     """RFC-3986-flavored crawl normalizer, rule-for-rule SQL-replayable
     (the url_canonical_audit oracle replays every branch in DuckDB):
 
-    1. lowercase scheme + authority          → case_fixed
+    1. lowercase scheme + host[:port] (the
+       userinfo before the last '@' keeps
+       its case)                             → case_fixed
     2. strip the scheme's default port       → port_stripped
     3. drop the fragment                     → fragment_dropped
     4. drop tracking params (utm_*, fbclid,
@@ -151,8 +174,11 @@ def canonicalize_url(url: str) -> tuple[str, tuple[bool, ...]]:
     if not m:
         return url, (False, False, False, False, False, False)
     scheme, auth, path, query, frag = m.groups()
-    lscheme, lauth = scheme.lower(), auth.lower()
-    case_fixed = (lscheme != scheme) or (lauth != auth)
+    hostport = auth.rpartition("@")[2]
+    userinfo = auth[: len(auth) - len(hostport)]  # 'user:pw@' or ''
+    lscheme, lhost = scheme.lower(), hostport.lower()
+    case_fixed = (lscheme != scheme) or (lhost != hostport)
+    lauth = userinfo + lhost
     dport = _DEFAULT_PORTS.get(lscheme)
     port_stripped = bool(dport) and lauth.endswith(dport)
     if port_stripped:

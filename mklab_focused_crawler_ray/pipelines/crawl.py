@@ -15,7 +15,11 @@ Each crawl round:
    All three stages are TASK-based (plain functions over broadcast
    ObjectRefs), not per-round actor pools: actor spawn latency every round
    dominated wall time and inverted scaling in the pool design.
-3. Shards checkpoint (pending + seen + manifest w/ lineage) every round; a
+3. Round R+1's control starts once every selected row of round R has
+   cleared the enqueue stage — counted per round on shard 0
+   (``ack_rows``/``acked_rows``), which each enqueue task acks after its
+   shard enqueues return — while round R's embed/write tail still runs.
+4. Shards checkpoint (pending + seen + manifest w/ lineage) every round; a
    killed run restores shard state and skips rounds whose output directory
    is already complete — no re-fetching.
 
@@ -25,6 +29,7 @@ pipelines/oracle.CrawlOracle exactly (tests/test_crawl_trace.py).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -70,25 +75,14 @@ class _MediaIdCollector:
         return out
 
 
-@_ray.remote(num_cpus=0)
-class _EnqueueCounter:
-    """Counts rows that have COMPLETED the enqueue stage, keyed by round.
-    The enqueue stage fires add() only after its batch's shard enqueues are
-    acked, so total(rnd) reaching the round's selection count proves every
-    link discovered in that round is durable in its frontier shard — this is
-    the overlapped round loop's control barrier, replacing a full pipeline
-    materialize() that would also wait for the embed/write tail. A retried
-    task can only over-count (its first attempt already acked the enqueues),
-    so the waiter compares with >=."""
-
-    def __init__(self):
-        self.counts: dict[int, int] = {}
-
-    def add(self, rnd: int, k: int) -> None:
-        self.counts[rnd] = self.counts.get(rnd, 0) + k
-
-    def total(self, rnd: int) -> int:
-        return self.counts.get(rnd, 0)
+@functools.lru_cache(maxsize=None)
+def _shard_actor_class(cls):
+    """``ray.remote`` wrapper of a shard class, built once per class: Ray
+    exports (and disassembles, for its collision check) every new actor
+    class it is handed, which cost each crawler ~0.14 s. Tiny num_cpus:
+    shard actors are control-plane (RPC-driven python state); reserving
+    real CPU slots starves map tasks on small nodes."""
+    return _ray.remote(num_cpus=0.05)(cls)
 
 
 def _route_media_ids(mids: list[str], collectors) -> list:
@@ -160,9 +154,9 @@ def make_enqueue_links(
         if futs:
             ray.get(futs)
         if counter is not None:
-            # fired AFTER the acks above: actor ordering means total(rnd)
+            # fired AFTER the acks above: actor ordering means acked_rows(rnd)
             # covering the round's rows implies all its enqueues completed
-            counter.add.remote(rnd, batch.num_rows)
+            counter.ack_rows.remote(rnd, batch.num_rows)
         return batch
 
     return enqueue_links
@@ -284,9 +278,9 @@ class RayCrawler:
             counts[d] = counts.get(d, 0) + 1
         self.salt_map = build_salt_map(counts, cfg.hot_threshold, cfg.max_salts)
 
-        # tiny num_cpus: shard actors are control-plane (RPC-driven python
-        # state); reserving real CPU slots starves map tasks on small nodes
-        Actor = ray.remote(num_cpus=0.05)(FrontierShard)
+        # the module global is read here, so a FrontierShard subclass
+        # swapped in before construction is the one the shards run
+        Actor = _shard_actor_class(FrontierShard)
         self.shards = [
             Actor.remote(
                 i,
@@ -315,7 +309,13 @@ class RayCrawler:
             if (cfg.media_dedup and self.image_store_ref is not None)
             else None
         )
-        self.enq_counter = _EnqueueCounter.remote()
+        # shard 0 counts the rows that have COMPLETED the enqueue stage, per
+        # round (ack_rows/acked_rows): the overlapped round loop's control
+        # barrier, instead of a full pipeline materialize() that would also
+        # wait for the embed/write tail. A retried task can only over-count
+        # (its first attempt already acked the enqueues), so the waiter
+        # compares with >=.
+        self.enq_counter = self.shards[0]
         # cumulative wall-time per phase. control = propose/commit/merge/
         # expand/dedup barriers (main thread); pipeline = full fused
         # fetch→enqueue→embed→write wall per round (background thread, so
@@ -549,10 +549,10 @@ class RayCrawler:
 
     def _build_pipeline(self, rnd: int, tbl2: pa.Table):
         """Construct the round's FUSED lazy dataset: fetch/extract →
-        enqueue discovered links (+ completion counter) → embed →
+        enqueue discovered links (+ ack to shard 0) → embed →
         media-collect. One streaming pipeline per round keeps fetch∥embed
         overlapped WITHIN the round (splitting them with a materialize()
-        barrier cost ~15% at 32 CPUs); the enqueue counter gives the round
+        barrier cost ~15% at 32 CPUs); the enqueue acks give the round
         loop its control barrier without waiting for the embed tail.
         Must be called AFTER the previous round's tail is joined — the
         embed stage snapshots media_seen at construction time."""
@@ -653,7 +653,7 @@ class RayCrawler:
 
         ``fut`` is the round's background write future: if the fused
         pipeline dies (task retries exhausted, live-fetch exception,
-        OOM-killed executor) the enqueue counter never reaches n_sel, so
+        OOM-killed executor) the acked-row count never reaches n_sel, so
         without checking it this loop would spin forever while the
         exception sat in the future until _tail_join — re-raise instead."""
         import time as _time
@@ -661,7 +661,7 @@ class RayCrawler:
         import ray
 
         _t0 = _time.time()
-        while ray.get(self.enq_counter.total.remote(rnd)) < n_sel:
+        while ray.get(self.enq_counter.acked_rows.remote(rnd)) < n_sel:
             if fut is not None and fut.done():
                 exc = fut.exception()
                 if exc is not None:
@@ -716,7 +716,7 @@ class RayCrawler:
         """The overlapped round loop. Per round R the data plane runs as
         ONE fused streaming dataset (fetch→enqueue→embed→write) driven by a
         background thread; the main thread only needs the ENQUEUE stage
-        complete (counter barrier) before starting round R+1's control.
+        complete (shard 0's ack count) before starting round R+1's control.
         Dependency structure:
 
         - control(R+1) needs enqueue(R)   → _wait_enqueue is the barrier

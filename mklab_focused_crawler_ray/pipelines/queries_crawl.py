@@ -939,7 +939,7 @@ _CANON_FLAGS = [
 def q_url_canonical_audit(sf_dir: str):
     """URL CANONICALIZATION AUDIT: every raw URL normalized by the
     frontier's URL-seen key rules (``functions.urls.canonicalize_url`` —
-    lowercase scheme/authority, default-port strip, fragment drop,
+    lowercase scheme/host, default-port strip, fragment drop,
     tracking-param removal, param byte-sort, trailing-slash strip) and
     reduced to ONE audit row: how often each rule fired, how many URLs
     changed at all, and how many canonical forms collide — the dedup
@@ -1024,12 +1024,16 @@ def _url_canonical_audit_sql(raw: str) -> str:
         "'^([A-Za-z][A-Za-z0-9+.\\-]*)://([^/?#]*)([^?#]*)(?:\\?([^#]*))?(?:#(.*))?$', "
         "['scheme', 'auth', 'path', 'q', 'frag']) AS g "
         f"FROM read_parquet('{raw}')), "
+        # userinfo (through the last '@') keeps its case; host[:port] is
+        # lowercased
+        "a AS (SELECT raw_url, g, regexp_extract(g['auth'], '^.*@') AS ui, "
+        "regexp_replace(g['auth'], '^.*@', '') AS hp FROM u), "
         "p AS (SELECT raw_url, g['scheme'] <> '' AS ok, "
-        "lower(g['scheme']) AS ls, lower(g['auth']) AS la, "
+        "lower(g['scheme']) AS ls, ui || lower(hp) AS la, "
         "g['path'] AS path, g['q'] AS q, "
-        "(g['scheme'] <> lower(g['scheme']) OR g['auth'] <> lower(g['auth'])) "
+        "(g['scheme'] <> lower(g['scheme']) OR hp <> lower(hp)) "
         "AS case_fixed, position('#' IN raw_url) > 0 AS fragment_dropped "
-        "FROM u), "
+        "FROM a), "
         "p2 AS (SELECT *, CASE WHEN ls = 'https' THEN "
         "regexp_replace(la, ':443$', '') WHEN ls = 'http' THEN "
         "regexp_replace(la, ':80$', '') ELSE la END AS la2, "

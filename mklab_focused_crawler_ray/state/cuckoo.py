@@ -24,6 +24,16 @@ from ..functions.hashing import mix64
 _FP_BITS = 16
 _SLOTS = 4
 _MAX_KICKS = 500
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64_int(x: int) -> int:
+    """functions.hashing.mix64 (splitmix64 finalizer) on one Python int."""
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 class CuckooFilter:
@@ -54,31 +64,39 @@ class CuckooFilter:
         ) % self.n_buckets
 
     # -- single-key ops ---------------------------------------------------
-    def add(self, key: int) -> bool:
-        fp_a, i1_a = self._fp_and_index(np.array([key], dtype=np.uint64))
-        fp, i1 = int(fp_a[0]), int(i1_a[0])
-        i2 = int(self._alt_index(np.array([i1]), np.array([fp], dtype=np.uint16))[0])
-        for idx in (i1, i2):
-            row = self.table[idx]
-            empty = np.where(row == 0)[0]
-            if empty.size:
-                row[empty[0]] = fp
+    # Plain-int twins of the vectorized hashing above (same splitmix64 and
+    # displacement rule, bit for bit): one key through 1-element numpy
+    # arrays costs ~15x more than the arithmetic itself.
+    def _fp_and_index_one(self, key: int) -> tuple[int, int]:
+        h = _mix64_int(int(key) ^ self.seed)
+        fp = (h & 0xFFFF) or 1
+        return fp, (h >> 16) % self.n_buckets
+
+    def _alt_index_one(self, i: int, fp: int) -> int:
+        return (i ^ (_mix64_int(fp ^ 0x5BD1E995) % self.n_buckets)) % self.n_buckets
+
+    def _put(self, idx: int, fp: int) -> bool:
+        row = self.table[idx]
+        for s in range(_SLOTS):
+            if row[s] == 0:
+                row[s] = fp
                 self.count += 1
                 return True
+        return False
+
+    def add(self, key: int) -> bool:
+        fp, i1 = self._fp_and_index_one(key)
+        i2 = self._alt_index_one(i1, fp)
+        if self._put(i1, fp) or self._put(i2, fp):
+            return True
         # displace
         idx = i1 if int(self._rng.integers(0, 2)) == 0 else i2
-        cur = np.uint16(fp)
+        cur = fp
         for _ in range(_MAX_KICKS):
             slot = int(self._rng.integers(0, _SLOTS))
-            cur, self.table[idx, slot] = self.table[idx, slot], cur
-            idx = int(
-                self._alt_index(np.array([idx]), np.array([cur], dtype=np.uint16))[0]
-            )
-            row = self.table[idx]
-            empty = np.where(row == 0)[0]
-            if empty.size:
-                row[empty[0]] = cur
-                self.count += 1
+            cur, self.table[idx, slot] = int(self.table[idx, slot]), cur
+            idx = self._alt_index_one(idx, cur)
+            if self._put(idx, cur):
                 return True
         return False  # table full — caller falls back (bloom / resize)
 
@@ -95,16 +113,14 @@ class CuckooFilter:
         return ((r1 == fp[:, None]) | (r2 == fp[:, None])).any(axis=1)
 
     def delete(self, key: int) -> bool:
-        fp_a, i1_a = self._fp_and_index(np.array([key], dtype=np.uint64))
-        fp, i1 = int(fp_a[0]), int(i1_a[0])
-        i2 = int(self._alt_index(np.array([i1]), np.array([fp], dtype=np.uint16))[0])
-        for idx in (i1, i2):
+        fp, i1 = self._fp_and_index_one(key)
+        for idx in (i1, self._alt_index_one(i1, fp)):
             row = self.table[idx]
-            hit = np.where(row == fp)[0]
-            if hit.size:
-                row[hit[0]] = 0
-                self.count -= 1
-                return True
+            for s in range(_SLOTS):
+                if row[s] == fp:
+                    row[s] = 0
+                    self.count -= 1
+                    return True
         return False
 
     # -- checkpoint -------------------------------------------------------

@@ -23,12 +23,15 @@ claims (spouts/MongoDbSpout.java:92-95). Here those become:
   ``budget`` under the crawl order (score desc, url asc). Deterministic and
   provably equal to single-threaded greedy selection under the same quotas
   (tested against pipelines/oracle.py).
-- checkpoint: per-shard directory with pending/seen parquet + manifest.json
-  (round id, counters, lineage), written atomically (tmp + rename) so a
-  killed job resumes at the last round without re-fetching.
+- checkpoint: per-shard directory with pending.npz / seen.npz (compressed
+  numpy; strings as one UTF-8 blob + int64 offsets) + manifest.json (round
+  id, counters, lineage), written atomically (tmp + rename) so a killed job
+  resumes at the last round without re-fetching. Nothing on the shard's
+  path touches pyarrow: its first ``pa.array``/parquet call imports pandas
+  (~0.45 s), which every freshly spawned shard would pay.
 
-The shard core is a plain Python class; ``FrontierShardActor`` is the thin
-``@ray.remote`` wrapper. The oracle and unit tests drive the core directly.
+The shard core is a plain Python class; the crawl runs it as a Ray actor
+(pipelines/crawl.py). The oracle and unit tests drive the core directly.
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ import os
 import shutil
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..functions.hashing import mix64
-from ..functions.urls import url_hash64, url_hash64_vec
+from ..functions.urls import url_hash64, url_hash64_vec, utf8_blob, utf8_unblob
 from .cuckoo import CuckooFilter
 from .politeness import DEFAULT_PER_HOST_BUDGET, RobotsCache, salt_quota
 
@@ -163,6 +164,7 @@ class FrontierShard:
         }
         self.round = 0
         self.lineage: list[dict] = []
+        self._acked: dict[int, int] = {}  # round -> rows acked (ack_rows)
 
     # -- enqueue ----------------------------------------------------------
     def enqueue(self, rows: dict, now_ms: int = 0) -> dict:
@@ -332,6 +334,14 @@ class FrontierShard:
         self.round = round_id
         self.lineage.append({"round": round_id, **self.counters, **(extra or {})})
 
+    # -- enqueue barrier (the crawl keeps it on shard 0) -------------------
+    def ack_rows(self, rnd: int, k: int) -> None:
+        """Count ``k`` rows of round ``rnd`` as through the enqueue stage."""
+        self._acked[rnd] = self._acked.get(rnd, 0) + k
+
+    def acked_rows(self, rnd: int) -> int:
+        return self._acked.get(rnd, 0)
+
     # -- introspection ----------------------------------------------------
     def pending_count(self) -> int:
         return sum(len(h) for h in self.queues.values())
@@ -364,35 +374,33 @@ class FrontierShard:
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
         os.makedirs(tmp)
-        rows = {"url": [], "domain": [], "salt": [], "score": [], "shares": [], "date_ms": []}
-        for (domain, salt), heap in self.queues.items():
-            for negs, u, payload in heap:
-                if url_hash64(u) not in self.pending_hashes:
-                    continue  # stale cancelled entry — not real pending state
-                rows["url"].append(u)
-                rows["domain"].append(domain)
-                rows["salt"].append(salt)
-                rows["score"].append(-negs)
-                rows["shares"].append(payload[0])
-                rows["date_ms"].append(payload[1])
-        pq.write_table(
-            pa.table(
-                {
-                    "url": rows["url"],
-                    "domain": rows["domain"],
-                    "salt": pa.array(rows["salt"], pa.int32()),
-                    "score": pa.array(rows["score"], pa.float64()),
-                    "shares": pa.array(rows["shares"], pa.int64()),
-                    "date_ms": pa.array(rows["date_ms"], pa.int64()),
-                }
-            ),
-            os.path.join(tmp, "pending.parquet"),
+        entries = [
+            (u, domain, salt, -negs, *payload)
+            for (domain, salt), heap in self.queues.items()
+            for negs, u, payload in heap
+        ]
+        hashes = url_hash64_vec([e[0] for e in entries]).tolist()
+        # stale cancelled entries are not real pending state
+        live = [e for e, h in zip(entries, hashes) if h in self.pending_hashes]
+        urls, domains, salts, scores, shares, dates = zip(*live) if live else [()] * 6
+        url_data, url_off = utf8_blob(urls)
+        dom_data, dom_off = utf8_blob(domains)
+        np.savez_compressed(
+            os.path.join(tmp, "pending.npz"),
+            url_data=url_data,
+            url_off=url_off,
+            domain_data=dom_data,
+            domain_off=dom_off,
+            salt=np.array(salts, np.int32),
+            score=np.array(scores, np.float64),
+            shares=np.array(shares, np.int64),
+            date_ms=np.array(dates, np.int64),
         )
-        hashes = np.array(list(self.seen.keys()), dtype=np.uint64)
-        at = np.array([self.seen[int(h)] for h in hashes], dtype=np.int64)
-        pq.write_table(
-            pa.table({"url_hash": pa.array(hashes, pa.uint64()), "seen_at_ms": pa.array(at, pa.int64())}),
-            os.path.join(tmp, "seen.parquet"),
+        n_seen = len(self.seen)
+        np.savez_compressed(
+            os.path.join(tmp, "seen.npz"),
+            url_hash=np.fromiter(self.seen.keys(), np.uint64, n_seen),
+            seen_at_ms=np.fromiter(self.seen.values(), np.int64, n_seen),
         )
         manifest = {
             "shard_id": self.shard_id,
@@ -430,40 +438,32 @@ class FrontierShard:
             return False
         with open(os.path.join(d, "manifest.json")) as f:
             m = json.load(f)
+        # load everything before touching state; np.load raises on a
+        # truncated or corrupt file (zip directory / CRC check), so a
+        # resume never runs on a partial frontier
+        with np.load(os.path.join(d, "seen.npz")) as z:
+            hashes = z["url_hash"].tolist()
+            ats = z["seen_at_ms"].tolist()
+        with np.load(os.path.join(d, "pending.npz")) as z:
+            urls = utf8_unblob(z["url_data"], z["url_off"])
+            domains = utf8_unblob(z["domain_data"], z["domain_off"])
+            cols = [z[c].tolist() for c in ("salt", "score", "shares", "date_ms")]
         self.round = m["round"]
         self.counters = m["counters"]
         self.lineage = m["lineage"]
         self.salt_map = {k: int(v) for k, v in m.get("salt_map", {}).items()}
         self.per_host_budget = m["per_host_budget"]
         self.seen_ttl_ms = m["seen_ttl_ms"]
-        seen_tbl = pq.read_table(os.path.join(d, "seen.parquet"))
-        hashes = seen_tbl["url_hash"].to_numpy()
-        ats = seen_tbl["seen_at_ms"].to_numpy()
-        self.seen = {int(h): int(a) for h, a in zip(hashes, ats)}
+        self.seen = dict(zip(hashes, ats))
         self.cuckoo = CuckooFilter(self.seen_capacity)
         for h in hashes:
-            self.cuckoo.add(int(h))
-        pend = pq.read_table(os.path.join(d, "pending.parquet"))
+            self.cuckoo.add(h)
         self.queues = {}
-        self.pending_hashes = set()
-        cols = {c: pend[c].to_pylist() for c in pend.schema.names}
-        for i in range(pend.num_rows):
-            key = (cols["domain"][i], int(cols["salt"][i]))
-            heapq.heappush(
-                self.queues.setdefault(key, []),
-                (
-                    -float(cols["score"][i]),
-                    cols["url"][i],
-                    (int(cols["shares"][i]), int(cols["date_ms"][i])),
-                ),
-            )
-            self.pending_hashes.add(int(url_hash64(cols["url"][i])))
+        for domain, u, salt, score, shares, date in zip(domains, urls, *cols):
+            self.queues.setdefault((domain, salt), []).append((-score, u, (shares, date)))
+        # heapify pops in the same order as pushing one by one: the heap
+        # entries are totally ordered tuples
+        for heap in self.queues.values():
+            heapq.heapify(heap)
+        self.pending_hashes = set(url_hash64_vec(urls).tolist())
         return True
-
-
-def make_frontier_actors(num_shards: int, **kwargs):
-    """Create the shard actor pool (long-lived named-by-index actors)."""
-    import ray
-
-    Actor = ray.remote(num_cpus=0.5)(FrontierShard)
-    return [Actor.remote(i, num_shards, **kwargs) for i in range(num_shards)]

@@ -244,6 +244,43 @@ def test_canonicalize_url_rules():
     # unparseable → identity, all-False
     c, fl = canonicalize_url("not a url")
     assert c == "not a url" and not any(fl)
+    # userinfo keeps its case; only host[:port] after the LAST '@' lowers
+    c, fl = canonicalize_url("https://user:PW@H.com/x")
+    assert c == "https://user:PW@h.com/x" and fl[0]
+    c, fl = canonicalize_url("https://USER:pw@h.com/x")
+    assert c == "https://USER:pw@h.com/x" and not any(fl)
+
+
+def test_url_canonical_audit_userinfo_vs_duckdb(tmp_path):
+    """The DuckDB replay splits userinfo at the last '@' like
+    canonicalize_url: case-differing passwords stay distinct URLs."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mklab_focused_crawler_ray.functions.urls import canonicalize_url
+    from mklab_focused_crawler_ray.pipelines.queries_crawl import _url_canonical_audit_sql
+
+    raw = [
+        "https://user:PW@H.com/x",
+        "https://user:PW@h.com/x",
+        "https://USER:pw@h.com/x",
+        "http://a@b:PW@H.com:80/y",
+    ]
+    path = str(tmp_path / "raw_urls.parquet")
+    pq.write_table(pa.table({"raw_url": raw}), path)
+    got = duckdb.sql(_url_canonical_audit_sql(path)).df().iloc[0]
+    res = [canonicalize_url(u) for u in raw]
+    assert [c for c, _ in res] == [
+        "https://user:PW@h.com/x",
+        "https://user:PW@h.com/x",
+        "https://USER:pw@h.com/x",
+        "http://a@b:PW@h.com/y",
+    ]
+    assert got["n_unique_canonical"] == 3 and got["n_collided_raw"] == 2
+    assert got["n_case_fixed"] == sum(fl[0] for _, fl in res) == 2
+    assert got["n_port_stripped"] == sum(fl[1] for _, fl in res) == 1
+    assert got["n_changed"] == sum(c != u for (c, _), u in zip(res, raw)) == 2
 
 
 def test_url_canonical_audit_tiny_vs_duckdb(ray_session):
