@@ -23,6 +23,7 @@ is these codecs and the deterministic embedding lives in stages/embed.py.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
@@ -254,15 +255,17 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * np.log10(255.0 * 255.0 / mse)
 
 
-_DCT32 = None
-
-
+@functools.lru_cache(maxsize=None)
 def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix, built once per size per process and
+    returned read-only (every caller shares the one cached array)."""
     k = np.arange(n)[:, None]
     i = np.arange(n)[None, :]
     m = np.cos(np.pi * (2 * i + 1) * k / (2 * n))
     m[0] *= 1 / np.sqrt(2)
-    return m * np.sqrt(2.0 / n)
+    m = m * np.sqrt(2.0 / n)
+    m.setflags(write=False)
+    return m
 
 
 def phash64(rgb: np.ndarray) -> int:
@@ -271,11 +274,9 @@ def phash64(rgb: np.ndarray) -> int:
     gray → area-resize 32×32 → 2-D DCT-II → top-left 8×8 minus DC → bits =
     coefficient > median.
     """
-    global _DCT32
-    if _DCT32 is None:
-        _DCT32 = _dct_matrix(32)
+    d32 = _dct_matrix(32)
     g = resize_area(to_gray(rgb), 32, 32)
-    d = _DCT32 @ g @ _DCT32.T
+    d = d32 @ g @ d32.T
     block = d[:8, :8].flatten()[1:]  # drop DC
     med = np.median(block)
     bits = block > med

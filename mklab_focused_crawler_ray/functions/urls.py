@@ -162,7 +162,8 @@ def canonicalize_url(url: str) -> tuple[str, tuple[bool, ...]]:
     2. strip the scheme's default port       → port_stripped
     3. drop the fragment                     → fragment_dropped
     4. drop tracking params (utm_*, fbclid,
-       gclid, ref) and empty params          → tracking_removed
+       gclid, ref) and empty params (a bare
+       trailing '?' is an empty query)       → tracking_removed
     5. byte-sort the surviving params        → params_reordered
     6. empty path → '/'; strip ONE trailing
        slash when the path is not just '/'   → slash_stripped
@@ -188,7 +189,7 @@ def canonicalize_url(url: str) -> tuple[str, tuple[bool, ...]]:
     kept = [
         p for p in params if p != "" and not _TRACKING_RE.match(p)
     ]
-    tracking_removed = len(kept) < len(params)
+    tracking_removed = len(kept) < len(params) or query == ""
     skept = sorted(kept)
     params_reordered = len(kept) > 1 and skept != kept
     cpath = path if path else "/"

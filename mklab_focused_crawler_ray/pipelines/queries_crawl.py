@@ -1041,7 +1041,10 @@ def _url_canonical_audit_sql(raw: str) -> str:
         "CASE WHEN q = '' THEN 0 ELSE len(string_split(q, '&')) END AS n_params, "
         "CASE WHEN path = '' THEN '/' ELSE path END AS cpath FROM p), "
         "p3 AS (SELECT *, la2 <> la AS port_stripped, "
-        "len(kept) < n_params AS tracking_removed, "
+        # a bare '?' (the first of '?'/'#' is '?', nothing after it)
+        # is an emptied query
+        "(len(kept) < n_params OR (q = '' AND "
+        "regexp_matches(raw_url, '^[^?#]*[?]'))) AS tracking_removed, "
         "len(kept) > 1 AND kept <> list_sort(kept) AS params_reordered, "
         "length(cpath) > 1 AND cpath LIKE '%/' AS slash_stripped FROM p2), "
         "c AS (SELECT raw_url, "

@@ -19,6 +19,16 @@ import pandas as pd
 import pyarrow as pa
 
 from ..scale import bucket_of, cogroup, derive_buckets
+from ..stages.image import (
+    I64,
+    color_stats,
+    decode,
+    exposure_stats,
+    lap_var_stats,
+    map_pixels,
+    pixel_batch,
+    pseudo_embed_rgb,
+)
 
 _TIER_FOR_SF = {"sf0.001": "tiny"}
 
@@ -89,14 +99,14 @@ def q_image_clusters(sf_dir: str):
 
 
 def q_image_thumbnails(sf_dir: str):
-    """Decode + area-resize actor-pool stage, reported as (image_id,
+    """Decode + area-resize pixel stage, reported as (image_id,
     thumb_hash, mean_{r,g,b}_x100) where thumb_hash is blake2b-8 of the
     raw 8×8 RGB thumbnail bytes. ORACLE-CHECKED since r4: thumbnails are
     byte-exact deterministic, so the oracle reads the expected signature
     table built by the SEQUENTIAL single-process codec path
     (``thumbnail_signature_parquet``) — the comparison proves the
-    distributed actor-pool pipeline (batching, actor state, Arrow
-    plumbing) reproduces the reference bytes, the simhash-signature
+    distributed task pipeline (batching, Arrow plumbing) reproduces the
+    reference bytes, the simhash-signature
     discipline applied to pixels. Raw thumbnail bytes remain available to
     pipelines via ``stages.image.thumbnail_images``."""
     from ..stages.image import thumbnail_images
@@ -132,7 +142,7 @@ def thumbnail_signature_parquet(fdir: str, out: int = 8) -> str:
     """Expected thumbnail signatures from the SEQUENTIAL codec path (no
     Ray): decode → resize_area → quantize → blake2b-8, one plain loop,
     cached next to the fixture. This is the oracle's ground truth — an
-    implementation independent of the actor-pool pipeline's batching and
+    implementation independent of the distributed pipeline's batching and
     distribution, so equality is a real end-to-end check."""
     import hashlib
 
@@ -188,16 +198,16 @@ def thumbnail_signature_parquet(fdir: str, out: int = 8) -> str:
 def q_image_blur_scores(sf_dir: str):
     """BLUR / SHARPNESS GATE: integer Laplacian-variance per image
     (``stages.image.lap_var_stats`` — BT.601 integer luma, 4-neighbor
-    stencil, exact rational variance) via the BlurScore actor pool — the
-    standard junk filter next to the decode/phash gates (a soft or
+    stencil, exact rational variance) as task-based ``map_batches`` —
+    the standard junk filter next to the decode/phash gates (a soft or
     near-empty image scores low). ORACLE-CHECKED against the SEQUENTIAL
     no-Ray signature table (``blur_signature_parquet``, the
     image_thumbnails discipline): arithmetic is one shared function, so
-    equality pins the distributed plumbing (batching, actor state,
-    Arrow columns) end-to-end.
+    equality pins the distributed plumbing (batching, Arrow columns)
+    end-to-end.
 
     Scale shape: map-side only — column-pruned read, small payload
-    batches through the actor pool, no shuffle."""
+    batches through stateless tasks, no shuffle."""
     from ..stages.image import blur_scores
 
     return blur_scores(_images(sf_dir))
@@ -219,55 +229,34 @@ def q_image_junk_gate(sf_dir: str):
     anti-pattern; this stage shares the decode). Thresholds are module
     constants the oracle replays.
 
-    Scale shape: map-side only — one actor-pool pass, no shuffle; the
-    oracle joins the two sequential signature tables and applies the
+    Scale shape: map-side only — one task-based pixel pass, no shuffle;
+    the oracle joins the two sequential signature tables and applies the
     same CASE, so the comparison pins the fusion logic end-to-end."""
-    import ray.data as rd
+    return map_pixels(_images(sf_dir), junk_gate_batch)
 
-    from ..stages.image import _dct_matrix, exposure_stats, lap_var_stats
 
-    class JunkGate:
-        def __init__(self):
-            _dct_matrix(32)
+def _junk_reason(rgb) -> str:
+    n_int, lap = lap_var_stats(rgb)
+    n, d, br = exposure_stats(rgb)
+    if n_int == 0:
+        return "tiny"
+    if lap < JUNK_BLUR_MIN_MICRO:
+        return "blurry"
+    if (d * 1_000_000) // n > JUNK_DARK_MAX_PPM:
+        return "dark"
+    if (br * 1_000_000) // n > JUNK_BRIGHT_MAX_PPM:
+        return "bright"
+    return "ok"
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..fixtures.codecs import decode as cdecode
 
-            ids = batch["image_id"].to_pylist()
-            keeps = np.zeros(len(ids), bool)
-            reasons = []
-            for i, (blob, fmt) in enumerate(
-                zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-            ):
-                rgb = cdecode(blob, fmt)
-                n_int, lap = lap_var_stats(rgb)
-                n, d, br = exposure_stats(rgb)
-                d_ppm = (d * 1_000_000) // n if n else 0
-                b_ppm = (br * 1_000_000) // n if n else 0
-                if n_int == 0:
-                    reasons.append("tiny")
-                elif lap < JUNK_BLUR_MIN_MICRO:
-                    reasons.append("blurry")
-                elif d_ppm > JUNK_DARK_MAX_PPM:
-                    reasons.append("dark")
-                elif b_ppm > JUNK_BRIGHT_MAX_PPM:
-                    reasons.append("bright")
-                else:
-                    reasons.append("ok")
-                    keeps[i] = True
-            return pa.table(
-                {
-                    "image_id": pa.array(ids, pa.string()),
-                    "keep": pa.array(keeps, pa.bool_()),
-                    "reason": pa.array(reasons, pa.string()),
-                }
-            )
+def _junk_gate_row(rgb, row):
+    reason = _junk_reason(rgb)
+    return reason == "ok", reason
 
-    return rd.read_parquet(
-        _images(sf_dir), columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        JunkGate, batch_format="pyarrow", batch_size=64, concurrency=(1, 8)
-    )
+
+junk_gate_batch = pixel_batch(
+    _junk_gate_row, [("keep", pa.bool_()), ("reason", pa.string())]
+)
 
 
 def _junk_gate_sql(fdir: str) -> str:
@@ -297,7 +286,7 @@ FLAT_MIN_PPM = 10_000  # dominant 12-bit color bin above 1% of pixels →
 def q_image_color_stats(sf_dir: str):
     """GRAYSCALE / FLAT-COLOR JUNK GATE: per-image integer color
     statistics (``stages.image.color_stats`` — exact mean chroma ppm +
-    dominant quantized-RGB bin share) via the ColorStats actor pool,
+    dominant quantized-RGB bin share) via task-based ``map_batches``,
     with the two derived keep/drop flags (is_gray, is_flat) an
     image-curation pipeline gates on: near-gray images are usually
     diagrams/scans/placeholders, flat images are solid-color stubs —
@@ -311,7 +300,7 @@ def q_image_color_stats(sf_dir: str):
     statistics.
 
     Scale shape: map-side only — column-pruned read, small payload
-    batches through the actor pool, no shuffle."""
+    batches through stateless tasks, no shuffle."""
     import pyarrow.compute as pc
 
     from ..stages.image import color_scores
@@ -335,7 +324,6 @@ def color_signature_parquet(fdir: str) -> str:
     import pyarrow.parquet as pq
 
     from ..fixtures.codecs import decode as cdecode
-    from ..stages.image import color_stats
 
     path = os.path.join(fdir, "color_signatures.parquet")
     if os.path.exists(path):
@@ -382,7 +370,7 @@ def q_image_curation_funnel(sf_dir: str):
     — the report an image-curation run ships with its output (the
     doc-side twin is ``curation_funnel``). ONE decode per image feeds
     ALL pixel kernels (blur, exposure, color, pseudo-embed for the
-    caption dot) inside one actor pool — decoding per-gate is the
+    caption dot) inside one task-based pass — decoding per-gate is the
     anti-pattern the composed junk gate already avoids; this extends
     the sharing to the full chain.
 
@@ -393,71 +381,6 @@ def q_image_curation_funnel(sf_dir: str):
     signature tables, the alignment CTE and the MIN-per-phash keeper,
     replaying every threshold; the engine's measured decode_ok count
     is compared against the fixture's all-decode invariant."""
-    import ray.data as rd
-
-    from ..stages.image import (
-        _dct_matrix,
-        color_stats,
-        exposure_stats,
-        lap_var_stats,
-        pseudo_embed_rgb,
-    )
-
-    class Gates:
-        def __init__(self):
-            _dct_matrix(16)
-            _dct_matrix(32)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..fixtures.codecs import decode as cdecode
-
-            caps = batch["caption"].to_pylist()
-            hist = _caption_hist64(caps)
-            total = hist.sum(axis=1)
-            n = len(caps)
-            dec = np.zeros(n, np.int64)
-            junk = np.zeros(n, np.int64)
-            col = np.zeros(n, np.int64)
-            ali = np.zeros(n, np.int64)
-            for i, (blob, fmt) in enumerate(
-                zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-            ):
-                try:
-                    rgb = cdecode(blob, fmt)
-                except Exception:
-                    continue
-                dec[i] = 1
-                n_int, lap = lap_var_stats(rgb)
-                np_, d_, b_ = exposure_stats(rgb)
-                d_ppm = (d_ * 1_000_000) // np_ if np_ else 0
-                b_ppm = (b_ * 1_000_000) // np_ if np_ else 0
-                junk[i] = int(
-                    n_int != 0
-                    and lap >= JUNK_BLUR_MIN_MICRO
-                    and d_ppm <= JUNK_DARK_MAX_PPM
-                    and b_ppm <= JUNK_BRIGHT_MAX_PPM
-                )
-                _, chroma, _, dom_ppm = color_stats(rgb)
-                col[i] = int(
-                    chroma >= GRAY_MAX_CHROMA_MICRO and dom_ppm <= FLAT_MIN_PPM
-                )
-                mic = _img_mic_from_f32(
-                    pseudo_embed_rgb(rgb).astype(np.float32)
-                )
-                dot = int((mic * hist[i]).sum())
-                align_ppm = dot // int(total[i]) if total[i] > 0 else 0
-                ali[i] = int(align_ppm >= CAPTION_ALIGN_PPM)
-            return pa.table(
-                {
-                    "phash": batch["phash"],
-                    "image_id": batch["image_id"],
-                    "dec": pa.array(dec, pa.int64()),
-                    "junk": pa.array(junk, pa.int64()),
-                    "col": pa.array(col, pa.int64()),
-                    "ali": pa.array(ali, pa.int64()),
-                }
-            )
-
     nb = derive_buckets(_images(sf_dir), floor=16)
 
     def per_bucket(df) -> "pd.DataFrame":
@@ -486,12 +409,8 @@ def q_image_curation_funnel(sf_dir: str):
             }
         )
 
-    gated = rd.read_parquet(
-        _images(sf_dir),
-        columns=["image_id", "bytes", "fmt", "caption", "phash"],
-    ).map_batches(Gates, batch_format="pyarrow", batch_size=64, concurrency=(1, 8))
     parts = (
-        cogroup(gated, "phash", per_bucket, nb)
+        cogroup(curation_gates(_images(sf_dir)), "phash", per_bucket, nb)
         .to_pandas()  # bucket-bounded partial rows
         .sum()
     )
@@ -506,16 +425,44 @@ def q_image_curation_funnel(sf_dir: str):
     return pa.table({c: pa.array([int(parts[c])], pa.int64()) for c in cols})
 
 
+def _gates_row(rgb, row):
+    if rgb is None:
+        return 0, 0, 0, 0
+    _, chroma, _, dom_ppm = color_stats(rgb)
+    return (
+        1,
+        int(_junk_reason(rgb) == "ok"),
+        int(chroma >= GRAY_MAX_CHROMA_MICRO and dom_ppm <= FLAT_MIN_PPM),
+        _align_row(rgb, row)[1],
+    )
+
+
+def curation_gates(images: str):
+    """The funnel's pixel pass: (phash, image_id, dec, junk, col, ali)
+    0/1 gate flags per image, one decode each; an undecodable image
+    passes no gate."""
+    return map_pixels(
+        images,
+        pixel_batch(
+            _gates_row,
+            [("dec", I64), ("junk", I64), ("col", I64), ("ali", I64)],
+            keep=("phash", "image_id"),
+            allow_undecodable=True,
+        ),
+        ["caption", "phash"],
+    )
+
+
 def q_image_exposure_stats(sf_dir: str):
     """EXPOSURE JUNK GATE: per-image under/over-exposed pixel fractions
-    (integer BT.601 luma thresholds 16/239, exact ppm) via the
-    ExposureStats actor pool — a mostly-black or blown-out image is
+    (integer BT.601 luma thresholds 16/239, exact ppm) as task-based
+    ``map_batches`` — a mostly-black or blown-out image is
     curation junk even when sharp (complements ``image_blur_scores``).
     ORACLE-CHECKED against the sequential signature table
     (``exposure_signature_parquet``, the image_thumbnails discipline).
 
     Scale shape: map-side only — column-pruned read, small payload
-    batches through the actor pool, no shuffle."""
+    batches through stateless tasks, no shuffle."""
     from ..stages.image import exposure_scores
 
     return exposure_scores(_images(sf_dir))
@@ -527,7 +474,6 @@ def exposure_signature_parquet(fdir: str) -> str:
     import pyarrow.parquet as pq
 
     from ..fixtures.codecs import decode as cdecode
-    from ..stages.image import exposure_stats
 
     path = os.path.join(fdir, "exposure_signatures.parquet")
     if os.path.exists(path):
@@ -565,11 +511,10 @@ def blur_signature_parquet(fdir: str) -> str:
     """Expected blur stats from the SEQUENTIAL codec path (no Ray): one
     plain loop over the fixture images through the same
     ``lap_var_stats`` kernel, cached next to the fixture — the oracle's
-    ground truth for the distributed actor-pool pipeline."""
+    ground truth for the distributed pipeline."""
     import pyarrow.parquet as pq
 
     from ..fixtures.codecs import decode as cdecode
-    from ..stages.image import lap_var_stats
 
     path = os.path.join(fdir, "blur_signatures.parquet")
     if os.path.exists(path):
@@ -658,7 +603,6 @@ def embed_signature_parquet(fdir: str) -> str:
     import pyarrow.parquet as pq
 
     from ..fixtures.codecs import decode as cdecode
-    from ..stages.image import pseudo_embed_rgb
 
     path = os.path.join(fdir, "embed_signatures.parquet")
     if os.path.exists(path):
@@ -1655,6 +1599,21 @@ def _img_mic_from_f32(e32: np.ndarray) -> np.ndarray:
     )
 
 
+def _img_mic(rgb: np.ndarray) -> np.ndarray:
+    """Decoded pixels → shifted-micro pseudo-embed (64 int64)."""
+    return _img_mic_from_f32(pseudo_embed_rgb(rgb).astype(np.float32))
+
+
+def _batch_mics(batch: pa.Table) -> np.ndarray:
+    """(n, 64) shifted-micro pixel pseudo-embeds of a batch's images."""
+    return np.stack(
+        [
+            _img_mic(decode(b, f))
+            for b, f in zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
+        ]
+    )
+
+
 def alignment_embeds_for_fixture(fdir: str) -> str:
     """Materialize the SHIFTED-micro image embeddings once per tier
     (cached next to the fixture) as (image_id, img_mic list<int64>) — the
@@ -1686,7 +1645,7 @@ def alignment_embeds_for_fixture(fdir: str) -> str:
 def alignment_scores_dir(fdir: str) -> str:
     """Materialize the alignment gate's OUTPUT (image_id, align_ppm,
     aligned) once per fixture tier as a parquet DIRECTORY written by the
-    REAL distributed actor-pool pipeline (``write_parquet``, atomic dir
+    REAL distributed pipeline (``write_parquet``, atomic dir
     rename — never a driver-side collect). Composed consumers
     (``q_multimodal_filter_aligned``) read this instead of re-running the
     decode+embed pass per query — the curation-chain sharing discipline
@@ -1694,61 +1653,32 @@ def alignment_scores_dir(fdir: str) -> str:
     still computes fresh so the gate stays end-to-end-checked."""
     import shutil
 
-    import ray.data as rd
-
     out = os.path.join(fdir, "alignment_scores")
     if os.path.isdir(out):  # the atomic rename below makes existence=done
         return out
     tmp = out + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
-    rd.read_parquet(
-        os.path.join(fdir, "images.parquet"),
-        columns=["image_id", "bytes", "fmt", "caption"],
-    ).map_batches(
-        _AlignScore, batch_format="pyarrow", batch_size=64, concurrency=(1, 8)
-    ).write_parquet(tmp)
+    alignment_scores(os.path.join(fdir, "images.parquet")).write_parquet(tmp)
     os.replace(tmp, out)
     return out
 
 
-class _AlignScore:
-    """batch (image_id, bytes, fmt, caption) → (image_id, align_ppm,
-    aligned). Decode + DCT pseudo-embed + caption histogram + integer dot,
-    all inside one actor (DCT matrices built once in __init__)."""
+def _align_row(rgb, row):
+    """Decode → DCT pseudo-embed → shifted micro ints, dotted with the
+    row's caption histogram: (align_ppm, aligned)."""
+    mic = _img_mic(rgb)
+    hist = _caption_hist64([row["caption"]])[0]
+    total = int(hist.sum())
+    align = int((mic * hist).sum()) // total if total > 0 else 0
+    return align, int(align >= CAPTION_ALIGN_PPM)
 
-    def __init__(self):
-        from ..stages.image import _dct_matrix
 
-        _dct_matrix(16)
-        _dct_matrix(32)
+# batch (image_id, bytes, fmt, caption) → (image_id, align_ppm, aligned)
+align_batch = pixel_batch(_align_row, [("align_ppm", I64), ("aligned", I64)])
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.image import decode, pseudo_embed_rgb
 
-        caps = batch["caption"].to_pylist()
-        hist = _caption_hist64(caps)
-        total = hist.sum(axis=1)
-        mics = np.stack(
-            [
-                _img_mic_from_f32(
-                    pseudo_embed_rgb(decode(b, f)).astype(np.float32)
-                )
-                for b, f in zip(
-                    batch["bytes"].to_pylist(), batch["fmt"].to_pylist()
-                )
-            ]
-        )
-        dot = (mics * hist).sum(axis=1)
-        align = np.where(total > 0, dot // np.maximum(total, 1), 0)
-        return pa.table(
-            {
-                "image_id": batch["image_id"],
-                "align_ppm": pa.array(align, pa.int64()),
-                "aligned": pa.array(
-                    (align >= CAPTION_ALIGN_PPM).astype(np.int64), pa.int64()
-                ),
-            }
-        )
+def alignment_scores(images: str):
+    return map_pixels(images, align_batch, ["caption"])
 
 
 def q_caption_image_alignment(sf_dir: str):
@@ -1762,21 +1692,12 @@ def q_caption_image_alignment(sf_dir: str):
     (bolts/media/VisualIndexerBolt.java:148-171), which pairs an image's
     visual match with its surrounding text.
 
-    Scale shape: pure map-side actor pool (codec + DCT state in
-    ``__init__``), small batches for the wide binary column, no shuffle —
-    alignment streams at any corpus size. Oracle: DuckDB replays the
-    dot/gate arithmetic over the engine-materialized shifted-micro embeds
-    (pixel decode is not SQL-expressible; everything after it is)."""
-    import ray.data as rd
-
-    return rd.read_parquet(
-        _images(sf_dir), columns=["image_id", "bytes", "fmt", "caption"]
-    ).map_batches(
-        _AlignScore,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=(1, 8),
-    )
+    Scale shape: pure map-side stateless tasks, small batches for the
+    wide binary column, no shuffle — alignment streams at any corpus
+    size. Oracle: DuckDB replays the dot/gate arithmetic over the
+    engine-materialized shifted-micro embeds (pixel decode is not
+    SQL-expressible; everything after it is)."""
+    return alignment_scores(_images(sf_dir))
 
 
 AR_BUCKETS = [(1, 1), (4, 3), (3, 4), (16, 9), (9, 16)]  # training AR set
@@ -1832,7 +1753,7 @@ def q_caption_to_image_topk(sf_dir: str):
     CLIP-style index serves. Output (qid, image_id, rank, dot).
 
     Scale shape: the query side is tiny and broadcasts (5 histograms);
-    the image side streams through the embed actor pool with a per-batch
+    the image side streams through stateless embed tasks with a per-batch
     partial top-k, and only ``XMODAL_QUERIES × XMODAL_K``-bounded
     candidates reach the final per-query merge — the brute-force baseline
     of SURVEY's similarity-search family applied across modalities."""
@@ -1850,47 +1771,28 @@ def q_caption_to_image_topk(sf_dir: str):
     )  # (Q, 64)
     q_ref = ray.put((qids, qhist))
 
-    class _Score:
-        def __init__(self):
-            from ..stages.image import _dct_matrix
-
-            _dct_matrix(16)
-            _dct_matrix(32)
-            self.qids, self.qh = ray.get(q_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            from ..stages.image import decode, pseudo_embed_rgb
-
-            mics = np.stack(
-                [
-                    _img_mic_from_f32(
-                        pseudo_embed_rgb(decode(b, f)).astype(np.float32)
-                    )
-                    for b, f in zip(
-                        batch["bytes"].to_pylist(), batch["fmt"].to_pylist()
-                    )
-                ]
-            )  # (n, 64)
-            dots = mics @ self.qh.T  # (n, Q) integer exact
-            ids = np.array(batch["image_id"].to_pylist(), object)
-            out_q, out_i, out_d = [], [], []
-            for j, qid in enumerate(self.qids):
-                d = dots[:, j]
-                # partial top-k: keep ties with the k-th score so the
-                # global (dot desc, image_id asc) tie-break stays exact
-                k = min(XMODAL_K, len(d))
-                kth = np.partition(d, -k)[-k] if k else 0
-                keep = d >= kth
-                out_q.extend([qid] * int(keep.sum()))
-                out_i.extend(ids[keep].tolist())
-                out_d.extend(d[keep].tolist())
-            return pa.table(
-                {
-                    "qid": pa.array(out_q, pa.string()),
-                    "image_id": pa.array(out_i, pa.string()),
-                    "dot": pa.array(np.array(out_d, np.int64), pa.int64()),
-                }
-            )
+    def score(batch: pa.Table) -> pa.Table:
+        qids, qh = ray.get(q_ref)
+        dots = _batch_mics(batch) @ qh.T  # (n, Q) integer exact
+        ids = np.array(batch["image_id"].to_pylist(), object)
+        out_q, out_i, out_d = [], [], []
+        for j, qid in enumerate(qids):
+            d = dots[:, j]
+            # partial top-k: keep ties with the k-th score so the
+            # global (dot desc, image_id asc) tie-break stays exact
+            k = min(XMODAL_K, len(d))
+            kth = np.partition(d, -k)[-k] if k else 0
+            keep = d >= kth
+            out_q.extend([qid] * int(keep.sum()))
+            out_i.extend(ids[keep].tolist())
+            out_d.extend(d[keep].tolist())
+        return pa.table(
+            {
+                "qid": pa.array(out_q, pa.string()),
+                "image_id": pa.array(out_i, pa.string()),
+                "dot": pa.array(np.array(out_d, np.int64), pa.int64()),
+            }
+        )
 
     def finish(g) -> pa.Table:
         order = np.lexsort(
@@ -1911,7 +1813,7 @@ def q_caption_to_image_topk(sf_dir: str):
 
     return (
         rd.read_parquet(images, columns=["image_id", "bytes", "fmt"])
-        .map_batches(_Score, batch_format="pyarrow", batch_size=64, concurrency=(1, 8))
+        .map_batches(score, batch_format="pyarrow", batch_size=64)
         .groupby("qid")
         .map_groups(finish, batch_format="pandas")
     )
@@ -1982,7 +1884,7 @@ def q_image_dhash_agreement(sf_dir: str):
 
     Scale shape: both pair pipelines are the banded two-shuffle
     ``phash_band_pairs`` path (dHash values come from the DISTRIBUTED
-    actor-pool materialization, written once per tier); the pair sets
+    task-based materialization, written once per tier); the pair sets
     are dup-shaped (output-bounded), so the intersection is a driver
     set merge — the image_dedup_eval discipline. Oracle: replays both
     band joins (dHash side over the SEQUENTIAL signature table, so the
@@ -2107,7 +2009,7 @@ def q_crossmodal_recall(sf_dir: str):
 
     Scale shape: the query side is tiny and broadcasts (Q caption
     histograms + Q image embeds + Q ground-truth dots via one
-    ``ray.put``); the corpus side STREAMS through the embed actor pool
+    ``ray.put``); the corpus side STREAMS through stateless embed tasks
     exactly once, emitting per-batch partial better-than counts
     (2·Q rows per batch) — no pairwise materialization, no shuffle of
     the corpus, and the final merge is a Q-bounded driver reduce. The
@@ -2125,7 +2027,6 @@ def crossmodal_recall_over(images: str):
     import ray
     import ray.data as rd
 
-    from ..stages.image import _dct_matrix, decode, pseudo_embed_rgb
     # query side (driver, column-pruned): Q alphabetically-first pairs
     meta = pads.dataset(images).to_table(columns=["image_id", "caption"])
     ids_all = np.array(meta["image_id"].to_pylist(), object).astype(str)
@@ -2135,8 +2036,6 @@ def crossmodal_recall_over(images: str):
     qhist = _caption_hist64([caps_all[i] for i in order[: XRECALL_QUERIES]])
     # ground-truth embeds: point read of ONLY the Q rows (predicate
     # pushdown prunes row groups; Q is constant, never corpus-shaped)
-    _dct_matrix(16)
-    _dct_matrix(32)
     qrows = pads.dataset(images).to_table(
         columns=["image_id", "bytes", "fmt"],
         filter=pads.field("image_id").isin(qids),
@@ -2149,68 +2048,37 @@ def crossmodal_recall_over(images: str):
             qrows["fmt"].to_pylist(),
         )
     }
-    qmic = np.stack(
-        [
-            _img_mic_from_f32(
-                pseudo_embed_rgb(decode(*by_id[q])).astype(np.float32)
-            )
-            for q in qids
-        ]
-    )  # (Q, 64)
+    qmic = np.stack([_img_mic(decode(*by_id[q])) for q in qids])  # (Q, 64)
     gt = np.einsum("ij,ij->i", qmic, qhist)  # gt dot is shared by both dirs
     q_ref = ray.put((qids, qhist, qmic, gt))
 
-    class _Better:
+    def better(batch: pa.Table) -> pa.Table:
         """per-batch partial: for every query and both directions, how
         many corpus items beat the ground-truth item."""
-
-        def __init__(self):
-            _dct_matrix(16)
-            _dct_matrix(32)
-            self.qids, self.qh, self.qm, self.gt = ray.get(q_ref)
-            self.qarr = np.array(self.qids, object).astype(str)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mics = np.stack(
-                [
-                    _img_mic_from_f32(
-                        pseudo_embed_rgb(decode(b, f)).astype(np.float32)
-                    )
-                    for b, f in zip(
-                        batch["bytes"].to_pylist(), batch["fmt"].to_pylist()
-                    )
-                ]
-            )  # (n, 64)
-            hists = _caption_hist64(batch["caption"].to_pylist())  # (n, 64)
-            ids = np.array(batch["image_id"].to_pylist(), object).astype(str)
-            d_c2i = mics @ self.qh.T  # (n, Q): corpus image vs query caption
-            d_i2c = hists @ self.qm.T  # (n, Q): corpus caption vs query image
-            lt = ids[:, None] < self.qarr[None, :]  # (n, Q) id tie-break
-            b_c2i = (
-                (d_c2i > self.gt[None, :]) | ((d_c2i == self.gt[None, :]) & lt)
-            ).sum(0)
-            b_i2c = (
-                (d_i2c > self.gt[None, :]) | ((d_i2c == self.gt[None, :]) & lt)
-            ).sum(0)
-            return pa.table(
-                {
-                    "direction": pa.array(
-                        ["cap2img"] * len(self.qids) + ["img2cap"] * len(self.qids),
-                        pa.string(),
-                    ),
-                    "qid": pa.array(self.qids + self.qids, pa.string()),
-                    "n_better": pa.array(
-                        np.concatenate([b_c2i, b_i2c]).astype(np.int64),
-                        pa.int64(),
-                    ),
-                }
-            )
+        qids, qh, qm, gt = ray.get(q_ref)
+        qarr = np.array(qids, object).astype(str)
+        hists = _caption_hist64(batch["caption"].to_pylist())  # (n, 64)
+        ids = np.array(batch["image_id"].to_pylist(), object).astype(str)
+        d_c2i = _batch_mics(batch) @ qh.T  # (n, Q): corpus image vs query caption
+        d_i2c = hists @ qm.T  # (n, Q): corpus caption vs query image
+        lt = ids[:, None] < qarr[None, :]  # (n, Q) id tie-break
+        b_c2i = ((d_c2i > gt[None, :]) | ((d_c2i == gt[None, :]) & lt)).sum(0)
+        b_i2c = ((d_i2c > gt[None, :]) | ((d_i2c == gt[None, :]) & lt)).sum(0)
+        return pa.table(
+            {
+                "direction": pa.array(
+                    ["cap2img"] * len(qids) + ["img2cap"] * len(qids), pa.string()
+                ),
+                "qid": pa.array(qids + qids, pa.string()),
+                "n_better": pa.array(
+                    np.concatenate([b_c2i, b_i2c]).astype(np.int64), pa.int64()
+                ),
+            }
+        )
 
     parts = (
         rd.read_parquet(images, columns=["image_id", "bytes", "fmt", "caption"])
-        .map_batches(
-            _Better, batch_format="pyarrow", batch_size=64, concurrency=(1, 8)
-        )
+        .map_batches(better, batch_format="pyarrow", batch_size=64)
         .to_pandas()  # 2·Q × n_batches-bounded partials
     )
     ranks = (

@@ -5,18 +5,20 @@ Ray-Data restatement of the reference's media pipeline
 ``ClustererBolt.java``) over the BASELINE ``input_hint`` table
 ``(image_id, bytes, w, h, fmt, caption, phash)``:
 
-- :class:`DecodeValidate` — actor-pool ``map_batches`` stage: decode the
-  ``bytes`` column (pure-python codecs; a real deployment swaps in
-  PIL/libvips here — same signature), verify the per-row invariant
-  (decoded-pixel PSNR ≥ 40 dB for the lossy ``q6`` format / exact for
-  lossless, stored-phash reproducibility, byte-exact captions travel
-  untouched) and emit measurement columns. DCT/codec state is built once
-  per actor in ``__init__``.
+- :func:`map_pixels` / :func:`pixel_batch` — the one decode path for
+  stateless pixel kernels: a column-pruned read, then task-based
+  ``map_batches`` that decodes each row once (pure-python codecs; a real
+  deployment swaps in PIL/libvips here — same signature), calls a
+  per-row kernel and builds typed Arrow columns. Decode validation
+  (:func:`decode_validate`: decoded-pixel PSNR ≥ 40 dB for the lossy
+  ``q6`` format / exact for lossless, stored-phash reproducibility),
+  thumbnails, blur, exposure, color and dHash all run through it.
 - :class:`PseudoEmbed` — deterministic stand-in for SURF/VLAD/PCA
   (``VisualIndexerBolt.java:60-83``): decode → luma → area-resize to 16×16 →
   2-D DCT → flatten 64 low-frequency coeffs → L2-normalize. Same decode
   budget rule as the reference: images above ``max_pixels = 768*512`` are
-  area-downscaled first (``VisualIndexerBolt.java:63``).
+  area-downscaled first (``VisualIndexerBolt.java:63``). It stays an actor
+  pool: its ``weights`` slot is per-actor model state.
 - :func:`phash_band_pairs` — near-dup candidate pairs by pHash band
   blocking (4 bands × 16 bits): explode (band, key) → groupby → pairs →
   verify Hamming ≤ ``max_hamming``. Mirrors the visual-index 0.85
@@ -36,6 +38,8 @@ with optional soundfile/PyAV slots for compressed formats.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -46,6 +50,8 @@ from ..fixtures.codecs import (
     phash64,
     phash_distance,
     psnr,
+    q6_decode,
+    q6_encode,
     resize_area,
     to_gray,
 )
@@ -57,147 +63,138 @@ EMBED_DIM = 64
 N_BANDS = 4
 BAND_BITS = 16
 
+I64 = pa.int64()
+
+
+# --------------------------------------------------------------------------
+# one decode per row: stateless pixel kernels as task-based map_batches
+# --------------------------------------------------------------------------
+
+
+def pixel_batch(fn, out, keep=("image_id",), allow_undecodable: bool = False):
+    """Batch function for a per-row pixel kernel: decode each row's
+    ``bytes`` once, call ``fn(rgb, row) -> tuple`` (``row`` maps every
+    other column of the batch to this row's value) and return the
+    ``keep`` columns followed by one typed column per tuple slot
+    (``out`` = [(name, Arrow type)]). With ``allow_undecodable`` a row
+    whose bytes do not decode reaches ``fn`` as ``rgb=None``; otherwise
+    the decode error propagates."""
+
+    def run(batch: pa.Table) -> pa.Table:
+        cols = {c: batch[c].to_pylist() for c in batch.column_names if c != "bytes"}
+        res = []
+        for i, blob in enumerate(batch["bytes"].to_pylist()):
+            row = {c: v[i] for c, v in cols.items()}
+            try:
+                rgb = decode(blob, row["fmt"])
+            except Exception:
+                if not allow_undecodable:
+                    raise
+                rgb = None
+            res.append(fn(rgb, row))
+        vals = list(zip(*res)) if res else [[] for _ in out]
+        return pa.table(
+            {
+                **{k: batch[k] for k in keep},
+                **{name: pa.array(v, t) for (name, t), v in zip(out, vals)},
+            }
+        )
+
+    return run
+
+
+def map_pixels(images_parquet: str, batch_fn, columns=(), batch_size: int = 64):
+    """Column-pruned read of (image_id, bytes, fmt, *columns) → task-based
+    ``map_batches(batch_fn)`` (a :func:`pixel_batch`). An actor pool is
+    used only where per-actor state exists (a model-weight slot, as in
+    :class:`PseudoEmbed`); a stateless kernel runs as tasks, which reuse
+    warm workers instead of starting a pool per pipeline. Batches are
+    small because rows carry image payloads (SURVEY.md §7.4)."""
+    import ray.data as rd
+
+    return rd.read_parquet(
+        images_parquet, columns=["image_id", "bytes", "fmt", *columns]
+    ).map_batches(batch_fn, batch_format="pyarrow", batch_size=batch_size)
+
 
 # --------------------------------------------------------------------------
 # decode + invariant validation
 # --------------------------------------------------------------------------
 
-
-class DecodeValidate:
-    """batch (image_id, bytes, w, h, fmt, phash) → per-row invariant columns.
-
-    Output: image_id, fmt, w_ok, h_ok, phash_ok, psnr_db_x100 (int64;
-    2**31-1 sentinel for inf/lossless-exact), decode_ok.
-    """
-
-    def __init__(self, check_phash: bool = True):
-        self.check_phash = check_phash
-        _dct_matrix(32)  # warm the module-level DCT cache once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        ws = batch["w"].to_numpy()
-        hs = batch["h"].to_numpy()
-        phs = batch["phash"].to_numpy()
-        n = len(ids)
-        w_ok = np.zeros(n, bool)
-        h_ok = np.zeros(n, bool)
-        ph_ok = np.zeros(n, bool)
-        dec_ok = np.zeros(n, bool)
-        psnr_x100 = np.zeros(n, np.int64)
-        INF = np.int64(2**31 - 1)
-        for i in range(n):
-            try:
-                rgb = decode(blobs[i], fmts[i])
-            except Exception:
-                continue
-            dec_ok[i] = True
-            h_ok[i] = rgb.shape[0] == hs[i]
-            w_ok[i] = rgb.shape[1] == ws[i]
-            if self.check_phash:
-                ph_ok[i] = phash64(rgb) == int(phs[i])
-            if fmts[i] == "q6":
-                # lossy: PSNR vs a re-encode→decode round trip must be
-                # stable ≥ 40 dB (the codec is idempotent after one pass)
-                from ..fixtures.codecs import q6_decode, q6_encode
-
-                rt = q6_decode(q6_encode(rgb))
-                p = psnr(rgb, rt)
-                psnr_x100[i] = INF if np.isinf(p) else np.int64(round(p * 100))
-            else:
-                psnr_x100[i] = INF  # lossless: exact by construction
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "fmt": pa.array(fmts, pa.string()),
-                "decode_ok": pa.array(dec_ok),
-                "w_ok": pa.array(w_ok),
-                "h_ok": pa.array(h_ok),
-                "phash_ok": pa.array(ph_ok),
-                "psnr_db_x100": pa.array(psnr_x100, pa.int64()),
-            }
-        )
+PSNR_EXACT_X100 = 2**31 - 1  # psnr_db_x100 sentinel: inf / lossless-exact
 
 
-def decode_validate(images_parquet: str, concurrency=(1, 8), batch_size: int = 64):
-    """Dataset pipeline: read (column-pruned) → DecodeValidate actor pool.
+def _validate_row(rgb, row):
+    if rgb is None:
+        return False, False, False, False, 0
+    if row["fmt"] == "q6":
+        # lossy: PSNR vs a re-encode→decode round trip must be stable
+        # ≥ 40 dB (the codec is idempotent after one pass)
+        p = psnr(rgb, q6_decode(q6_encode(rgb)))
+        psnr_x100 = PSNR_EXACT_X100 if np.isinf(p) else int(round(p * 100))
+    else:
+        psnr_x100 = PSNR_EXACT_X100  # lossless: exact by construction
+    return (
+        True,
+        rgb.shape[1] == row["w"],
+        rgb.shape[0] == row["h"],
+        phash64(rgb) == row["phash"],
+        psnr_x100,
+    )
 
-    batch_size is small because rows carry image payloads
-    (SURVEY.md §7.4 wide-binary-rows note)."""
-    import ray.data as rd
 
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "w", "h", "fmt", "phash"]
-    ).map_batches(
-        DecodeValidate,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+# batch (image_id, bytes, w, h, fmt, phash) → image_id, fmt, decode_ok,
+# w_ok, h_ok, phash_ok, psnr_db_x100; undecodable rows flag decode_ok
+decode_validate_batch = pixel_batch(
+    _validate_row,
+    [
+        ("decode_ok", pa.bool_()),
+        ("w_ok", pa.bool_()),
+        ("h_ok", pa.bool_()),
+        ("phash_ok", pa.bool_()),
+        ("psnr_db_x100", I64),
+    ],
+    keep=("image_id", "fmt"),
+    allow_undecodable=True,
+)
+
+
+def decode_validate(images_parquet: str, batch_size: int = 64):
+    """Per-row invariant columns over the images table."""
+    return map_pixels(
+        images_parquet, decode_validate_batch, ["w", "h", "phash"], batch_size
     )
 
 
 # --------------------------------------------------------------------------
-# pseudo-embedding (deterministic SURF/VLAD/PCA stand-in)
+# pixel statistics (thumbnail, blur, exposure, color, dHash)
 # --------------------------------------------------------------------------
 
 
-class Thumbnail:
-    """Decode → box/area resize to ``out``×``out`` → quantized uint8
+def _thumb_row(rgb, row, out: int = 8):
+    th = resize_area(rgb, out, out)
+    q = np.clip(np.floor(th + 0.5), 0, 255).astype(np.uint8)
+    m = np.floor(th.reshape(-1, 3).mean(axis=0) * 100.0 + 0.5).astype(np.int64)
+    return q.tobytes(), int(m[0]), int(m[1]), int(m[2])
+
+
+def thumbnail_images(images_parquet: str, out: int = 8, batch_size: int = 64):
+    """Decode → area resize to ``out``×``out`` → quantized uint8
     thumbnail + integer channel means — the resize leg of the reference's
     decode budget (``VisualIndexerBolt.java:60-63`` caps decoded size at
-    maxNumPixels before feature extraction) as a standalone actor-pool
-    stage. Output rows carry the thumbnail as a fixed-size ``binary``
-    column (out*out*3 bytes, row-major RGB) plus mean_{r,g,b}_x100 int64s,
-    so downstream stages (embedding, mosaics) consume pure Arrow."""
-
-    def __init__(self, out: int = 8):
-        self.out = out
-        _dct_matrix(32)  # warm decode caches once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..fixtures.codecs import resize_area
-
-        ids = batch["image_id"].to_pylist()
-        blobs = batch["bytes"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        thumbs, means = [], np.zeros((len(ids), 3), np.int64)
-        for i in range(len(ids)):
-            rgb = decode(blobs[i], fmts[i])
-            th = resize_area(rgb, self.out, self.out)
-            q = np.clip(np.floor(th + 0.5), 0, 255).astype(np.uint8)
-            thumbs.append(q.tobytes())
-            means[i] = np.floor(th.reshape(-1, 3).mean(axis=0) * 100.0 + 0.5).astype(
-                np.int64
-            )
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "thumb": pa.array(thumbs, pa.binary()),
-                "mean_r_x100": pa.array(means[:, 0], pa.int64()),
-                "mean_g_x100": pa.array(means[:, 1], pa.int64()),
-                "mean_b_x100": pa.array(means[:, 2], pa.int64()),
-            }
-        )
-
-
-def thumbnail_images(
-    images_parquet: str, out: int = 8, concurrency=(1, 8), batch_size: int = 64
-):
-    """Dataset pipeline: column-pruned read → Thumbnail actor pool (small
-    batches — rows carry image payloads, SURVEY.md §7.4)."""
-    import ray.data as rd
-
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        Thumbnail,
-        fn_constructor_kwargs={"out": out},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    maxNumPixels before feature extraction). Rows carry the thumbnail as
+    a ``binary`` column (out*out*3 bytes, row-major RGB) plus
+    mean_{r,g,b}_x100 int64s, so downstream stages consume pure Arrow."""
+    batch_fn = pixel_batch(
+        functools.partial(_thumb_row, out=out),
+        [
+            ("thumb", pa.binary()),
+            ("mean_r_x100", I64),
+            ("mean_g_x100", I64),
+            ("mean_b_x100", I64),
+        ],
     )
+    return map_pixels(images_parquet, batch_fn, batch_size=batch_size)
 
 
 def lap_var_stats(rgb: np.ndarray) -> tuple[int, int]:
@@ -249,94 +246,33 @@ def exposure_stats(rgb: np.ndarray) -> tuple[int, int, int]:
     )
 
 
-class ExposureStats:
-    """batch (image_id, bytes, fmt) → (image_id, n_pixels, dark_ppm,
-    bright_ppm) — exposure junk gate as an actor-pool stage; ppm in
-    exact integer arithmetic (count·10⁶ // n)."""
-
-    def __init__(self):
-        _dct_matrix(32)  # warm decode caches once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        np_out = np.zeros(len(ids), np.int64)
-        d_out = np.zeros(len(ids), np.int64)
-        b_out = np.zeros(len(ids), np.int64)
-        for i, (blob, fmt) in enumerate(
-            zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-        ):
-            n, d, br = exposure_stats(decode(blob, fmt))
-            np_out[i] = n
-            d_out[i] = (d * 1_000_000) // n if n else 0
-            b_out[i] = (br * 1_000_000) // n if n else 0
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_pixels": pa.array(np_out, pa.int64()),
-                "dark_ppm": pa.array(d_out, pa.int64()),
-                "bright_ppm": pa.array(b_out, pa.int64()),
-            }
-        )
+def _exposure_row(rgb, row):
+    n, d, br = exposure_stats(rgb)
+    return n, (d * 1_000_000) // n if n else 0, (br * 1_000_000) // n if n else 0
 
 
-def exposure_scores(
-    images_parquet: str, concurrency=(1, 8), batch_size: int = 64
-):
-    """Dataset pipeline: column-pruned read → ExposureStats actor pool."""
-    import ray.data as rd
-
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        ExposureStats,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+# (image_id, n_pixels, dark_ppm, bright_ppm): exposure junk statistics,
+# ppm in exact integer arithmetic (count·10⁶ // n)
+exposure_batch = pixel_batch(
+    _exposure_row, [("n_pixels", I64), ("dark_ppm", I64), ("bright_ppm", I64)]
+)
 
 
-class BlurScore:
-    """batch (image_id, bytes, fmt) → (image_id, n_interior,
-    lap_var_micro) — blur/sharpness gating for image-curation pipelines
-    (low Laplacian variance = soft or empty image; the standard
-    pre-training junk filter next to the decode/phash gates). Decode
-    caches warm once per actor (the Thumbnail/PseudoEmbed contract)."""
-
-    def __init__(self):
-        _dct_matrix(32)  # warm decode caches once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        n_out = np.zeros(len(ids), np.int64)
-        v_out = np.zeros(len(ids), np.int64)
-        for i, (blob, fmt) in enumerate(
-            zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-        ):
-            n_out[i], v_out[i] = lap_var_stats(decode(blob, fmt))
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_interior": pa.array(n_out, pa.int64()),
-                "lap_var_micro": pa.array(v_out, pa.int64()),
-            }
-        )
+def exposure_scores(images_parquet: str, batch_size: int = 64):
+    return map_pixels(images_parquet, exposure_batch, batch_size=batch_size)
 
 
-def blur_scores(
-    images_parquet: str, concurrency=(1, 8), batch_size: int = 64
-):
-    """Dataset pipeline: column-pruned read → BlurScore actor pool (small
-    batches — rows carry image payloads, SURVEY.md §7.4)."""
-    import ray.data as rd
+# (image_id, n_interior, lap_var_micro): blur/sharpness gating (low
+# Laplacian variance = soft or empty image; the standard pre-training
+# junk filter next to the decode/phash gates)
+blur_batch = pixel_batch(
+    lambda rgb, row: lap_var_stats(rgb),
+    [("n_interior", I64), ("lap_var_micro", I64)],
+)
 
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        BlurScore,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+
+def blur_scores(images_parquet: str, batch_size: int = 64):
+    return map_pixels(images_parquet, blur_batch, batch_size=batch_size)
 
 
 def color_stats(rgb: np.ndarray) -> tuple[int, int, int, int]:
@@ -377,52 +313,21 @@ def color_stats(rgb: np.ndarray) -> tuple[int, int, int, int]:
     return n, chroma_mean_micro, dom, dom_ppm
 
 
-class ColorStats:
-    """batch (image_id, bytes, fmt) → (image_id, n_pixels,
-    chroma_mean_micro, dominant_bin, dominant_ppm) — grayscale /
-    flat-color junk statistics as an actor-pool stage (decode caches
-    warm once per actor, the BlurScore contract)."""
-
-    def __init__(self):
-        _dct_matrix(32)  # warm decode caches once per actor
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        n_out = np.zeros(len(ids), np.int64)
-        c_out = np.zeros(len(ids), np.int64)
-        b_out = np.zeros(len(ids), np.int64)
-        p_out = np.zeros(len(ids), np.int64)
-        for i, (blob, fmt) in enumerate(
-            zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-        ):
-            n_out[i], c_out[i], b_out[i], p_out[i] = color_stats(
-                decode(blob, fmt)
-            )
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_pixels": pa.array(n_out, pa.int64()),
-                "chroma_mean_micro": pa.array(c_out, pa.int64()),
-                "dominant_bin": pa.array(b_out, pa.int64()),
-                "dominant_ppm": pa.array(p_out, pa.int64()),
-            }
-        )
+# (image_id, n_pixels, chroma_mean_micro, dominant_bin, dominant_ppm):
+# grayscale / flat-color junk statistics
+color_batch = pixel_batch(
+    lambda rgb, row: color_stats(rgb),
+    [
+        ("n_pixels", I64),
+        ("chroma_mean_micro", I64),
+        ("dominant_bin", I64),
+        ("dominant_ppm", I64),
+    ],
+)
 
 
-def color_scores(
-    images_parquet: str, concurrency=(1, 8), batch_size: int = 64
-):
-    """Dataset pipeline: column-pruned read → ColorStats actor pool."""
-    import ray.data as rd
-
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        ColorStats,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def color_scores(images_parquet: str, batch_size: int = 64):
+    return map_pixels(images_parquet, color_batch, batch_size=batch_size)
 
 
 def dhash64(rgb: np.ndarray) -> int:
@@ -444,44 +349,19 @@ def dhash64(rgb: np.ndarray) -> int:
     return int(np.int64(val & 0x7FFFFFFFFFFFFFFF))  # signed int64 domain
 
 
-class DHash:
-    """batch (image_id, bytes, fmt) → (image_id, phash) where the
-    column holds the 64-bit dHash — NAMED ``phash`` so the banded
-    pairing pipeline (``phash_band_pairs``) consumes the output
-    verbatim; decode caches warm once per actor."""
-
-    def __init__(self):
-        _dct_matrix(32)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_pylist()
-        out = np.zeros(len(ids), np.int64)
-        for i, (blob, fmt) in enumerate(
-            zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())
-        ):
-            out[i] = dhash64(decode(blob, fmt))
-        return pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "phash": pa.array(out, pa.int64()),
-            }
-        )
+# (image_id, phash) where the column holds the 64-bit dHash — NAMED
+# ``phash`` so the banded pairing pipeline (``phash_band_pairs``)
+# consumes the output verbatim
+dhash_batch = pixel_batch(lambda rgb, row: (dhash64(rgb),), [("phash", I64)])
 
 
-def dhash_scores(
-    images_parquet: str, concurrency=(1, 8), batch_size: int = 64
-):
-    """Dataset pipeline: column-pruned read → DHash actor pool."""
-    import ray.data as rd
+def dhash_scores(images_parquet: str, batch_size: int = 64):
+    return map_pixels(images_parquet, dhash_batch, batch_size=batch_size)
 
-    return rd.read_parquet(
-        images_parquet, columns=["image_id", "bytes", "fmt"]
-    ).map_batches(
-        DHash,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+
+# --------------------------------------------------------------------------
+# pseudo-embedding (deterministic SURF/VLAD/PCA stand-in)
+# --------------------------------------------------------------------------
 
 
 def pseudo_embed_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -518,8 +398,6 @@ class PseudoEmbed:
                 "real embedding checkpoints are not available in this "
                 "sandbox; load the model here (once per actor) when they are"
             )
-        _dct_matrix(16)
-        _dct_matrix(32)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["image_id"].to_pylist()

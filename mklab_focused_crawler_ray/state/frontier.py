@@ -148,9 +148,14 @@ class FrontierShard:
         self.seen_ttl_ms = seen_ttl_ms
         self.seen_capacity = seen_capacity
         self.robots = robots or RobotsCache()
-        # (domain, salt) -> heap of (-score, url, payload-dict)
+        # (domain, salt) -> heap of (-score, url, payload); payload is the
+        # (shares, date_ms) tuple
         self.queues: dict[tuple[str, int], list] = {}
-        self.pending_hashes: set[int] = set()
+        # url -> payload object of the URL's one LIVE heap entry. A
+        # cancelled URL keeps a stale entry in its heap (lazy deletion);
+        # if it is enqueued again, the new entry gets a new payload, so
+        # an identity check tells the two apart in O(1) at pop time.
+        self._live: dict[str, tuple] = {}
         self.cuckoo = CuckooFilter(seen_capacity)
         self.seen: dict[int, int] = {}  # url_hash -> seen_at_ms (exact ledger)
         self._proposed: dict[str, tuple[tuple[str, int], float, dict]] = {}
@@ -191,13 +196,14 @@ class FrontierShard:
         hl = hashes.tolist()
         cuckoo_hits = self.cuckoo.contains_many(hashes)
         allowed = self.robots.allowed_many(urls, domains)
-        pend = self.pending_hashes
+        live = self._live
         is_seen = self._is_seen
         dup_p = dup_s = denied = 0
         by_key: dict[tuple[str, int], list] = {}
         for i in range(n):
             h = hl[i]
-            if h in pend:
+            u = urls[i]
+            if u in live:
                 dup_p += 1
                 continue
             if cuckoo_hits[i] and is_seen(h, now_ms):
@@ -206,10 +212,11 @@ class FrontierShard:
             if not allowed[i]:
                 denied += 1
                 continue
+            payload = (int(shares[i]), int(dates[i]))
             by_key.setdefault((domains[i], int(salts[i])), []).append(
-                (-float(scores[i]), urls[i], (int(shares[i]), int(dates[i])))
+                (-float(scores[i]), u, payload)
             )
-            pend.add(h)
+            live[u] = payload
         added = 0
         for key, items in by_key.items():
             added += len(items)
@@ -228,6 +235,11 @@ class FrontierShard:
         self.counters["robots_denied"] += denied
         self.counters["enqueued"] += added
         return {"added": added}
+
+    @property
+    def pending_hashes(self) -> set[int]:
+        """url_hash64 of every URL with a live pending entry."""
+        return set(url_hash64_vec(list(self._live)).tolist())
 
     def _is_seen(self, h: int, now_ms: int) -> bool:
         at = self.seen.get(h)
@@ -256,7 +268,7 @@ class FrontierShard:
             if h not in self.seen:
                 self.cuckoo.add(h)
             self.seen[h] = now_ms
-            self.pending_hashes.discard(h)
+            self._live.pop(u, None)
 
     # -- round protocol ---------------------------------------------------
     def propose(self, budget: int) -> dict:
@@ -281,7 +293,7 @@ class FrontierShard:
             taken = 0
             while heap and taken < quota:
                 negs, u, payload = heapq.heappop(heap)
-                if url_hash64(u) not in self.pending_hashes:
+                if self._live.get(u) is not payload:
                     continue  # stale (cancelled via mark_seen) — discard
                 self._proposed[u] = ((domain, salt), -negs, payload)
                 cands.append((-negs, u, domain, salt))
@@ -319,7 +331,9 @@ class FrontierShard:
             if h not in seen:
                 self.cuckoo.add(h)
         seen.update((h, now_ms) for h in sel_hashes)
-        self.pending_hashes.difference_update(sel_hashes)
+        live = self._live
+        for u in selected_urls:
+            live.pop(u, None)
         self.counters["scheduled"] += len(selected_urls)
         return {
             "url": list(selected_urls),
@@ -374,14 +388,13 @@ class FrontierShard:
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
         os.makedirs(tmp)
-        entries = [
+        # stale cancelled entries are not real pending state
+        live = [
             (u, domain, salt, -negs, *payload)
             for (domain, salt), heap in self.queues.items()
             for negs, u, payload in heap
+            if self._live.get(u) is payload
         ]
-        hashes = url_hash64_vec([e[0] for e in entries]).tolist()
-        # stale cancelled entries are not real pending state
-        live = [e for e, h in zip(entries, hashes) if h in self.pending_hashes]
         urls, domains, salts, scores, shares, dates = zip(*live) if live else [()] * 6
         url_data, url_off = utf8_blob(urls)
         dom_data, dom_off = utf8_blob(domains)
@@ -458,12 +471,14 @@ class FrontierShard:
         self.cuckoo = CuckooFilter(self.seen_capacity)
         for h in hashes:
             self.cuckoo.add(h)
+        salts, scores, shares, dates = cols
+        payloads = list(zip(shares, dates))
         self.queues = {}
-        for domain, u, salt, score, shares, date in zip(domains, urls, *cols):
-            self.queues.setdefault((domain, salt), []).append((-score, u, (shares, date)))
+        for domain, u, salt, score, payload in zip(domains, urls, salts, scores, payloads):
+            self.queues.setdefault((domain, salt), []).append((-score, u, payload))
         # heapify pops in the same order as pushing one by one: the heap
         # entries are totally ordered tuples
         for heap in self.queues.values():
             heapq.heapify(heap)
-        self.pending_hashes = set(url_hash64_vec(urls).tolist())
+        self._live = dict(zip(urls, payloads))
         return True

@@ -39,10 +39,10 @@ def test_img_mic_shift_nonnegative():
 
 
 def test_align_score_matches_hand_computation(ray_session, tmp_path):
-    """Drive _AlignScore on two synthetic 1-px images: score must equal
+    """Drive align_batch on two synthetic 1-px images: score must equal
     the hand-computed dot // total, and the empty caption scores 0."""
     from mklab_focused_crawler_ray.fixtures.codecs import encode
-    from mklab_focused_crawler_ray.pipelines.queries_media import _AlignScore
+    from mklab_focused_crawler_ray.pipelines.queries_media import align_batch
     from mklab_focused_crawler_ray.stages.image import decode, pseudo_embed_rgb
 
     rng = np.random.default_rng(11)
@@ -56,7 +56,7 @@ def test_align_score_matches_hand_computation(ray_session, tmp_path):
             "caption": pa.array(["ab", ""], pa.string()),
         }
     )
-    out = _AlignScore()(batch).to_pandas().set_index("image_id")
+    out = align_batch(batch).to_pandas().set_index("image_id")
 
     mic = _img_mic_from_f32(pseudo_embed_rgb(decode(b, "png")).astype(np.float32))
     hist = _caption_hist64(["ab"])[0]

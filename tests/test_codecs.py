@@ -107,3 +107,22 @@ def test_fixture_per_row_invariant(tiny_tables):
         assert C.phash64(rgb) == imgs["phash"][i].as_py()
         caption = imgs["caption"][i].as_py()
         assert isinstance(caption, str) and len(caption) > 0
+
+
+def test_dct_matrix_cached_read_only_and_phash_stable(tiny_fixture):
+    """_dct_matrix is built once per size and shared read-only, and
+    phash64 through the cached matrix still reproduces the stored phash
+    column of the fixture."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    m = C._dct_matrix(32)
+    assert C._dct_matrix(32) is m and C._dct_matrix(16) is C._dct_matrix(16)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    t = pq.read_table(
+        os.path.join(tiny_fixture, "images.parquet"), columns=["bytes", "fmt", "phash"]
+    )
+    got = [C.phash64(C.decode(b, f)) for b, f in zip(t["bytes"].to_pylist(), t["fmt"].to_pylist())]
+    assert len(got) > 0 and got == t["phash"].to_pylist()

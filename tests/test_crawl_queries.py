@@ -283,6 +283,41 @@ def test_url_canonical_audit_userinfo_vs_duckdb(tmp_path):
     assert got["n_changed"] == sum(c != u for (c, _), u in zip(res, raw)) == 2
 
 
+def test_url_canonical_audit_bare_query_vs_duckdb(tmp_path):
+    """A bare trailing '?' is an emptied query: canonicalize_url drops it
+    under tracking_removed and the DuckDB replay counts it the same way,
+    while a '?' inside the fragment is not a query."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from mklab_focused_crawler_ray.functions.urls import canonicalize_url
+    from mklab_focused_crawler_ray.pipelines.queries_crawl import _url_canonical_audit_sql
+
+    raw = [
+        "https://h.com/x?",
+        "https://h.com/y?#top",
+        "https://h.com/z#a?b",
+        "https://h.com/w?a=1",
+    ]
+    path = str(tmp_path / "raw_urls.parquet")
+    pq.write_table(pa.table({"raw_url": raw}), path)
+    got = duckdb.sql(_url_canonical_audit_sql(path)).df().iloc[0]
+    res = [canonicalize_url(u) for u in raw]
+    assert [c for c, _ in res] == [
+        "https://h.com/x",
+        "https://h.com/y",
+        "https://h.com/z",
+        "https://h.com/w?a=1",
+    ]
+    assert [fl[3] for _, fl in res] == [True, True, False, False]
+    # every changed URL names at least one rule
+    assert all(any(fl) for c, fl in res if c != "https://h.com/w?a=1")
+    assert got["n_tracking_removed"] == 2
+    assert got["n_fragment_dropped"] == 2
+    assert got["n_changed"] == 3
+
+
 def test_url_canonical_audit_tiny_vs_duckdb(ray_session):
     """End-to-end on the tiny tier: the distributed audit equals the
     DuckDB replay over the same raw_urls table."""

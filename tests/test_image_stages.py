@@ -13,10 +13,10 @@ import pytest
 
 from mklab_focused_crawler_ray.fixtures.codecs import phash_distance
 from mklab_focused_crawler_ray.stages.image import (
-    DecodeValidate,
     PseudoEmbed,
     cluster_images,
     decode_validate,
+    decode_validate_batch,
     phash_band_pairs,
     union_find_labels,
 )
@@ -34,7 +34,7 @@ def dupmap(tiny_fixture):
 
 
 def test_decode_validate_invariants(ray_session, images_parquet):
-    df = decode_validate(images_parquet, concurrency=2).to_pandas()
+    df = decode_validate(images_parquet).to_pandas()
     assert df["decode_ok"].all()
     assert df["w_ok"].all() and df["h_ok"].all()
     # stored phash must be reproducible from bytes alone
@@ -132,7 +132,7 @@ def test_decode_validate_flags_corrupt_bytes():
             "phash": pa.array([0], pa.int64()),
         }
     )
-    out = DecodeValidate()(bad)
+    out = decode_validate_batch(bad)
     assert not out["decode_ok"][0].as_py()
 
 

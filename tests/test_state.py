@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mklab_focused_crawler_ray.state.bounded_pq import BoundedPQueue
-from mklab_focused_crawler_ray.functions.urls import url_hash64, url_hash64_vec
+from mklab_focused_crawler_ray.functions.urls import url_hash64, url_hash64_vec, utf8_unblob
 from mklab_focused_crawler_ray.state.cuckoo import _MAX_KICKS, _SLOTS, BloomFilter, CuckooFilter
 from mklab_focused_crawler_ray.state.frontier import FrontierShard, build_salt_map
 from mklab_focused_crawler_ray.state.politeness import RobotsCache, salt_quota
@@ -317,3 +317,24 @@ def test_url_hash64_vec_matches_scalar_for_every_input_form():
     # a None hashes like '' (an Arrow null has a zero-length slot)
     for form in forms[:3]:
         assert url_hash64_vec(form([None, "a"])).tolist() == [url_hash64(""), url_hash64("a")]
+
+
+def test_shard_reenqueue_after_ttl_drops_stale_entry(tmp_path):
+    """A URL cancelled by mark_seen and enqueued again once its seen-TTL
+    has expired is pending ONCE: its old heap entry stays stale in
+    propose and in the checkpoint rows."""
+    s = _mk_shard(seen_ttl_ms=10, per_host_budget=10)
+    s.enqueue(_rows(["u1", "u2"], [0.9, 0.5]), now_ms=0)
+    s.mark_seen(["u1"], now_ms=0)
+    s.enqueue(_rows(["u1"], [0.8]), now_ms=20)
+    d = s.checkpoint(str(tmp_path), tag=1)
+    with np.load(os.path.join(d, "pending.npz")) as z:
+        rows = sorted(
+            zip(utf8_unblob(z["url_data"], z["url_off"]), z["score"].tolist())
+        )
+    assert rows == [("u1", 0.8), ("u2", 0.5)]
+    props = s.propose(10)
+    assert props["url"] == ["u1", "u2"] and props["score"] == [0.8, 0.5]
+    t = _mk_shard(seen_ttl_ms=10, per_host_budget=10)
+    assert t.restore(str(tmp_path), 1)
+    assert t.propose(10) == props
