@@ -394,11 +394,14 @@ def run_queries(sf_dir: str) -> dict:
     """Per-query BEST-OF-2 (mirroring --scaling's paired-sampling rationale):
     single-shot times on this shared host vary 0.3-1.1x window-to-window,
     which made cross-round BENCH files incomparable; the best of two
-    back-to-back runs is reproducible within ~20%. Caveat: run 1 may warm a
-    per-corpus disk cache (token_postings, IVF layouts, and since r5 the
-    minhash-pair / decontam / alignment-score materializations shared by
-    the curation chain) — the best-of pair then reports the warm number,
-    which is the steady-state a long-lived curation session sees."""
+    back-to-back runs is reproducible within ~20%. Each repeat starts with
+    ``clear_query_memos()``, which empties the corpus cache's in-process
+    memo (minhash / AllPairs / decontam frames, IVF codebooks). Caveat:
+    run 1 may warm a corpus-cache DISK entry (``mklab_focused_crawler_ray
+    .cache`` — token index, IVF and graph layouts, minhash-pair / decontam
+    / alignment-score / signature tables, bigram-LM output), which the
+    clear keeps — the best-of pair then reports the warm number, which is
+    the steady-state a long-lived curation session sees."""
     import ray
 
     from mklab_focused_crawler_ray.pipelines.queries import (

@@ -543,11 +543,20 @@ def _marker_has(marker: str, want: str) -> bool:
         return want in f.read()
 
 
+def fixture_root() -> str:
+    """Directory holding one subdirectory per generated fixture tier:
+    ``$GRAFT_FIXTURE_ROOT``, else the default below. The one place the
+    variable is read."""
+    return os.environ.get("GRAFT_FIXTURE_ROOT", "/tmp/mkfc_fixtures")
+
+
 def ensure_av_tables(tier: str, out_dir: str, seed: int = 42) -> str:
     """Idempotently add audio.parquet / videos.parquet to a fixture tier
     (separate versioned marker so tiers generated before these tables —
-    or before the current generation rules — regenerate them, and their
-    derived signature caches, without a full tier rebuild)."""
+    or before the current generation rules — regenerate them without a
+    full tier rebuild; their derived signature tables are keyed by these
+    files' content fingerprints in the corpus cache, so a rewrite
+    re-keys them)."""
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "_AV_DONE")
     want = f"v={AV_VERSION}"
@@ -556,11 +565,6 @@ def ensure_av_tables(tier: str, out_dir: str, seed: int = 42) -> str:
     n_clips, n_videos = AV_TIERS.get(tier, AV_TIERS["small"])
     pq.write_table(gen_audio(n_clips, seed=seed), os.path.join(out_dir, "audio.parquet"))
     pq.write_table(gen_videos(n_videos, seed=seed), os.path.join(out_dir, "videos.parquet"))
-    for stale in ("audio_signatures.parquet", "video_signatures.parquet"):
-        try:
-            os.remove(os.path.join(out_dir, stale))
-        except FileNotFoundError:
-            pass
     with open(marker, "w") as f:
         f.write(
             f"{want} tier={tier} seed={seed} clips={n_clips} videos={n_videos}\n"

@@ -76,8 +76,9 @@ _POS_CASE = """CASE
 
 
 def _fixture_small_dir() -> str:
-    root = os.environ.get("GRAFT_FIXTURE_ROOT", "/tmp/mkfc_fixtures")
-    return os.path.join(root, "small")
+    from ..fixtures.generate import fixture_root
+
+    return os.path.join(fixture_root(), "small")
 
 
 def ensure_small_fixture() -> str:

@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .. import cache
 from ..scale import bucket_of, cogroup, derive_buckets
 from ..stages.image import (
     I64,
@@ -34,11 +35,10 @@ _TIER_FOR_SF = {"sf0.001": "tiny"}
 
 
 def fixture_dir_for(sf_dir: str) -> str:
-    tier = _TIER_FOR_SF.get(os.path.basename(os.path.normpath(sf_dir)), "small")
-    out = os.environ.get("GRAFT_FIXTURE_ROOT", "/tmp/mkfc_fixtures")
-    from ..fixtures.generate import generate_tier
+    from ..fixtures.generate import fixture_root, generate_tier
 
-    return generate_tier(tier, os.path.join(out, tier))
+    tier = _TIER_FOR_SF.get(os.path.basename(os.path.normpath(sf_dir)), "small")
+    return generate_tier(tier, os.path.join(fixture_root(), tier))
 
 
 def _images(sf_dir: str) -> str:
@@ -138,61 +138,61 @@ def _thumb_sig(batch: pa.Table) -> pa.Table:
     )
 
 
-def thumbnail_signature_parquet(fdir: str, out: int = 8) -> str:
-    """Expected thumbnail signatures from the SEQUENTIAL codec path (no
-    Ray): decode → resize_area → quantize → blake2b-8, one plain loop,
-    cached next to the fixture. This is the oracle's ground truth — an
-    implementation independent of the distributed pipeline's batching and
-    distribution, so equality is a real end-to-end check."""
-    import hashlib
-
+def _image_signatures(fdir: str, name: str, cols: list[str], per_image) -> str:
+    """Expected per-image values from the SEQUENTIAL codec path (no Ray):
+    one plain loop decoding every fixture image and calling
+    ``per_image(rgb)`` → one int per column of ``cols``. The oracle's
+    ground truth — independent of the distributed pipeline's batching and
+    distribution, so equality is a real end-to-end check. Cached in the
+    corpus cache, keyed by the tier's images.parquet content."""
     import pyarrow.parquet as pq
 
     from ..fixtures.codecs import decode as cdecode
+
+    images = os.path.join(fdir, "images.parquet")
+
+    def write(tmp: str) -> None:
+        src = pq.read_table(images, columns=["image_id", "bytes", "fmt"])
+        rows = [
+            per_image(cdecode(blob, fmt))
+            for blob, fmt in zip(src["bytes"].to_pylist(), src["fmt"].to_pylist())
+        ]
+        tbl = {"image_id": pa.array(src["image_id"].to_pylist(), pa.string())}
+        for i, c in enumerate(cols):
+            tbl[c] = pa.array([int(r[i]) for r in rows], pa.int64())
+        pq.write_table(pa.table(tbl), tmp)
+
+    return cache.materialize(cache.key(name, images), write)
+
+
+def _blake_i64(b: bytes) -> int:
+    """blake2b-8 of ``b`` as a little-endian SIGNED int64 (the uint64
+    digest bit-cast, as the Arrow int64 signature columns store it)."""
+    import hashlib
+
+    return int.from_bytes(
+        hashlib.blake2b(b, digest_size=8).digest(), "little", signed=True
+    )
+
+
+def thumbnail_signature_parquet(fdir: str, out: int = 8) -> str:
+    """Expected thumbnail signatures (decode → resize_area → quantize →
+    blake2b-8, plus the rounded channel means) from the sequential codec
+    path (:func:`_image_signatures`)."""
     from ..fixtures.codecs import resize_area
 
-    path = os.path.join(fdir, "thumbnail_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
-    )
-    ids, hashes, means = [], [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        th = resize_area(cdecode(blob, fmt), out, out)
+    def sig(rgb):
+        th = resize_area(rgb, out, out)
         q = np.clip(np.floor(th + 0.5), 0, 255).astype(np.uint8)
-        ids.append(iid)
-        hashes.append(
-            int.from_bytes(
-                hashlib.blake2b(q.tobytes(), digest_size=8).digest(),
-                "little",
-                signed=False,
-            )
-        )
-        means.append(
-            np.floor(th.reshape(-1, 3).mean(axis=0) * 100.0 + 0.5).astype(np.int64)
-        )
-    m = np.stack(means) if means else np.zeros((0, 3), np.int64)
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "thumb_hash": pa.array(
-                    np.array(hashes, np.uint64).view(np.int64), pa.int64()
-                ),
-                "mean_r_x100": pa.array(m[:, 0], pa.int64()),
-                "mean_g_x100": pa.array(m[:, 1], pa.int64()),
-                "mean_b_x100": pa.array(m[:, 2], pa.int64()),
-            }
-        ),
-        path + ".tmp",
+        m = np.floor(th.reshape(-1, 3).mean(axis=0) * 100.0 + 0.5).astype(np.int64)
+        return (_blake_i64(q.tobytes()), *m)
+
+    return _image_signatures(
+        fdir,
+        f"thumbnail_signatures-out{out}.parquet",
+        ["thumb_hash", "mean_r_x100", "mean_g_x100", "mean_b_x100"],
+        sig,
     )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def q_image_blur_scores(sf_dir: str):
@@ -319,44 +319,14 @@ def q_image_color_stats(sf_dir: str):
 
 
 def color_signature_parquet(fdir: str) -> str:
-    """Expected color stats from the SEQUENTIAL codec path (no Ray),
-    cached next to the fixture — the oracle's ground truth."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures.codecs import decode as cdecode
-
-    path = os.path.join(fdir, "color_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
+    """Expected color stats from the sequential codec path
+    (:func:`_image_signatures`) — the oracle's ground truth."""
+    return _image_signatures(
+        fdir,
+        "color_signatures.parquet",
+        ["n_pixels", "chroma_mean_micro", "dominant_bin", "dominant_ppm"],
+        color_stats,
     )
-    ids, ns, cs, dbins, dppms = [], [], [], [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        n, c, db, dp = color_stats(cdecode(blob, fmt))
-        ids.append(iid)
-        ns.append(n)
-        cs.append(c)
-        dbins.append(db)
-        dppms.append(dp)
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_pixels": pa.array(ns, pa.int64()),
-                "chroma_mean_micro": pa.array(cs, pa.int64()),
-                "dominant_bin": pa.array(dbins, pa.int64()),
-                "dominant_ppm": pa.array(dppms, pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def q_image_curation_funnel(sf_dir: str):
@@ -469,81 +439,25 @@ def q_image_exposure_stats(sf_dir: str):
 
 
 def exposure_signature_parquet(fdir: str) -> str:
-    """Expected exposure stats from the SEQUENTIAL codec path (no Ray),
-    cached next to the fixture — the oracle's ground truth."""
-    import pyarrow.parquet as pq
+    """Expected exposure stats from the sequential codec path
+    (:func:`_image_signatures`) — the oracle's ground truth."""
 
-    from ..fixtures.codecs import decode as cdecode
+    def sig(rgb):
+        n, d, br = exposure_stats(rgb)
+        return n, (d * 1_000_000) // n if n else 0, (br * 1_000_000) // n if n else 0
 
-    path = os.path.join(fdir, "exposure_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
+    return _image_signatures(
+        fdir, "exposure_signatures.parquet", ["n_pixels", "dark_ppm", "bright_ppm"], sig
     )
-    ids, ns, ds, bs = [], [], [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        n, d, br = exposure_stats(cdecode(blob, fmt))
-        ids.append(iid)
-        ns.append(n)
-        ds.append((d * 1_000_000) // n if n else 0)
-        bs.append((br * 1_000_000) // n if n else 0)
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_pixels": pa.array(ns, pa.int64()),
-                "dark_ppm": pa.array(ds, pa.int64()),
-                "bright_ppm": pa.array(bs, pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def blur_signature_parquet(fdir: str) -> str:
-    """Expected blur stats from the SEQUENTIAL codec path (no Ray): one
-    plain loop over the fixture images through the same
-    ``lap_var_stats`` kernel, cached next to the fixture — the oracle's
+    """Expected blur stats from the sequential codec path through the same
+    ``lap_var_stats`` kernel (:func:`_image_signatures`) — the oracle's
     ground truth for the distributed pipeline."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures.codecs import decode as cdecode
-
-    path = os.path.join(fdir, "blur_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
+    return _image_signatures(
+        fdir, "blur_signatures.parquet", ["n_interior", "lap_var_micro"], lap_var_stats
     )
-    ids, ns, vs = [], [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        n, v = lap_var_stats(cdecode(blob, fmt))
-        ids.append(iid)
-        ns.append(n)
-        vs.append(v)
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "n_interior": pa.array(ns, pa.int64()),
-                "lap_var_micro": pa.array(vs, pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def q_image_embed(sf_dir: str):
@@ -592,54 +506,19 @@ def _embed_sig(batch: pa.Table) -> pa.Table:
 
 
 def embed_signature_parquet(fdir: str) -> str:
-    """Expected embedding signatures from the SEQUENTIAL codec path (no
-    Ray): decode → pseudo_embed_rgb → float32 → blake2b-8, one plain
-    loop, cached next to the fixture. Ground truth for the image_embed
-    oracle — independent of the actor-pool pipeline's batching and
-    distribution, so equality is a real end-to-end check (the
-    thumbnail_signature_parquet discipline)."""
-    import hashlib
+    """Expected embedding signatures (decode → pseudo_embed_rgb → float32 →
+    blake2b-8, first component, norm) from the sequential codec path
+    (:func:`_image_signatures`). Ground truth for the image_embed oracle."""
 
-    import pyarrow.parquet as pq
+    def sig(rgb):
+        v = pseudo_embed_rgb(rgb).astype(np.float32)
+        e0 = int(np.floor(float(v[0]) * 1e6 + 0.5)) if len(v) else 0
+        norm = int(np.floor(float(np.linalg.norm(v.astype(np.float64))) * 1e6 + 0.5))
+        return _blake_i64(v.tobytes()), e0, norm
 
-    from ..fixtures.codecs import decode as cdecode
-
-    path = os.path.join(fdir, "embed_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
+    return _image_signatures(
+        fdir, "embed_signatures.parquet", ["emb_hash", "e0_micro", "norm_ppm"], sig
     )
-    ids, sigs, e0s, norms = [], [], [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        v = pseudo_embed_rgb(cdecode(blob, fmt)).astype(np.float32)
-        ids.append(iid)
-        sigs.append(
-            int.from_bytes(
-                hashlib.blake2b(v.tobytes(), digest_size=8).digest(),
-                "little",
-                signed=False,
-            )
-        )
-        e0s.append(int(np.floor(float(v[0]) * 1e6 + 0.5)) if len(v) else 0)
-        norms.append(int(np.floor(float(np.linalg.norm(v.astype(np.float64))) * 1e6 + 0.5)))
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "emb_hash": pa.array(np.array(sigs, np.uint64).view(np.int64), pa.int64()),
-                "e0_micro": pa.array(e0s, pa.int64()),
-                "norm_ppm": pa.array(norms, pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def q_image_topk_similar(sf_dir: str):
@@ -706,23 +585,10 @@ def q_ann_ivf_partitioned_top10(sf_dir: str):
     """IVF over a centroid-partitioned parquet layout — queries read ONLY
     their nprobe partitions (prune-at-the-read scale path); result equals
     the in-memory IVF (tests/test_ann.py)."""
-    from ..stages.ann import ivf_partitioned_topk
-
-    import hashlib
+    from ..stages.ann import ivf_layout_key, ivf_partitioned_topk
 
     src = os.path.join(sf_dir, "embeddings.parquet")
-    st = os.stat(src)
-    fp = hashlib.blake2b(
-        f"{os.path.abspath(src)}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        digest_size=8,
-    ).hexdigest()
-    layout = os.path.join(
-        "/tmp/mkfc_ivf_layouts",
-        f"{os.path.basename(os.path.normpath(sf_dir))}-{fp}",
-    )
-    return ivf_partitioned_topk(
-        os.path.join(sf_dir, "embeddings.parquet"), layout, n_queries=5, k=10
-    )
+    return ivf_partitioned_topk(src, ivf_layout_key(src), n_queries=5, k=10)
 
 
 def q_ann_lsh_top10(sf_dir: str):
@@ -757,30 +623,21 @@ def pseudo_embeddings_for_fixture(fdir: str) -> str:
     """fixture-dir variant of :func:`fixture_embeddings_parquet` (shared by
     the oracle builder, which addresses the small fixture dir directly)."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
-    out = os.path.join(fdir, "pseudo_embeddings.parquet")
-    if os.path.exists(out):
-        return out
     from ..stages.image import embed_images
 
-    tbl = pa.concat_tables(
-        [
-            b
-            for b in embed_images(os.path.join(fdir, "images.parquet")).iter_batches(
-                batch_format="pyarrow"
-            )
-        ]
-    )
-    vec_ids = pa.array(
-        [int(i[3:]) for i in tbl["image_id"].to_pylist()], pa.int64()
-    )
-    pq.write_table(
-        pa.table({"vec_id": vec_ids, "embedding": tbl["embedding"]}),
-        out + ".tmp",
-    )
-    os.replace(out + ".tmp", out)
-    return out
+    images = os.path.join(fdir, "images.parquet")
+
+    def write(tmp: str) -> None:
+        tbl = pa.concat_tables(
+            list(embed_images(images).iter_batches(batch_format="pyarrow"))
+        )
+        vec_ids = pa.array(
+            [int(i[3:]) for i in tbl["image_id"].to_pylist()], pa.int64()
+        )
+        pq.write_table(pa.table({"vec_id": vec_ids, "embedding": tbl["embedding"]}), tmp)
+
+    return cache.materialize(cache.key("pseudo_embeddings.parquet", images), write)
 
 
 def q_image_visual_clusters(sf_dir: str):
@@ -1237,7 +1094,7 @@ def q_crawl_trace(sf_dir: str):
     from .crawl import RayCrawler
 
     fdir = fixture_dir_for("sf0.001")  # tiny tier — bounded cost at any sf
-    out = "/tmp/mkfc_query_crawl"
+    out = os.path.join(cache.ROOT, "query_crawl")  # scratch, rebuilt per call
     shutil.rmtree(out, ignore_errors=True)
     cfg = CrawlConfig(n_shards=3, per_host_budget=5, round_budget=40, max_rounds=4)
     eng = RayCrawler(fdir, cfg, out_dir=out)
@@ -1615,52 +1472,45 @@ def _batch_mics(batch: pa.Table) -> np.ndarray:
 
 
 def alignment_embeds_for_fixture(fdir: str) -> str:
-    """Materialize the SHIFTED-micro image embeddings once per tier
-    (cached next to the fixture) as (image_id, img_mic list<int64>) — the
-    pre-materialized side of the alignment oracle (the pixel decode is not
-    SQL-expressible; the dot/gate arithmetic is, and DuckDB replays it
+    """Materialize the SHIFTED-micro image embeddings once per tier (corpus
+    cache, keyed by images.parquet) as (image_id, img_mic list<int64>) —
+    the pre-materialized side of the alignment oracle (the pixel decode is
+    not SQL-expressible; the dot/gate arithmetic is, and DuckDB replays it
     over this table — same discipline as the simhash signature oracle)."""
     import pyarrow.parquet as pq
 
-    out = os.path.join(fdir, "alignment_embeds.parquet")
-    if os.path.exists(out):
-        return out
-    src = pq.read_table(pseudo_embeddings_for_fixture(fdir))
-    e32 = np.asarray(src["embedding"].to_pylist(), np.float32)
-    mic = _img_mic_from_f32(e32)
-    ids = [f"img{int(v):08d}" for v in src["vec_id"].to_pylist()]
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "img_mic": pa.array(mic.tolist(), pa.list_(pa.int64())),
-            }
-        ),
-        out + ".tmp",
-    )
-    os.replace(out + ".tmp", out)
-    return out
+    def write(tmp: str) -> None:
+        src = pq.read_table(pseudo_embeddings_for_fixture(fdir))
+        mic = _img_mic_from_f32(np.asarray(src["embedding"].to_pylist(), np.float32))
+        ids = [f"img{int(v):08d}" for v in src["vec_id"].to_pylist()]
+        pq.write_table(
+            pa.table(
+                {
+                    "image_id": pa.array(ids, pa.string()),
+                    "img_mic": pa.array(mic.tolist(), pa.list_(pa.int64())),
+                }
+            ),
+            tmp,
+        )
+
+    images = os.path.join(fdir, "images.parquet")
+    return cache.materialize(cache.key("alignment_embeds.parquet", images), write)
 
 
 def alignment_scores_dir(fdir: str) -> str:
     """Materialize the alignment gate's OUTPUT (image_id, align_ppm,
-    aligned) once per fixture tier as a parquet DIRECTORY written by the
-    REAL distributed pipeline (``write_parquet``, atomic dir
-    rename — never a driver-side collect). Composed consumers
+    aligned) once per fixture tier as a parquet DIRECTORY in the corpus
+    cache, written by the REAL distributed pipeline (``write_parquet`` —
+    never a driver-side collect). Composed consumers
     (``q_multimodal_filter_aligned``) read this instead of re-running the
     decode+embed pass per query — the curation-chain sharing discipline
     (VERDICT r4 'Next round' #4); ``q_caption_image_alignment`` itself
     still computes fresh so the gate stays end-to-end-checked."""
-    import shutil
-
-    out = os.path.join(fdir, "alignment_scores")
-    if os.path.isdir(out):  # the atomic rename below makes existence=done
-        return out
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    alignment_scores(os.path.join(fdir, "images.parquet")).write_parquet(tmp)
-    os.replace(tmp, out)
-    return out
+    images = os.path.join(fdir, "images.parquet")
+    return cache.materialize(
+        cache.key("alignment_scores", images),
+        lambda d: alignment_scores(images).write_parquet(d),
+    )
 
 
 def _align_row(rgb, row):
@@ -1820,58 +1670,28 @@ def q_caption_to_image_topk(sf_dir: str):
 
 
 def dhash_scores_dir(fdir: str) -> str:
-    """Materialize the DISTRIBUTED dHash table once per fixture tier as
-    a parquet directory (columns image_id, phash — the dHash value,
-    named for ``phash_band_pairs`` reuse; ``write_parquet`` + atomic
-    dir rename, the alignment_scores_dir discipline)."""
-    import shutil
-
-    out = os.path.join(fdir, "dhash_scores")
-    if os.path.isdir(out):
-        return out
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
+    """Materialize the DISTRIBUTED dHash table once per fixture tier as a
+    parquet directory in the corpus cache (columns image_id, phash — the
+    dHash value, named for ``phash_band_pairs`` reuse; the
+    alignment_scores_dir discipline)."""
     from ..stages.image import dhash_scores
 
-    dhash_scores(os.path.join(fdir, "images.parquet")).write_parquet(tmp)
-    os.replace(tmp, out)
-    return out
+    images = os.path.join(fdir, "images.parquet")
+    return cache.materialize(
+        cache.key("dhash_scores", images),
+        lambda d: dhash_scores(images).write_parquet(d),
+    )
 
 
 def dhash_signature_parquet(fdir: str) -> str:
-    """Expected dHash values from the SEQUENTIAL codec path (no Ray),
-    cached next to the fixture — the oracle's ground truth (columns
-    image_id, phash holding the dHash, for the band-SQL reuse)."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures.codecs import decode as cdecode
+    """Expected dHash values from the sequential codec path
+    (:func:`_image_signatures`) — the oracle's ground truth (column phash
+    holds the dHash, for the band-SQL reuse)."""
     from ..stages.image import dhash64
 
-    path = os.path.join(fdir, "dhash_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(
-        os.path.join(fdir, "images.parquet"), columns=["image_id", "bytes", "fmt"]
+    return _image_signatures(
+        fdir, "dhash_signatures.parquet", ["phash"], lambda rgb: (dhash64(rgb),)
     )
-    ids, hs = [], []
-    for iid, blob, fmt in zip(
-        src["image_id"].to_pylist(),
-        src["bytes"].to_pylist(),
-        src["fmt"].to_pylist(),
-    ):
-        ids.append(iid)
-        hs.append(dhash64(cdecode(blob, fmt)))
-    pq.write_table(
-        pa.table(
-            {
-                "image_id": pa.array(ids, pa.string()),
-                "phash": pa.array(np.array(hs, np.int64), pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
 
 
 def q_image_dhash_agreement(sf_dir: str):
@@ -2438,75 +2258,63 @@ def q_video_frame_stats(sf_dir: str):
 
 def audio_signature_parquet(fdir: str) -> str:
     """Expected audio features from the SEQUENTIAL stdlib decode (no Ray),
-    cached next to the fixture — the oracle's ground truth, independent of
-    the actor-pool pipeline's batching/distribution."""
+    cached in the corpus cache keyed by audio.parquet — the oracle's ground
+    truth, independent of the actor-pool pipeline's batching/distribution."""
     import pyarrow.parquet as pq
 
     from ..fixtures.generate import ensure_av_tables
     from ..stages.av import audio_features, decode_wav_pcm16
 
     ensure_av_tables(os.path.basename(os.path.normpath(fdir)), fdir)
-    path = os.path.join(fdir, "audio_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(os.path.join(fdir, "audio.parquet"), columns=["clip_id", "bytes"])
-    rows = {"clip_id": [], "sr": [], "n_samples": [], "rms": [], "peak": [], "zero_cross": []}
-    for cid, blob in zip(src["clip_id"].to_pylist(), src["bytes"].to_pylist()):
-        samples, sr = decode_wav_pcm16(blob)
-        feats = audio_features(samples, sr)
-        rows["clip_id"].append(cid)
-        for k in ("sr", "n_samples", "rms", "peak", "zero_cross"):
-            rows[k].append(feats[k])
-    pq.write_table(
-        pa.table(
-            {
-                "clip_id": pa.array(rows["clip_id"], pa.string()),
-                **{
-                    k: pa.array(rows[k], pa.int64())
-                    for k in ("sr", "n_samples", "rms", "peak", "zero_cross")
-                },
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
+    audio = os.path.join(fdir, "audio.parquet")
+    feats = ("sr", "n_samples", "rms", "peak", "zero_cross")
+
+    def write(tmp: str) -> None:
+        src = pq.read_table(audio, columns=["clip_id", "bytes"])
+        rows = [audio_features(*decode_wav_pcm16(b)) for b in src["bytes"].to_pylist()]
+        tbl = {"clip_id": pa.array(src["clip_id"].to_pylist(), pa.string())}
+        for k in feats:
+            tbl[k] = pa.array([r[k] for r in rows], pa.int64())
+        pq.write_table(pa.table(tbl), tmp)
+
+    return cache.materialize(cache.key("audio_signatures.parquet", audio), write)
 
 
 def video_signature_parquet(fdir: str) -> str:
     """Expected frame signatures from the SEQUENTIAL RVID1 decode (no Ray),
-    cached next to the fixture; every_n matches q_video_frame_stats."""
+    cached in the corpus cache keyed by videos.parquet; every_n matches
+    q_video_frame_stats."""
     import pyarrow.parquet as pq
 
     from ..fixtures.generate import ensure_av_tables
     from ..stages.av import decode_rvid_frames, frame_signature
 
     ensure_av_tables(os.path.basename(os.path.normpath(fdir)), fdir)
-    path = os.path.join(fdir, "video_signatures.parquet")
-    if os.path.exists(path):
-        return path
-    src = pq.read_table(os.path.join(fdir, "videos.parquet"), columns=["video_id", "bytes"])
-    vids, idxs, hashes, lums = [], [], [], []
-    for vid, blob in zip(src["video_id"].to_pylist(), src["bytes"].to_pylist()):
-        for idx, frame in decode_rvid_frames(blob, VIDEO_EVERY_N):
-            hsh, lum = frame_signature(frame)
-            vids.append(vid)
-            idxs.append(idx)
-            hashes.append(hsh)
-            lums.append(lum)
-    pq.write_table(
-        pa.table(
-            {
-                "video_id": pa.array(vids, pa.string()),
-                "frame_idx": pa.array(idxs, pa.int64()),
-                "frame_hash": pa.array(hashes, pa.int64()),
-                "mean_lum_milli": pa.array(lums, pa.int64()),
-            }
-        ),
-        path + ".tmp",
-    )
-    os.replace(path + ".tmp", path)
-    return path
+    videos = os.path.join(fdir, "videos.parquet")
+
+    def write(tmp: str) -> None:
+        src = pq.read_table(videos, columns=["video_id", "bytes"])
+        vids, idxs, hashes, lums = [], [], [], []
+        for vid, blob in zip(src["video_id"].to_pylist(), src["bytes"].to_pylist()):
+            for idx, frame in decode_rvid_frames(blob, VIDEO_EVERY_N):
+                hsh, lum = frame_signature(frame)
+                vids.append(vid)
+                idxs.append(idx)
+                hashes.append(hsh)
+                lums.append(lum)
+        pq.write_table(
+            pa.table(
+                {
+                    "video_id": pa.array(vids, pa.string()),
+                    "frame_idx": pa.array(idxs, pa.int64()),
+                    "frame_hash": pa.array(hashes, pa.int64()),
+                    "mean_lum_milli": pa.array(lums, pa.int64()),
+                }
+            ),
+            tmp,
+        )
+
+    return cache.materialize(cache.key("video_signatures.parquet", videos), write)
 
 
 def q_video_dup_pairs(sf_dir: str):

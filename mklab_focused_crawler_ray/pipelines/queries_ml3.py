@@ -32,11 +32,10 @@ sorted-column value hash matches bit-for-bit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
+from .. import cache
 from ..scale import cogroup, derive_buckets
 
 from .queries_ml2 import _p
@@ -208,11 +207,10 @@ def q_postings_and_query(sf_dir: str):
     corpus-shaped. The oracle recomputes containment from raw text."""
     from ray.data.aggregate import Count
 
-    from ..stages.text_index import build_inverted_index, lookup_postings
-    from .queries import _index_cache_dir, q_token_counts
+    from ..stages.text_index import lookup_postings
+    from .queries import q_token_counts, token_index
 
-    index_dir = _index_cache_dir(sf_dir)
-    build_inverted_index(_p(sf_dir, "documents"), index_dir)
+    index_dir = token_index(sf_dir)
     counts = q_token_counts(sf_dir).to_pandas()  # |vocab| rows, driver-tiny
     terms = (
         counts.sort_values(["tf", "token"], ascending=[True, True])["token"]
@@ -1851,21 +1849,15 @@ def q_type_value_quantile_sample(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
-def _derived_source_path(sf_dir: str, table: str, ext: str) -> str:
-    """Cache path for a derived copy of a table in another format, keyed by
-    a content fingerprint of the parquet source (same discipline as the
-    inverted-index cache: regenerated fixtures never reuse stale copies)."""
-    import hashlib
-
+def _derived_source(sf_dir: str, table: str, ext: str, write) -> str:
+    """A derived copy of a table in another format, built once by
+    ``write(src, tmp)`` in the corpus cache and keyed by the parquet
+    source's content fingerprint (regenerated fixtures never reuse stale
+    copies)."""
     src = _p(sf_dir, table)
-    st = os.stat(src)
-    fp = hashlib.blake2b(
-        f"{os.path.abspath(src)}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        digest_size=8,
-    ).hexdigest()
-    root = os.path.join("/tmp/mkfc_source_formats", f"{table}-{fp}")
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{table}.{ext}")
+    return cache.materialize(
+        cache.key(f"{table}.{ext}", src), lambda tmp: write(src, tmp)
+    )
 
 
 def q_events_jsonl_counts(sf_dir: str):
@@ -1885,18 +1877,18 @@ def q_events_jsonl_counts(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    path = _derived_source_path(sf_dir, "events", "jsonl")
-    if not os.path.exists(path + "._DONE"):
+    def to_jsonl(src: str, tmp: str) -> None:
         import json as _json
 
-        pf = pq_mod.ParquetFile(_p(sf_dir, "events"))
-        with open(path, "w") as f:
+        pf = pq_mod.ParquetFile(src)
+        with open(tmp, "w") as f:
             for rb in pf.iter_batches(columns=["event_id", "event_type"]):
                 ids = rb.column(0).to_pylist()
                 types = rb.column(1).to_pylist()
                 for i, t in zip(ids, types):
                     f.write(_json.dumps({"event_id": i, "event_type": t}) + "\n")
-        open(path + "._DONE", "w").close()
+
+    path = _derived_source(sf_dir, "events", "jsonl", to_jsonl)
 
     def partial(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1930,13 +1922,11 @@ def q_customer_csv_segments(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    path = _derived_source_path(sf_dir, "customer", "csv")
-    if not os.path.exists(path + "._DONE"):
-        t = pq_mod.read_table(
-            _p(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment", "c_acctbal"]
-        )
-        pcsv.write_csv(t, path)
-        open(path + "._DONE", "w").close()
+    def to_csv(src: str, tmp: str) -> None:
+        t = pq_mod.read_table(src, columns=["c_custkey", "c_mktsegment", "c_acctbal"])
+        pcsv.write_csv(t, tmp)
+
+    path = _derived_source(sf_dir, "customer", "csv", to_csv)
 
     def partial(batch: pa.Table) -> pa.Table:
         import pandas as pd

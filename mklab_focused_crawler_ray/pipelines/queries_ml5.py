@@ -24,6 +24,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from .. import cache
 from .queries_ml2 import _p
 
 # --------------------------------------------------------------------------
@@ -282,26 +283,20 @@ def _graph_layout(sf_dir: str) -> tuple[str, int]:
     """Stationary per-shard graph layout for the iterative ops (BFS,
     HITS): exact internal edges hive-partitioned by src AND dst bucket
     plus nodes by url bucket, materialized ONCE per pages-table content
-    fingerprint + bucket count and shared by every iterative query
-    (stages/pregel.py; VERDICT r4 'Next round' #7 — the loop-invariant
-    edge table stops re-shuffling through every iteration)."""
-    import hashlib
-
+    fingerprint + bucket count in the corpus cache and shared by every
+    iterative query (stages/pregel.py; VERDICT r4 'Next round' #7 — the
+    loop-invariant edge table stops re-shuffling through every
+    iteration)."""
     from ..scale import derive_buckets
     from ..stages.pregel import build_graph_layout
     from .queries_media import _pages_path
 
     pages = _pages_path(sf_dir)
     nb = derive_buckets(pages, floor=32)
-    st = os.stat(pages)
-    fp = hashlib.blake2b(
-        f"{os.path.abspath(pages)}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        digest_size=8,
-    ).hexdigest()
-    out = os.path.join("/tmp/mkfc_graph_layout", f"{fp}-nb{nb}")
-    if not os.path.isdir(out):
-        edges, node_ds = _internal_edges_exact(pages, nb)
-        build_graph_layout(edges, node_ds, out, nb)
+    out = cache.materialize(
+        cache.key(f"graph_layout-nb{nb}", pages),
+        lambda d: build_graph_layout(*_internal_edges_exact(pages, nb), d, nb),
+    )
     return out, nb
 
 
@@ -771,47 +766,35 @@ def simhash_reference_parquet(sf_dir: str) -> str:
     no numpy broadcast kernel, no Ray, no batching — so equality against
     the distributed ``simhash_docs`` pipeline is a real end-to-end check
     (the ``image_thumbnails`` signature-table discipline; blake2b itself
-    stays non-SQL-expressible). Cached under /tmp keyed by a content
-    fingerprint (abs path + size + mtime)."""
-    import hashlib
-
+    stays non-SQL-expressible). Cached in the corpus cache, keyed by the
+    documents table's content fingerprint."""
     import pyarrow.parquet as pq
 
     from ..functions.hashing import stable_hash64
     from .queries import TOKEN_RE
 
     src = _p(sf_dir, "documents")
-    st = os.stat(src)
-    fp = hashlib.blake2b(
-        f"ref:{os.path.abspath(src)}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        digest_size=8,
-    ).hexdigest()
-    out = os.path.join(
-        "/tmp/mkfc_simhash",
-        f"ref-{os.path.basename(os.path.normpath(sf_dir))}-{fp}.parquet",
-    )
-    if os.path.exists(out):
-        return out
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    tbl = pq.read_table(src, columns=["doc_id", "text"])
-    sigs = []
-    for t in tbl["text"].to_pylist():
-        votes = [0] * 64
-        for tok in TOKEN_RE.findall(t.lower()):
-            hv = int(stable_hash64(tok))
+
+    def write(tmp: str) -> None:
+        tbl = pq.read_table(src, columns=["doc_id", "text"])
+        sigs = []
+        for t in tbl["text"].to_pylist():
+            votes = [0] * 64
+            for tok in TOKEN_RE.findall(t.lower()):
+                hv = int(stable_hash64(tok))
+                for b in range(64):
+                    votes[b] += 1 if (hv >> b) & 1 else -1
+            sig = 0
             for b in range(64):
-                votes[b] += 1 if (hv >> b) & 1 else -1
-        sig = 0
-        for b in range(64):
-            if votes[b] > 0:
-                sig |= 1 << b
-        sigs.append(sig - (1 << 64) if sig >= (1 << 63) else sig)
-    pq.write_table(
-        pa.table({"doc_id": tbl["doc_id"], "simhash": pa.array(sigs, pa.int64())}),
-        out + ".tmp",
-    )
-    os.replace(out + ".tmp", out)
-    return out
+                if votes[b] > 0:
+                    sig |= 1 << b
+            sigs.append(sig - (1 << 64) if sig >= (1 << 63) else sig)
+        pq.write_table(
+            pa.table({"doc_id": tbl["doc_id"], "simhash": pa.array(sigs, pa.int64())}),
+            tmp,
+        )
+
+    return cache.materialize(cache.key("simhash_ref.parquet", src), write)
 
 
 # --------------------------------------------------------------------------

@@ -1494,21 +1494,15 @@ def q_events_upsert_roundtrip(sf_dir: str):
     max-version row per key. The physical write/read cycle is the point:
     this is the engine's sink path under oracle check, not a cached
     frame."""
-    import hashlib
     import os
     import shutil
 
     import ray.data as rd
 
+    from .. import cache
     from ..stages.sink import keyed_merge_write, read_upserted
 
-    src = _p(sf_dir, "events")
-    st = os.stat(src)
-    fp = hashlib.blake2b(
-        f"{os.path.abspath(src)}:{st.st_size}:{st.st_mtime_ns}".encode(),
-        digest_size=8,
-    ).hexdigest()
-    base = os.path.join("/tmp/mkfc_upsert", fp)
+    base = cache.key("upsert", _p(sf_dir, "events"))  # scratch, per corpus
     shutil.rmtree(base, ignore_errors=True)  # re-runs must not append
 
     def prep(batch: pa.Table) -> pa.Table:

@@ -849,29 +849,22 @@ def q_ccnet_perplexity_buckets(sf_dir: str):
 
 def q_doc_bigram_logprob_shared(sf_dir: str):
     """The ml6 bigram-LM output as a Dataset, materialized ONCE per corpus
-    fingerprint to a parquet under /tmp and streamed back on every
-    composition that needs it (the r4 basket-pass-sharing discipline,
-    commit dbde684: compositions must not re-run their component's
-    shuffle). The cache is a parquet file, not a driver frame, so the
+    fingerprint to a parquet directory in the corpus cache and streamed
+    back on every composition that needs it (the r4 basket-pass-sharing
+    discipline, commit dbde684: compositions must not re-run their
+    component's shuffle). The cache is parquet, not a driver frame, so the
     composed query still streams; `doc_bigram_logprob` itself keeps its
     honest uncached pipeline."""
-    import os
-
     import ray.data as rd
 
-    from .queries import _corpus_cache_path
+    from .. import cache
     from .queries_ml6 import q_doc_bigram_logprob
 
-    path = _corpus_cache_path(sf_dir, "bigram_lp_pq")
-    if not os.path.isdir(path):
-        # streamed write (doc-shaped output never lands on the driver),
-        # tmp-dir + rename so a crashed writer can't leave a half cache
-        tmp = path + ".tmp"
-        import shutil
-
-        shutil.rmtree(tmp, ignore_errors=True)
-        q_doc_bigram_logprob(sf_dir).write_parquet(tmp)
-        os.replace(tmp, path)
+    # streamed write: the doc-shaped output never lands on the driver
+    path = cache.materialize(
+        cache.key("bigram_lp", _p(sf_dir, "documents")),
+        lambda d: q_doc_bigram_logprob(sf_dir).write_parquet(d),
+    )
     return rd.read_parquet(path)
 
 

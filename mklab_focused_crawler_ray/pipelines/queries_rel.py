@@ -150,29 +150,33 @@ def q_events_value_histogram(sf_dir: str):
 def q_crawl_status_counts(sf_dir: str):
     """Read back the crawl's round-partitioned parquet output (resumable
     layout) and aggregate fetch statuses per round — demonstrates the
-    partitioned-source path over the engine's own sink."""
-    import shutil
-
+    partitioned-source path over the engine's own sink. The crawl output
+    is built once per fixture content in the corpus cache."""
     import ray.data as rd
     from ray.data.aggregate import Count
 
+    from .. import cache
     from .config import CrawlConfig
     from .crawl import RayCrawler
     from .queries_media import fixture_dir_for
 
-    out = "/tmp/mkfc_query_status"
-    marker = os.path.join(out, "_COMPLETE")
-    if not os.path.exists(marker):
-        shutil.rmtree(out, ignore_errors=True)
-        fdir = fixture_dir_for("sf0.001")
+    fdir = fixture_dir_for("sf0.001")
+
+    def crawl(tmp: str) -> None:
         cfg = CrawlConfig(n_shards=3, per_host_budget=5, round_budget=40, max_rounds=4)
-        eng = RayCrawler(fdir, cfg, out_dir=out)
+        eng = RayCrawler(fdir, cfg, out_dir=tmp)
         try:
             eng.run(checkpoint_every=0)
         finally:
             eng.shutdown()
-        with open(marker, "w") as f:
-            f.write("done\n")
+
+    out = cache.materialize(
+        cache.key(
+            "crawl_status",
+            *(os.path.join(fdir, f"{t}.parquet") for t in ("frontier_seed", "pages", "urls")),
+        ),
+        crawl,
+    )
     files = sorted(
         os.path.join(out, d, f)
         for d in os.listdir(out)

@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .. import cache
+
 
 def _micro(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 1_000_000.0 + 0.5).astype(np.int64)
@@ -148,10 +150,22 @@ def brute_force_topk(emb_parquet: str, n_queries: int = 5, k: int = 10):
     )
 
 
-_CENTROID_MEMO: dict[tuple, np.ndarray] = {}
-
-
 def train_centroids(
+    emb_parquet: str, nlist: int, sample: int = 4096, iters: int = 10, seed: int = 42
+) -> np.ndarray:
+    """Memoized :func:`_train_centroids` (the corpus cache's memo, one
+    table per parameter set, cleared by ``clear_query_memos``): the IVF
+    queries AND the oracle builders both train on the same table — one Ray
+    pass, not one per caller."""
+    name = f"centroids-nlist{nlist}-sample{sample}-iters{iters}-seed{seed}"
+    return cache.memo(
+        name,
+        cache.key(name, emb_parquet),
+        lambda: _train_centroids(emb_parquet, nlist, sample, iters, seed),
+    )
+
+
+def _train_centroids(
     emb_parquet: str, nlist: int, sample: int = 4096, iters: int = 10, seed: int = 42
 ) -> np.ndarray:
     """Deterministic Lloyd's k-means on a DISTRIBUTED uniform sample.
@@ -162,27 +176,10 @@ def train_centroids(
     order-independent and deterministic (same seed → same sample on any
     block split), equivalent in distribution to a uniform reservoir, and
     the driver only ever holds ``sample × dim`` floats — never the full
-    embedding table (VERDICT r2 'What's wrong' #2).
-
-    Memoized per (path, mtime, params): the IVF queries AND the oracle
-    builders both train on the same table — one Ray pass, not one per
-    caller."""
+    embedding table (VERDICT r2 'What's wrong' #2)."""
     import ray.data as rd
 
     from ..functions.hashing import mix64
-
-    st = os.stat(emb_parquet)
-    memo_key = (
-        os.path.abspath(emb_parquet),
-        st.st_size,
-        st.st_mtime_ns,
-        nlist,
-        sample,
-        iters,
-        seed,
-    )
-    if memo_key in _CENTROID_MEMO:
-        return _CENTROID_MEMO[memo_key]
 
     seed_mix = np.uint64((seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
 
@@ -223,7 +220,6 @@ def train_centroids(
             if len(sel):
                 cent[c] = sel.mean(axis=0)
         cent = _normalize(cent)
-    _CENTROID_MEMO[memo_key] = cent
     return cent
 
 
@@ -277,33 +273,15 @@ def _lose_missing(fin):
 def build_ivf_layout(
     emb_parquet: str, out_dir: str, nlist: int = 16, seed: int = 42
 ) -> str:
-    """Materialize the IVF *storage layout*: embeddings written as one
+    """Write the IVF *storage layout* into ``out_dir``: embeddings as one
     parquet partition per coarse centroid (``out_dir/list=K/``). Queries
     then READ only their ``nprobe`` partitions — the "prune at the read"
     scale path (at 100 TB this is the difference between scanning
-    nprobe/nlist of the data and scanning all of it). Idempotent via a
-    ``_DONE`` marker."""
-    import os
-    import shutil
-
+    nprobe/nlist of the data and scanning all of it)."""
     import ray
     import ray.data as rd
 
-    cent = train_centroids(emb_parquet, nlist, seed=seed)
-    # the marker records the CODEBOOK fingerprint: a layout partitioned by a
-    # different codebook (regenerated fixture, changed sampler) is stale even
-    # if nlist/seed match, and must be rebuilt (ADVICE r2 cache-key class)
-    import hashlib
-
-    fp = hashlib.blake2b(cent.tobytes(), digest_size=8).hexdigest()
-    stamp = f"nlist={nlist} seed={seed} cent={fp}\n"
-    marker = os.path.join(out_dir, "_DONE")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read() == stamp:
-                return out_dir
-    shutil.rmtree(out_dir, ignore_errors=True)
-    cent_ref = ray.put(cent)
+    cent_ref = ray.put(train_centroids(emb_parquet, nlist, seed=seed))
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cent_ref)
@@ -314,9 +292,20 @@ def build_ivf_layout(
     rd.read_parquet(emb_parquet, columns=["vec_id", "embedding"]).map_batches(
         assign, batch_format="pyarrow"
     ).write_parquet(out_dir, partition_cols=["list"])
-    with open(marker, "w") as f:
-        f.write(stamp)
     return out_dir
+
+
+def ivf_layout_key(emb_parquet: str, nlist: int = 16, seed: int = 42) -> str:
+    """Corpus-cache path of the IVF layout for ``emb_parquet``. The key
+    carries the CODEBOOK fingerprint next to nlist/seed: a layout
+    partitioned by a different codebook (regenerated table, changed
+    sampler) is stale even if nlist/seed match (ADVICE r2 cache-key
+    class)."""
+    import hashlib
+
+    cent = train_centroids(emb_parquet, nlist, seed=seed)
+    cfp = hashlib.blake2b(cent.tobytes(), digest_size=8).hexdigest()
+    return cache.key(f"ivf_layout-nlist{nlist}-seed{seed}-{cfp}", emb_parquet)
 
 
 def ivf_partitioned_topk(
@@ -328,16 +317,17 @@ def ivf_partitioned_topk(
     nprobe: int = 4,
     seed: int = 42,
 ):
-    """IVF query over the partitioned layout: per query, read ONLY the
-    ``nprobe`` closest centroid partitions and brute-force within them.
+    """IVF query over the partitioned layout at ``layout_dir`` (built there
+    once, published through ``cache.materialize``): per query, read ONLY
+    the ``nprobe`` closest centroid partitions and brute-force within them.
     Returns the same (query_id, vec_id, cos_micro) schema; equals
     :func:`ivf_topk` with identical centroids (tests/test_ann.py)."""
-    import os
-
     import ray
     import ray.data as rd
 
-    build_ivf_layout(emb_parquet, layout_dir, nlist, seed)
+    cache.materialize(
+        layout_dir, lambda d: build_ivf_layout(emb_parquet, d, nlist, seed)
+    )
     qids, qmat = load_queries(emb_parquet, n_queries)
     cent = train_centroids(emb_parquet, nlist, seed=seed)
     probes = np.argsort(-(qmat @ cent.T), axis=1)[:, :nprobe]

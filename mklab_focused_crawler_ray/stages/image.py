@@ -331,14 +331,20 @@ def color_scores(images_parquet: str, batch_size: int = 64):
 
 
 def dhash64(rgb: np.ndarray) -> int:
-    """64-bit difference (gradient) hash: gray → area-resize 8×9 →
-    bit = left-to-right brightness increase per adjacent column pair
-    (8 rows × 8 comparisons). The classic cheap complement to the DCT
-    pHash — dHash sees local gradients where pHash sees global
-    frequency structure, so their pair sets disagree in instructive
-    ways (q_image_dhash_agreement measures exactly that). Same float64
-    resize discipline as ``fixtures.codecs.phash64`` (one shared kernel
-    for the sequential oracle path and the distributed actor stage)."""
+    """Difference (gradient) hash in a 63-bit domain: gray → area-resize
+    8×9 → bit = left-to-right brightness increase per adjacent column
+    pair (8 rows × 8 = 64 comparisons, first comparison most
+    significant). The top bit — the first row's first comparison — is
+    masked off (``& 0x7FFF…``) so the value is a non-negative int64;
+    the result therefore lies in [0, 2^63) and two images differing only
+    in that comparison hash equal. The outputs are pinned in that form
+    (tests/test_ml9_graph_ops.py ``test_dhash64_semantics``). The classic
+    cheap complement to the DCT pHash — dHash sees local gradients where
+    pHash sees global frequency structure, so their pair sets disagree
+    in instructive ways (q_image_dhash_agreement measures exactly that).
+    Same float64 resize discipline as ``fixtures.codecs.phash64`` (one
+    shared kernel for the sequential oracle path and the distributed
+    stage)."""
     from ..fixtures.codecs import resize_area, to_gray
 
     g = resize_area(to_gray(rgb), 8, 9)
@@ -349,7 +355,7 @@ def dhash64(rgb: np.ndarray) -> int:
     return int(np.int64(val & 0x7FFFFFFFFFFFFFFF))  # signed int64 domain
 
 
-# (image_id, phash) where the column holds the 64-bit dHash — NAMED
+# (image_id, phash) where the column holds the 63-bit dHash — NAMED
 # ``phash`` so the banded pairing pipeline (``phash_band_pairs``)
 # consumes the output verbatim
 dhash_batch = pixel_batch(lambda rgb, row: (dhash64(rgb),), [("phash", I64)])

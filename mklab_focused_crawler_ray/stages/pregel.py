@@ -35,7 +35,6 @@ oracles and tests/test_pregel.py.
 from __future__ import annotations
 
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
@@ -47,14 +46,11 @@ HITS_SCALE = 1_000_000
 
 
 def build_graph_layout(edges_ds, node_ds, out_dir: str, nb: int) -> str:
-    """Materialize the stationary per-shard graph layout ONCE (atomic dir
-    rename = done): edges hive-partitioned by src bucket (``by_src/sb=K``,
-    rows carry ``db``) and by dst bucket (``by_dst/db=K``, rows carry
-    ``sb``); nodes by url bucket (``nodes/ub=K``)."""
-    if os.path.isdir(out_dir):
-        return out_dir
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
+    """Write the stationary per-shard graph layout into ``out_dir``: edges
+    hive-partitioned by src bucket (``by_src/sb=K``, rows carry ``db``)
+    and by dst bucket (``by_dst/db=K``, rows carry ``sb``); nodes by url
+    bucket (``nodes/ub=K``). Callers publish it once through the corpus
+    cache."""
 
     def add_buckets(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -65,12 +61,11 @@ def build_graph_layout(edges_ds, node_ds, out_dir: str, nb: int) -> str:
         return b.append_column("ub", pa.array(bucket_of(b["url"], nb)))
 
     eb = edges_ds.map_batches(add_buckets, batch_format="pyarrow").materialize()
-    eb.write_parquet(os.path.join(tmp, "by_src"), partition_cols=["sb"])
-    eb.write_parquet(os.path.join(tmp, "by_dst"), partition_cols=["db"])
+    eb.write_parquet(os.path.join(out_dir, "by_src"), partition_cols=["sb"])
+    eb.write_parquet(os.path.join(out_dir, "by_dst"), partition_cols=["db"])
     node_ds.map_batches(add_ub, batch_format="pyarrow").write_parquet(
-        os.path.join(tmp, "nodes"), partition_cols=["ub"]
+        os.path.join(out_dir, "nodes"), partition_cols=["ub"]
     )
-    os.replace(tmp, out_dir)
     return out_dir
 
 

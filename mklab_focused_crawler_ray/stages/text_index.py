@@ -12,8 +12,9 @@ token-bucketed parquet posting store:
 - lookup: a token's postings live in exactly one bucket directory → read
   ONLY that partition and filter (prune-at-the-read; at 100 TB this is the
   difference between scanning 1/n_buckets of the index and all of it).
-- resumable: the layout is one directory per bucket with a ``_DONE``
-  marker, so a killed build restarts cleanly and a finished one is reused.
+- resumable: :func:`build_inverted_index` only writes; callers publish
+  the layout through the corpus cache (``cache.materialize``), so a
+  killed build restarts cleanly and a finished one is reused.
 """
 
 from __future__ import annotations
@@ -30,16 +31,11 @@ TOKEN_RE_PATTERN = "[a-z0-9]+"
 def build_inverted_index(
     doc_parquet: str, out_dir: str, n_buckets: int = 16
 ) -> str:
-    """Materialize the bucketed posting store (idempotent via _DONE)."""
+    """Write the bucketed posting store into ``out_dir``."""
     import re
-    import shutil
 
     import ray.data as rd
 
-    marker = os.path.join(out_dir, "_DONE")
-    if os.path.exists(marker):
-        return out_dir
-    shutil.rmtree(out_dir, ignore_errors=True)
     token_re = re.compile(TOKEN_RE_PATTERN)
 
     def postings(batch: pa.Table) -> pa.Table:
@@ -62,8 +58,6 @@ def build_inverted_index(
     rd.read_parquet(doc_parquet, columns=["doc_id", "text"]).map_batches(
         postings, batch_format="pyarrow"
     ).write_parquet(out_dir, partition_cols=["bucket"])
-    with open(marker, "w") as f:
-        f.write(f"n_buckets={n_buckets}\n")
     return out_dir
 
 

@@ -192,7 +192,7 @@ def test_token_postings_cache_invalidates_on_rewrite(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from mklab_focused_crawler_ray.pipelines.queries import _index_cache_dir
+    from mklab_focused_crawler_ray import cache
 
     sf = tmp_path / "sf0.01"
     sf.mkdir()
@@ -200,10 +200,10 @@ def test_token_postings_cache_invalidates_on_rewrite(tmp_path):
     pq.write_table(
         pa.table({"doc_id": [1], "text": ["alpha beta"]}), str(p)
     )
-    d1 = _index_cache_dir(str(sf))
+    d1 = cache.key("text_index", str(p))
     time.sleep(0.01)
     pq.write_table(
         pa.table({"doc_id": [1], "text": ["gamma delta"]}), str(p)
     )
-    d2 = _index_cache_dir(str(sf))
+    d2 = cache.key("text_index", str(p))
     assert d1 != d2
