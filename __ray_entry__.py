@@ -74,15 +74,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 
 def oracle_sql() -> dict[str, str]:
-    from mklab_focused_crawler_ray.pipelines.oracles_ext import (
-        build_extended_oracles,
-        ensure_small_fixture,
-    )
-    from mklab_focused_crawler_ray.pipelines.queries import ORACLE_SQL
+    from mklab_focused_crawler_ray.pipelines import registry
 
-    # fixture-backed oracles read {fixture_root}/small/*.parquet by absolute
-    # path; make sure it exists regardless of call order (idempotent, cached)
-    ensure_small_fixture()
-    out = dict(ORACLE_SQL)
-    out.update(build_extended_oracles())
-    return out
+    # builders that read fixture tables generate them first (idempotent)
+    reg = registry.load()
+    built = {name: reg.sql(name) for name in reg.checked()}
+    return {name: text for name, text in built.items() if text is not None}

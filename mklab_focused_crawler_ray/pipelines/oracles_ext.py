@@ -5,7 +5,7 @@ need heavier SQL (brute-force set-similarity joins).
 The driver's correctness gate runs queries AND oracle SQL at sf0.01, whose
 fixture tier is "small"; fixture-backed oracles therefore read
 ``{fixture_root}/small/*.parquet`` via absolute-path ``read_parquet``
-(``oracle_sql()`` ensures the fixture exists before handing out the SQL).
+(``extended()`` generates the fixture before building them).
 
 Every SQL string mirrors its Ray pipeline's exact semantics — same regexes
 (RE2-compatible), same rounding (integer micro units via
@@ -352,6 +352,23 @@ def _ann_lsh_sql(emb_path: str) -> str:
         "QUALIFY ROW_NUMBER() OVER (PARTITION BY query_id "
         "ORDER BY cos_micro DESC, vec_id ASC) <= 10"
     )
+
+
+def extended(name: str) -> str | None:
+    """Oracle ``name`` from one :func:`build_extended_oracles` build over
+    the small fixture tier (generated first if missing), memoized per
+    fixture root and sf0.01 path: the build runs Ray jobs (ANN codebook
+    training), so it runs once, and only when an extended oracle is asked
+    for. ``None`` if that build has no ``name`` (its sf0.01 inputs are
+    missing)."""
+    from .. import cache
+    from ..fixtures.generate import fixture_root
+
+    def build() -> dict[str, str]:
+        ensure_small_fixture()
+        return build_extended_oracles()
+
+    return cache.memo("extended_oracles", (fixture_root(), _DRIVER_SF01), build).get(name)
 
 
 def build_extended_oracles() -> dict[str, str]:

@@ -1,9 +1,13 @@
 """Driver-facing query suite over the TPC-H-ish testdata tables.
 
 Each ``q_*`` function is a Ray-Data-first pipeline over
-``{sf_dir}/*.parquet``; ``ORACLE_SQL`` holds the DuckDB-equivalent SQL the
-driver runs side-by-side (CORRECTNESS gate). Column names and value
-encodings match EXACTLY by construction:
+``{sf_dir}/*.parquet``, registered with ``@query(name, oracle)``
+(``registry.py``) together with the DuckDB-equivalent SQL the driver runs
+side-by-side (CORRECTNESS gate). Importing this module imports the other
+query modules, so it fills the registry; ``QUERIES`` is the registry and
+``ORACLE_SQL`` a view of its oracles without the extended ones
+(``oracles_ext``). Column names and value encodings match EXACTLY by
+construction:
 
 - float outputs are emitted as integer micro/cent units computed with the
   identical expression ``floor(x * scale + 0.5)`` on both sides, so hash
@@ -34,16 +38,25 @@ from __future__ import annotations
 
 import os
 import re
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from .. import cache
 from ..scale import cogroup, derive_buckets
+from . import oracles_ext
+from .oracles_ext import _CHAR5_CTE as _ORACLE_CHAR5_CTE
+from .registry import query
 
 NOW_MS = 1_706_745_600_000  # 2024-02-01T00:00:00Z — after the events table's max ts
 AVG_TIME_DIFF_MS = 600_000.0
 TOKEN_RE = re.compile(r"[a-z0-9]+")
+_SCORE_SQL = (
+    "(1 - EXP(-0.05*value) + 1)/2 * "
+    f"(EXP(-(({NOW_MS} - epoch_ms(ts))/{AVG_TIME_DIFF_MS})) + 1)/2"
+)
+_TOK_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
 
 
 def _p(sf_dir: str, table: str) -> str:
@@ -77,6 +90,11 @@ def _score_batch(batch: pa.Table) -> pa.Table:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "ranker_scores",
+    f"SELECT event_id, CAST(FLOOR(({_SCORE_SQL})*1000000 + 0.5) AS BIGINT) AS score_micro "
+    "FROM events",
+)
 def q_ranker_scores(sf_dir: str):
     import ray.data as rd
 
@@ -85,6 +103,11 @@ def q_ranker_scores(sf_dir: str):
     ).map_batches(_score_batch, batch_format="pyarrow")
 
 
+@query(
+    "top100_ranked",
+    f"SELECT event_id, CAST(FLOOR(({_SCORE_SQL})*1000000 + 0.5) AS BIGINT) AS score_micro "
+    "FROM events ORDER BY score_micro DESC, event_id ASC LIMIT 100",
+)
 def q_top100_ranked(sf_dir: str):
     ds = q_ranker_scores(sf_dir)
 
@@ -134,14 +157,21 @@ def _count_by(sf_dir: str, table: str, key: str):
     )
 
 
+@query("event_type_counts", "SELECT event_type, COUNT(*) AS n FROM events GROUP BY event_type")
 def q_event_type_counts(sf_dir: str):
     return _count_by(sf_dir, "events", "event_type")
 
 
+@query("contributor_counts", "SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id")
 def q_contributor_counts(sf_dir: str):
     return _count_by(sf_dir, "events", "user_id")
 
 
+@query(
+    "windowed_counts",
+    "SELECT CAST(FLOOR(epoch_ms(ts)/60000.0) AS BIGINT) AS window, event_type, "
+    "COUNT(*) AS n FROM events GROUP BY 1, 2",
+)
 def q_windowed_counts(sf_dir: str):
     """1-minute tumbling windows per event type (EventDetection window
     assembly). Pre-aggregates inside map_batches (partial counts) before the
@@ -198,6 +228,11 @@ def _token_partial(batch: pa.Table) -> pa.Table:
     )
 
 
+@query(
+    "token_counts",
+    f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL}) AS token FROM documents) "
+    "SELECT token, COUNT(*) AS tf, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY token",
+)
 def q_token_counts(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -210,6 +245,12 @@ def q_token_counts(sf_dir: str):
     )
 
 
+@query(
+    "token_idf",
+    f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL}) AS token FROM documents), "
+    "d AS (SELECT token, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY token) "
+    "SELECT token, df, CAST(FLOOR(LOG10((SELECT COUNT(*) FROM documents)/CAST(df AS DOUBLE))*1000000 + 0.5) AS BIGINT) AS idf_micro FROM d",
+)
 def q_token_idf(sf_dir: str):
     """IDF = log10(N/df) — utils/Vocabulary.java:68."""
     import pyarrow.parquet as pq
@@ -237,6 +278,10 @@ def q_token_idf(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "exact_dedup_docs",
+    "SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies FROM documents GROUP BY sha256(text)",
+)
 def q_exact_dedup_docs(sf_dir: str):
     """Exact dedup: group by content hash, keep min doc_id (first-wins)."""
     import hashlib
@@ -257,6 +302,12 @@ def q_exact_dedup_docs(sf_dir: str):
     )
 
 
+@query(
+    "tokenset_dedup_groups",
+    f"SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_docs FROM ("
+    f"SELECT doc_id, array_to_string(list_sort(list_distinct({_TOK_SQL})), ' ') AS sig "
+    "FROM documents) GROUP BY sig",
+)
 def q_tokenset_dedup_groups(sf_dir: str):
     """Near-dup by identical normalized token SET (order/multiplicity
     insensitive) — the SQL-expressible cousin of MinHash dedup."""
@@ -284,6 +335,12 @@ def q_tokenset_dedup_groups(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "doc_stats",
+    "SELECT doc_id, LENGTH(text) AS n_chars_calc, "
+    f"LEN({_TOK_SQL}) AS n_words, "
+    r"LEN(regexp_extract_all(text, '\S+')) AS n_ws_tokens FROM documents",
+)
 def q_doc_stats(sf_dir: str):
     import ray.data as rd
 
@@ -307,10 +364,12 @@ def q_doc_stats(sf_dir: str):
     )
 
 
+@query("lang_counts", "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang")
 def q_lang_counts(sf_dir: str):
     return _count_by(sf_dir, "documents", "lang")
 
 
+@query("doc_quality", partial(oracles_ext.extended, "doc_quality"))
 def q_doc_quality(sf_dir: str):
     """Quality-score gate (the SimpleEstimator.isLowQuality spirit,
     ArticleExtractionBolt.java:296-322, generalized to the training-data
@@ -343,6 +402,17 @@ def q_doc_quality(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+# NOTE: outer CAST(...AS BIGINT) — DuckDB SUM(BIGINT) yields HUGEINT,
+# which pandas renders as float64; the cast keeps both sides int64 so
+# the driver's schema/value comparison sees identical types.
+@query(
+    "q1_lineitem",
+    "SELECT l_returnflag, l_linestatus, "
+    "CAST(SUM(CAST(FLOOR(l_quantity + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_price_cents, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_disc_cents, "
+    "COUNT(*) AS n FROM lineitem GROUP BY l_returnflag, l_linestatus",
+)
 def q_q1_lineitem(sf_dir: str):
     """TPC-H-Q1-shaped grouped aggregate with exact integer sums (cents)."""
     import ray.data as rd
@@ -384,6 +454,13 @@ def q_q1_lineitem(sf_dir: str):
     )
 
 
+@query(
+    "revenue_by_priority",
+    "SELECT o_orderpriority, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents, "
+    "COUNT(*) AS n_items FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
+    "GROUP BY o_orderpriority",
+)
 def q_revenue_by_priority(sf_dir: str):
     """lineitem ⋈ orders revenue rollup. The orders side is the SMALL side →
     broadcast once via ray.put and resolved per batch with a sorted-array
@@ -448,6 +525,17 @@ N_QUERIES = 5
 TOP_K = 10
 
 
+@query(
+    "embedding_top10",
+    "WITH q AS (SELECT vec_id AS query_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS qe "
+    f"FROM embeddings WHERE vec_id < {N_QUERIES}), "
+    "v AS (SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve FROM embeddings), "
+    "s AS (SELECT q.query_id, v.vec_id, "
+    "CAST(FLOOR(list_cosine_similarity(q.qe, v.ve)*1000000 + 0.5) AS BIGINT) AS cos_micro "
+    "FROM q CROSS JOIN v WHERE v.vec_id != q.query_id) "
+    "SELECT query_id, vec_id, cos_micro FROM s "
+    f"QUALIFY ROW_NUMBER() OVER (PARTITION BY query_id ORDER BY cos_micro DESC, vec_id ASC) <= {TOP_K}",
+)
 def q_embedding_top10(sf_dir: str):
     """Cosine top-10 neighbors of the first 5 vectors (brute force: per-batch
     float64 matmul against a broadcast query matrix, then per-query top-k via
@@ -511,6 +599,7 @@ def q_embedding_top10(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query("simhash_docs", partial(oracles_ext.extended, "simhash_docs"), small=True)
 def q_simhash_docs(sf_dir: str):
     """64-bit SimHash per document (bit-cast to int64 for Arrow)."""
     import ray.data as rd
@@ -551,6 +640,7 @@ def simhash_parquet_for(sf_dir: str) -> str:
     )
 
 
+@query("langid_detect", partial(oracles_ext.extended, "langid_detect"))
 def q_langid_detect(sf_dir: str):
     import ray.data as rd
 
@@ -627,6 +717,7 @@ def _minhash_pairs_cached(sf_dir: str):
     )
 
 
+@query("minhash_dup_pairs", partial(oracles_ext.extended, "minhash_dup_pairs"))
 def q_minhash_dup_pairs(sf_dir: str):
     """MinHash + LSH banding near-dup candidate pairs, verified with exact
     shingle-set Jaccard ≥ 0.5. Fully distributed: signature explode →
@@ -657,6 +748,7 @@ def _allpairs_word3_cached(sf_dir: str):
     )
 
 
+@query("allpairs_jaccard", partial(oracles_ext.extended, "allpairs_jaccard"))
 def q_allpairs_jaccard(sf_dir: str):
     """EXACT set-similarity self-join (AllPairs prefix filtering — complete
     candidates with no LSH recall caveat): word-3-gram Jaccard ≥ 0.5 pairs.
@@ -679,6 +771,7 @@ def token_index(sf_dir: str) -> str:
     )
 
 
+@query("token_postings", partial(oracles_ext.extended, "token_postings"))
 def q_token_postings(sf_dir: str):
     """TextIndexerBolt analogue (bolts/webpages/TextIndexerBolt.java:44-102):
     build the token-bucketed inverted-index layout once per corpus
@@ -698,6 +791,7 @@ def q_token_postings(sf_dir: str):
     return lookup_postings(index_dir, vocab)
 
 
+@query("doc_fingerprints", partial(oracles_ext.extended, "doc_fingerprints"))
 def q_doc_fingerprints(sf_dir: str):
     import ray.data as rd
 
@@ -744,6 +838,25 @@ def _ngram_fold_hashes(th: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
+@query(
+    "doc_repetition",
+    f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
+    "bg AS (SELECT doc_id, unnest(list_transform(range(1, len(tk)), i -> "
+    "tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1])) AS g FROM toks WHERE len(tk) >= 2), "
+    "bgc AS (SELECT doc_id, g, COUNT(*) AS c FROM bg GROUP BY 1, 2), "
+    "bstat AS (SELECT doc_id, MAX(c) AS maxc, SUM(c) AS tot FROM bgc GROUP BY 1), "
+    "tg AS (SELECT doc_id, unnest(list_transform(range(1, len(tk) - 1), i -> "
+    "tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1] || ' ' || tk[CAST(i AS INT)+2])) AS g "
+    "FROM toks WHERE len(tk) >= 3), "
+    "tgc AS (SELECT doc_id, g, COUNT(*) AS c FROM tg GROUP BY 1, 2), "
+    "tstat AS (SELECT doc_id, SUM(CASE WHEN c > 1 THEN c ELSE 0 END) AS dup, "
+    "SUM(c) AS tot3 FROM tgc GROUP BY 1) "
+    "SELECT t.doc_id, len(t.tk) AS n_tokens, "
+    "COALESCE(CAST(FLOOR(CAST(b.maxc AS DOUBLE) / b.tot * 1000000 + 0.5) AS BIGINT), 0) AS top2_frac_micro, "
+    "COALESCE(CAST(FLOOR(CAST(ts.dup AS DOUBLE) / ts.tot3 * 1000000 + 0.5) AS BIGINT), 0) AS dup3_frac_micro "
+    "FROM toks t LEFT JOIN bstat b ON t.doc_id = b.doc_id "
+    "LEFT JOIN tstat ts ON ts.doc_id = t.doc_id",
+)
 def q_doc_repetition(sf_dir: str):
     """Gopher-style repetition-quality signals per document (Rae et al.
     2021, 'Scaling Language Models', App. A1.1 repetition filters):
@@ -814,6 +927,17 @@ def q_doc_repetition(sf_dir: str):
 DECONTAM_BENCH_MOD = 31  # doc_id % 31 == 0 → deterministic "benchmark" set
 
 
+@query(
+    "decontam_8gram_hits",
+    f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
+    "g AS (SELECT doc_id, unnest(list_transform(range(1, len(tk) - 6), i -> "
+    "array_to_string(tk[CAST(i AS INT):CAST(i AS INT)+7], ' '))) AS g8 "
+    "FROM toks WHERE len(tk) >= 8), "
+    f"bench AS (SELECT DISTINCT g8 FROM g WHERE doc_id % {DECONTAM_BENCH_MOD} = 0), "
+    "hits AS (SELECT DISTINCT d.doc_id, d.g8 FROM g d JOIN bench b USING (g8) "
+    f"WHERE d.doc_id % {DECONTAM_BENCH_MOD} <> 0) "
+    "SELECT doc_id, COUNT(*) AS n_hits FROM hits GROUP BY doc_id",
+)
 def q_decontam_8gram_hits(sf_dir: str):
     """Benchmark decontamination by word-8-gram overlap (the GPT-3 /
     RealNews standard): docs sharing any 8-gram with the held-out benchmark
@@ -909,6 +1033,19 @@ def _decontam_hits_ds(sf_dir: str):
     )
 
 
+@query(
+    "decontam_neardup_hits",
+    f"WITH {_ORACLE_CHAR5_CTE}, "
+    "dd AS (SELECT DISTINCT doc_id, s FROM sh), "
+    "sz AS (SELECT doc_id, COUNT(*) AS n FROM dd GROUP BY 1), "
+    "inter AS (SELECT b.doc_id AS bench_id, d.doc_id AS did, COUNT(*) AS i "
+    "FROM dd b JOIN dd d ON b.s = d.s "
+    f"WHERE b.doc_id % {DECONTAM_BENCH_MOD} = 0 AND d.doc_id % {DECONTAM_BENCH_MOD} <> 0 "
+    "GROUP BY 1, 2) "
+    "SELECT did AS doc_id, COUNT(*) AS n_bench_hits FROM inter "
+    "JOIN sz sb ON sb.doc_id = bench_id JOIN sz sd ON sd.doc_id = did "
+    "WHERE i*2 >= sb.n + sd.n - i GROUP BY did",
+)
 def q_decontam_neardup_hits(sf_dir: str):
     """Benchmark decontamination by NEAR-duplicate overlap (the fuzzy
     complement of ``q_decontam_8gram_hits``): a corpus doc is flagged with
@@ -994,6 +1131,17 @@ CHUNK_W = 32  # tokens per training-sequence chunk (small so the fixture's
 # ≤99-token docs exercise multi-chunk splits; a real corpus uses 1k–8k)
 
 
+@query(
+    "doc_chunks",
+    f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
+    "c AS (SELECT doc_id, len(tk) AS n, unnest(list_transform("
+    f"range(0, CAST(CEIL(len(tk)/{CHUNK_W}.0) AS BIGINT)), i -> struct_pack(ci := i, "
+    f"ch := array_to_string(tk[CAST(i*{CHUNK_W}+1 AS INT):CAST(i*{CHUNK_W}+{CHUNK_W} AS INT)], ' ')))) AS u "
+    "FROM toks WHERE len(tk) > 0) "
+    "SELECT doc_id, CAST(u.ci AS BIGINT) AS chunk_idx, "
+    f"CAST(LEAST({CHUNK_W}, n - u.ci*{CHUNK_W}) AS BIGINT) AS n_chunk_tokens, "
+    "u.ch AS chunk FROM c",
+)
 def q_doc_chunks(sf_dir: str):
     """Context-window chunking: split every document's token stream into
     non-overlapping ``CHUNK_W``-token windows (the map-side precursor to
@@ -1036,6 +1184,17 @@ def q_doc_chunks(sf_dir: str):
 SESSION_GAP_MS = 1_800_000  # 30-minute inactivity gap closes a session
 
 
+@query(
+    "user_sessions",
+    "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events), "
+    "o AS (SELECT user_id, event_id, ms, CASE WHEN LAG(ms) OVER w IS NULL "
+    f"OR ms - LAG(ms) OVER w > {SESSION_GAP_MS} THEN 1 ELSE 0 END AS brk "
+    "FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ms, event_id)), "
+    "s AS (SELECT user_id, ms, CAST(SUM(brk) OVER (PARTITION BY user_id "
+    "ORDER BY ms, event_id ROWS UNBOUNDED PRECEDING) - 1 AS BIGINT) AS session_idx FROM o) "
+    "SELECT user_id, session_idx, COUNT(*) AS n_events, "
+    "MIN(ms) AS start_ms, MAX(ms) AS end_ms FROM s GROUP BY 1, 2",
+)
 def q_user_sessions(sf_dir: str):
     """Sessionization: per user, events ordered by (ts, event_id) are cut
     into sessions at inactivity gaps > 30 min; one row per session with
@@ -1112,6 +1271,22 @@ def q_user_sessions(sf_dir: str):
 QUANTILES = (50, 90, 99)  # reported per event_type, in percent
 
 
+@query(
+    "event_value_quantiles",
+    "WITH c AS (SELECT event_type, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents "
+    "FROM events), "
+    "n AS (SELECT event_type, COUNT(*) AS n FROM c GROUP BY 1), "
+    "r AS (SELECT event_type, cents, "
+    "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c) "
+    "SELECT r.event_type, ANY_VALUE(n.n) AS n, "
+    + ", ".join(
+        # integer ceil: (q*n + 99) // 100 — no float rounding at any n
+        f"MIN(CASE WHEN rk >= ({q} * n.n + 99) // 100 "
+        f"THEN cents END) AS p{q}_cents"
+        for q in QUANTILES
+    )
+    + " FROM r JOIN n ON n.event_type = r.event_type GROUP BY r.event_type",
+)
 def q_event_value_quantiles(sf_dir: str):
     """EXACT distributed quantiles by counting, not sampling: per
     event_type, the P50/P90/P99 of cents = round(value*100) under the rule
@@ -1163,6 +1338,19 @@ def q_event_value_quantiles(sf_dir: str):
 ASOF_TYPE = "click"  # the right-side event type the as-of join looks back to
 
 
+@query(
+    "events_asof_click",
+    "WITH e AS (SELECT event_id, user_id, event_type, epoch_ms(ts) AS ms FROM events), "
+    "w AS (SELECT event_id, user_id, ms, "
+    f"LAST_VALUE(CASE WHEN event_type = '{ASOF_TYPE}' THEN event_id END IGNORE NULLS) "
+    "OVER win AS prior_click_id, "
+    f"LAST_VALUE(CASE WHEN event_type = '{ASOF_TYPE}' THEN ms END IGNORE NULLS) "
+    "OVER win AS prior_ms FROM e "
+    "WINDOW win AS (PARTITION BY user_id ORDER BY ms, event_id "
+    "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)) "
+    "SELECT event_id, user_id, prior_click_id, ms - prior_ms AS gap_ms "
+    "FROM w WHERE prior_click_id IS NOT NULL",
+)
 def q_events_asof_click(sf_dir: str):
     """AS-OF (point-in-time) join, the temporal-join primitive Ray Data has
     no native operator for: for every event, the same user's most recent
@@ -1234,6 +1422,25 @@ def q_events_asof_click(sf_dir: str):
     )
 
 
+# connected components via recursive transitive closure over the same
+# brute-force char5-Jaccard pair relation that oracles minhash_dup_pairs
+# (tiny pair graph at oracle scale; the engine side is the budgeted
+# distributed LSH pipeline + min-label propagation)
+@query(
+    "dup_clusters",
+    f"WITH RECURSIVE {_ORACLE_CHAR5_CTE}, "
+    "dd AS (SELECT DISTINCT doc_id, s FROM sh), "
+    "sz AS (SELECT doc_id, COUNT(*) AS n FROM dd GROUP BY doc_id), "
+    "inter AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i "
+    "FROM dd a JOIN dd b ON a.s = b.s AND a.doc_id < b.doc_id GROUP BY 1, 2), "
+    "p AS (SELECT doc_a, doc_b FROM inter "
+    "JOIN sz sa ON sa.doc_id = doc_a JOIN sz sb ON sb.doc_id = doc_b "
+    "WHERE i * 2 >= (sa.n + sb.n - i)), "
+    "e AS (SELECT doc_a AS a, doc_b AS b FROM p UNION SELECT doc_b, doc_a FROM p), "
+    "reach AS (SELECT a AS src, b AS dst FROM e "
+    "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
+    "SELECT src AS doc_id, LEAST(src, MIN(dst)) AS cluster_rep FROM reach GROUP BY src",
+)
 def q_dup_clusters(sf_dir: str):
     """Fuzzy-dedup canonicalization: connected components over the verified
     near-dup pair graph (char-5-shingle Jaccard ≥ 0.5, the same pair
@@ -1281,6 +1488,7 @@ def cc_min_label(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, nodes[label]
 
 
+@query("dup_cluster_best_rep", partial(oracles_ext.extended, "dup_cluster_best_rep"))
 def q_dup_cluster_best_rep(sf_dir: str):
     """Keep-BEST dedup canonicalization: for each near-dup cluster, the
     member with the highest quality score (tie: min doc_id) — the
@@ -1352,6 +1560,7 @@ def q_dup_cluster_best_rep(sf_dir: str):
 OUTLIER_PCT = 99  # per-type percentile above which an event is an outlier
 
 
+@query("event_value_outliers", partial(oracles_ext.extended, "event_value_outliers"))
 def q_event_value_outliers(sf_dir: str):
     """Percentile-threshold OUTLIER FILTER: events whose value (cents)
     strictly exceeds their type's exact P99 — the tail-trimming gate
@@ -1413,6 +1622,16 @@ SAMPLE_K = 64  # docs kept per stratum
 _KNUTH = 2654435761  # Knuth multiplicative-hash constant (2^32 / φ)
 
 
+@query(
+    "lang_sample_topk",
+    "WITH h AS (SELECT lang, doc_id, "
+    f"CAST((CAST(doc_id AS HUGEINT) * {_KNUTH}) % 4294967296 AS BIGINT) AS h "
+    "FROM documents) "
+    "SELECT lang, doc_id, h, "
+    "CAST(ROW_NUMBER() OVER (PARTITION BY lang ORDER BY h, doc_id) - 1 AS BIGINT) "
+    "AS sample_rank FROM h "
+    f"QUALIFY ROW_NUMBER() OVER (PARTITION BY lang ORDER BY h, doc_id) <= {SAMPLE_K}",
+)
 def q_lang_sample_topk(sf_dir: str):
     """Deterministic stratified sampling (the data-mixing primitive): per
     language, keep the ``SAMPLE_K`` docs with the smallest multiplicative
@@ -1457,6 +1676,7 @@ def q_lang_sample_topk(sf_dir: str):
 QUALITY_KEEP_MICRO = 500_000  # keep docs scoring ≥ 0.5
 
 
+@query("corpus_filter_kept", partial(oracles_ext.extended, "corpus_filter_kept"))
 def q_corpus_filter_kept(sf_dir: str):
     """End-to-end corpus curation (the C4/Gopher-style keep decision),
     composed from this engine's own operators:
@@ -1511,287 +1731,24 @@ def q_corpus_filter_kept(sf_dir: str):
     )
 
 
-# --------------------------------------------------------------------------
-# registry + SQL oracles
-# --------------------------------------------------------------------------
-
-QUERIES = {
-    "ranker_scores": q_ranker_scores,
-    "top100_ranked": q_top100_ranked,
-    "event_type_counts": q_event_type_counts,
-    "contributor_counts": q_contributor_counts,
-    "windowed_counts": q_windowed_counts,
-    "token_counts": q_token_counts,
-    "token_idf": q_token_idf,
-    "exact_dedup_docs": q_exact_dedup_docs,
-    "tokenset_dedup_groups": q_tokenset_dedup_groups,
-    "doc_stats": q_doc_stats,
-    "lang_counts": q_lang_counts,
-    "doc_quality": q_doc_quality,
-    "q1_lineitem": q_q1_lineitem,
-    "revenue_by_priority": q_revenue_by_priority,
-    "embedding_top10": q_embedding_top10,
-    "token_postings": q_token_postings,
-    "allpairs_jaccard": q_allpairs_jaccard,
-    "doc_repetition": q_doc_repetition,
-    "decontam_8gram_hits": q_decontam_8gram_hits,
-    "decontam_neardup_hits": q_decontam_neardup_hits,
-    "doc_chunks": q_doc_chunks,
-    "user_sessions": q_user_sessions,
-    "dup_clusters": q_dup_clusters,
-    "dup_cluster_best_rep": q_dup_cluster_best_rep,
-    "event_value_outliers": q_event_value_outliers,
-    "corpus_filter_kept": q_corpus_filter_kept,
-    "lang_sample_topk": q_lang_sample_topk,
-    "events_asof_click": q_events_asof_click,
-    "event_value_quantiles": q_event_value_quantiles,
-    # rows-only (non-SQL-expressible):
-    "simhash_docs": q_simhash_docs,
-    "langid_detect": q_langid_detect,
-    "minhash_dup_pairs": q_minhash_dup_pairs,
-    "doc_fingerprints": q_doc_fingerprints,
-}
-
-from .queries_media import MEDIA_ORACLE_SQL, MEDIA_QUERIES  # noqa: E402
-from .queries_ml import ML_ORACLE_SQL, ML_QUERIES  # noqa: E402
-from .queries_ml2 import ML2_ORACLE_SQL, ML2_QUERIES  # noqa: E402
-from .queries_ml3 import ML3_ORACLE_SQL, ML3_QUERIES  # noqa: E402
-from .queries_ml4 import ML4_QUERIES, build_ml4_oracles  # noqa: E402
-from .queries_ml5 import ML5_QUERIES, build_ml5_oracles  # noqa: E402
-from .queries_ml6 import ML6_QUERIES, build_ml6_oracles  # noqa: E402
-from .queries_ml7 import ML7_QUERIES, build_ml7_oracles  # noqa: E402
-from .queries_ml8 import ML8_QUERIES, build_ml8_oracles  # noqa: E402
-from .queries_ml9 import ML9_QUERIES, build_ml9_oracles  # noqa: E402
-from .queries_crawl import CRAWL_QUERIES, build_crawl_oracles  # noqa: E402
-from .queries_rel import REL_ORACLE_SQL, REL_QUERIES  # noqa: E402
-
-QUERIES.update(MEDIA_QUERIES)
-QUERIES.update(REL_QUERIES)
-QUERIES.update(ML_QUERIES)
-QUERIES.update(ML2_QUERIES)
-QUERIES.update(ML3_QUERIES)
-QUERIES.update(ML4_QUERIES)
-QUERIES.update(ML5_QUERIES)
-QUERIES.update(ML6_QUERIES)
-QUERIES.update(ML7_QUERIES)
-QUERIES.update(ML8_QUERIES)
-QUERIES.update(ML9_QUERIES)
-QUERIES.update(CRAWL_QUERIES)
-
-_SCORE_SQL = (
-    "(1 - EXP(-0.05*value) + 1)/2 * "
-    f"(EXP(-(({NOW_MS} - epoch_ms(ts))/{AVG_TIME_DIFF_MS})) + 1)/2"
+# importing this module registers the other query modules' queries too
+from . import (  # noqa: E402,F401
+    queries_crawl,
+    queries_media,
+    queries_ml,
+    queries_ml2,
+    queries_ml3,
+    queries_ml4,
+    queries_ml5,
+    queries_ml6,
+    queries_ml7,
+    queries_ml8,
+    queries_ml9,
+    queries_rel,
 )
-_TOK_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
+from .registry import REGISTRY, OracleView  # noqa: E402
 
-from .oracles_ext import _CHAR5_CTE as _ORACLE_CHAR5_CTE  # noqa: E402
-
-ORACLE_SQL = {
-    "ranker_scores": (
-        f"SELECT event_id, CAST(FLOOR(({_SCORE_SQL})*1000000 + 0.5) AS BIGINT) AS score_micro "
-        "FROM events"
-    ),
-    "top100_ranked": (
-        f"SELECT event_id, CAST(FLOOR(({_SCORE_SQL})*1000000 + 0.5) AS BIGINT) AS score_micro "
-        "FROM events ORDER BY score_micro DESC, event_id ASC LIMIT 100"
-    ),
-    "event_type_counts": "SELECT event_type, COUNT(*) AS n FROM events GROUP BY event_type",
-    "contributor_counts": "SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id",
-    "windowed_counts": (
-        "SELECT CAST(FLOOR(epoch_ms(ts)/60000.0) AS BIGINT) AS window, event_type, "
-        "COUNT(*) AS n FROM events GROUP BY 1, 2"
-    ),
-    "token_counts": (
-        f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL}) AS token FROM documents) "
-        "SELECT token, COUNT(*) AS tf, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY token"
-    ),
-    "token_idf": (
-        f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL}) AS token FROM documents), "
-        "d AS (SELECT token, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY token) "
-        "SELECT token, df, CAST(FLOOR(LOG10((SELECT COUNT(*) FROM documents)/CAST(df AS DOUBLE))*1000000 + 0.5) AS BIGINT) AS idf_micro FROM d"
-    ),
-    "exact_dedup_docs": (
-        "SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies FROM documents GROUP BY sha256(text)"
-    ),
-    "tokenset_dedup_groups": (
-        f"SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_docs FROM ("
-        f"SELECT doc_id, array_to_string(list_sort(list_distinct({_TOK_SQL})), ' ') AS sig "
-        "FROM documents) GROUP BY sig"
-    ),
-    "doc_stats": (
-        "SELECT doc_id, LENGTH(text) AS n_chars_calc, "
-        f"LEN({_TOK_SQL}) AS n_words, "
-        r"LEN(regexp_extract_all(text, '\S+')) AS n_ws_tokens FROM documents"
-    ),
-    "lang_counts": "SELECT lang, COUNT(*) AS n FROM documents GROUP BY lang",
-    # NOTE: outer CAST(...AS BIGINT) — DuckDB SUM(BIGINT) yields HUGEINT,
-    # which pandas renders as float64; the cast keeps both sides int64 so
-    # the driver's schema/value comparison sees identical types.
-    "q1_lineitem": (
-        "SELECT l_returnflag, l_linestatus, "
-        "CAST(SUM(CAST(FLOOR(l_quantity + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_price_cents, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS BIGINT) AS sum_disc_cents, "
-        "COUNT(*) AS n FROM lineitem GROUP BY l_returnflag, l_linestatus"
-    ),
-    "revenue_by_priority": (
-        "SELECT o_orderpriority, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*(1-l_discount)*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents, "
-        "COUNT(*) AS n_items FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-        "GROUP BY o_orderpriority"
-    ),
-    "embedding_top10": (
-        "WITH q AS (SELECT vec_id AS query_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS qe "
-        f"FROM embeddings WHERE vec_id < {N_QUERIES}), "
-        "v AS (SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve FROM embeddings), "
-        "s AS (SELECT q.query_id, v.vec_id, "
-        "CAST(FLOOR(list_cosine_similarity(q.qe, v.ve)*1000000 + 0.5) AS BIGINT) AS cos_micro "
-        "FROM q CROSS JOIN v WHERE v.vec_id != q.query_id) "
-        "SELECT query_id, vec_id, cos_micro FROM s "
-        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY query_id ORDER BY cos_micro DESC, vec_id ASC) <= {TOP_K}"
-    ),
-    "doc_repetition": (
-        f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
-        "bg AS (SELECT doc_id, unnest(list_transform(range(1, len(tk)), i -> "
-        "tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1])) AS g FROM toks WHERE len(tk) >= 2), "
-        "bgc AS (SELECT doc_id, g, COUNT(*) AS c FROM bg GROUP BY 1, 2), "
-        "bstat AS (SELECT doc_id, MAX(c) AS maxc, SUM(c) AS tot FROM bgc GROUP BY 1), "
-        "tg AS (SELECT doc_id, unnest(list_transform(range(1, len(tk) - 1), i -> "
-        "tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1] || ' ' || tk[CAST(i AS INT)+2])) AS g "
-        "FROM toks WHERE len(tk) >= 3), "
-        "tgc AS (SELECT doc_id, g, COUNT(*) AS c FROM tg GROUP BY 1, 2), "
-        "tstat AS (SELECT doc_id, SUM(CASE WHEN c > 1 THEN c ELSE 0 END) AS dup, "
-        "SUM(c) AS tot3 FROM tgc GROUP BY 1) "
-        "SELECT t.doc_id, len(t.tk) AS n_tokens, "
-        "COALESCE(CAST(FLOOR(CAST(b.maxc AS DOUBLE) / b.tot * 1000000 + 0.5) AS BIGINT), 0) AS top2_frac_micro, "
-        "COALESCE(CAST(FLOOR(CAST(ts.dup AS DOUBLE) / ts.tot3 * 1000000 + 0.5) AS BIGINT), 0) AS dup3_frac_micro "
-        "FROM toks t LEFT JOIN bstat b ON t.doc_id = b.doc_id "
-        "LEFT JOIN tstat ts ON ts.doc_id = t.doc_id"
-    ),
-    "decontam_8gram_hits": (
-        f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
-        "g AS (SELECT doc_id, unnest(list_transform(range(1, len(tk) - 6), i -> "
-        "array_to_string(tk[CAST(i AS INT):CAST(i AS INT)+7], ' '))) AS g8 "
-        "FROM toks WHERE len(tk) >= 8), "
-        f"bench AS (SELECT DISTINCT g8 FROM g WHERE doc_id % {DECONTAM_BENCH_MOD} = 0), "
-        "hits AS (SELECT DISTINCT d.doc_id, d.g8 FROM g d JOIN bench b USING (g8) "
-        f"WHERE d.doc_id % {DECONTAM_BENCH_MOD} <> 0) "
-        "SELECT doc_id, COUNT(*) AS n_hits FROM hits GROUP BY doc_id"
-    ),
-    "decontam_neardup_hits": (
-        f"WITH {_ORACLE_CHAR5_CTE}, "
-        "dd AS (SELECT DISTINCT doc_id, s FROM sh), "
-        "sz AS (SELECT doc_id, COUNT(*) AS n FROM dd GROUP BY 1), "
-        "inter AS (SELECT b.doc_id AS bench_id, d.doc_id AS did, COUNT(*) AS i "
-        "FROM dd b JOIN dd d ON b.s = d.s "
-        f"WHERE b.doc_id % {DECONTAM_BENCH_MOD} = 0 AND d.doc_id % {DECONTAM_BENCH_MOD} <> 0 "
-        "GROUP BY 1, 2) "
-        "SELECT did AS doc_id, COUNT(*) AS n_bench_hits FROM inter "
-        "JOIN sz sb ON sb.doc_id = bench_id JOIN sz sd ON sd.doc_id = did "
-        "WHERE i*2 >= sb.n + sd.n - i GROUP BY did"
-    ),
-    "doc_chunks": (
-        f"WITH toks AS (SELECT doc_id, {_TOK_SQL} AS tk FROM documents), "
-        "c AS (SELECT doc_id, len(tk) AS n, unnest(list_transform("
-        f"range(0, CAST(CEIL(len(tk)/{CHUNK_W}.0) AS BIGINT)), i -> struct_pack(ci := i, "
-        f"ch := array_to_string(tk[CAST(i*{CHUNK_W}+1 AS INT):CAST(i*{CHUNK_W}+{CHUNK_W} AS INT)], ' ')))) AS u "
-        "FROM toks WHERE len(tk) > 0) "
-        "SELECT doc_id, CAST(u.ci AS BIGINT) AS chunk_idx, "
-        f"CAST(LEAST({CHUNK_W}, n - u.ci*{CHUNK_W}) AS BIGINT) AS n_chunk_tokens, "
-        "u.ch AS chunk FROM c"
-    ),
-    "user_sessions": (
-        "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events), "
-        "o AS (SELECT user_id, event_id, ms, CASE WHEN LAG(ms) OVER w IS NULL "
-        f"OR ms - LAG(ms) OVER w > {SESSION_GAP_MS} THEN 1 ELSE 0 END AS brk "
-        "FROM e WINDOW w AS (PARTITION BY user_id ORDER BY ms, event_id)), "
-        "s AS (SELECT user_id, ms, CAST(SUM(brk) OVER (PARTITION BY user_id "
-        "ORDER BY ms, event_id ROWS UNBOUNDED PRECEDING) - 1 AS BIGINT) AS session_idx FROM o) "
-        "SELECT user_id, session_idx, COUNT(*) AS n_events, "
-        "MIN(ms) AS start_ms, MAX(ms) AS end_ms FROM s GROUP BY 1, 2"
-    ),
-    "event_value_quantiles": (
-        "WITH c AS (SELECT event_type, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents "
-        "FROM events), "
-        "n AS (SELECT event_type, COUNT(*) AS n FROM c GROUP BY 1), "
-        "r AS (SELECT event_type, cents, "
-        "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c) "
-        "SELECT r.event_type, ANY_VALUE(n.n) AS n, "
-        + ", ".join(
-            # integer ceil: (q*n + 99) // 100 — no float rounding at any n
-            f"MIN(CASE WHEN rk >= ({q} * n.n + 99) // 100 "
-            f"THEN cents END) AS p{q}_cents"
-            for q in QUANTILES
-        )
-        + " FROM r JOIN n ON n.event_type = r.event_type GROUP BY r.event_type"
-    ),
-    "events_asof_click": (
-        "WITH e AS (SELECT event_id, user_id, event_type, epoch_ms(ts) AS ms FROM events), "
-        "w AS (SELECT event_id, user_id, ms, "
-        f"LAST_VALUE(CASE WHEN event_type = '{ASOF_TYPE}' THEN event_id END IGNORE NULLS) "
-        "OVER win AS prior_click_id, "
-        f"LAST_VALUE(CASE WHEN event_type = '{ASOF_TYPE}' THEN ms END IGNORE NULLS) "
-        "OVER win AS prior_ms FROM e "
-        "WINDOW win AS (PARTITION BY user_id ORDER BY ms, event_id "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)) "
-        "SELECT event_id, user_id, prior_click_id, ms - prior_ms AS gap_ms "
-        "FROM w WHERE prior_click_id IS NOT NULL"
-    ),
-    "lang_sample_topk": (
-        "WITH h AS (SELECT lang, doc_id, "
-        f"CAST((CAST(doc_id AS HUGEINT) * {_KNUTH}) % 4294967296 AS BIGINT) AS h "
-        "FROM documents) "
-        "SELECT lang, doc_id, h, "
-        "CAST(ROW_NUMBER() OVER (PARTITION BY lang ORDER BY h, doc_id) - 1 AS BIGINT) "
-        "AS sample_rank FROM h "
-        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY lang ORDER BY h, doc_id) <= {SAMPLE_K}"
-    ),
-    # connected components via recursive transitive closure over the same
-    # brute-force char5-Jaccard pair relation that oracles minhash_dup_pairs
-    # (tiny pair graph at oracle scale; the engine side is the budgeted
-    # distributed LSH pipeline + min-label propagation)
-    "dup_clusters": (
-        f"WITH RECURSIVE {_ORACLE_CHAR5_CTE}, "
-        "dd AS (SELECT DISTINCT doc_id, s FROM sh), "
-        "sz AS (SELECT doc_id, COUNT(*) AS n FROM dd GROUP BY doc_id), "
-        "inter AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i "
-        "FROM dd a JOIN dd b ON a.s = b.s AND a.doc_id < b.doc_id GROUP BY 1, 2), "
-        "p AS (SELECT doc_a, doc_b FROM inter "
-        "JOIN sz sa ON sa.doc_id = doc_a JOIN sz sb ON sb.doc_id = doc_b "
-        "WHERE i * 2 >= (sa.n + sb.n - i)), "
-        "e AS (SELECT doc_a AS a, doc_b AS b FROM p UNION SELECT doc_b, doc_a FROM p), "
-        "reach AS (SELECT a AS src, b AS dst FROM e "
-        "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
-        "SELECT src AS doc_id, LEAST(src, MIN(dst)) AS cluster_rep FROM reach GROUP BY src"
-    ),
-}
-
-ORACLE_SQL.update(MEDIA_ORACLE_SQL)
-ORACLE_SQL.update(REL_ORACLE_SQL)
-ORACLE_SQL.update(ML_ORACLE_SQL)
-ORACLE_SQL.update(ML2_ORACLE_SQL)
-ORACLE_SQL.update(ML3_ORACLE_SQL)
-# ml4 oracles splice the doc_chunks SQL above, so they build after this dict
-ORACLE_SQL.update(build_ml4_oracles())
-ORACLE_SQL.update(build_ml5_oracles())
-ORACLE_SQL.update(build_ml6_oracles())
-ORACLE_SQL.update(build_ml7_oracles())
-ORACLE_SQL.update(build_ml8_oracles())
-ORACLE_SQL.update(build_ml9_oracles())
-ORACLE_SQL.update(build_crawl_oracles())
-
-# interval-overlap join oracle, composed from the registered sessionization
-# oracle (defined here because ML_ORACLE_SQL is built before this dict)
-ORACLE_SQL["session_overlap_pairs"] = (
-    "WITH sess AS (" + ORACLE_SQL["user_sessions"] + ") "
-    "SELECT a.user_id AS user_a, a.session_idx AS sidx_a, "
-    "b.user_id AS user_b, b.session_idx AS sidx_b, "
-    "CAST(LEAST(a.end_ms, b.end_ms) - GREATEST(a.start_ms, b.start_ms) AS BIGINT) "
-    "AS overlap_ms "
-    "FROM sess a JOIN sess b ON a.start_ms <= b.end_ms AND b.start_ms <= a.end_ms "
-    "AND (a.user_id < b.user_id OR (a.user_id = b.user_id AND a.session_idx < b.session_idx))"
-)
-# NOTE: the extended oracles (oracles_ext.build_extended_oracles — fixture
-# paths, inlined ANN constants trained on sf0.01) are merged LAZILY by
-# __ray_entry__.oracle_sql(), not at import: building them costs ~1 s
-# (k-means training) that query-only consumers like bench.py never need.
+QUERIES = REGISTRY.queries
+# the registered oracles but the extended ones, for consumers that read
+# them without building those (perfbench.prep)
+ORACLE_SQL = OracleView(REGISTRY)

@@ -47,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.urls import MAX_REDIRECTS  # noqa: F401  (doc anchor)
+from .registry import SMALL_SF, query, small_table
 
 # 2023-11-16T00:00:00Z — after the fixture frontier's max date, so every
 # age is positive and the pubtime decay term is well-defined. No wall
@@ -131,6 +132,11 @@ def _blocked_mask(urls: np.ndarray, hosts_of: np.ndarray, store) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "robots_gate_counts",
+    lambda: _robots_gate_counts_sql(small_table("frontier_seed"), small_table("robots")),
+    small=True,
+)
 def q_robots_gate_counts(sf_dir: str):
     """Per-host robots audit over the seed frontier: distinct URLs per host
     and how many a disallow prefix blocks. The gate flag is map-side
@@ -198,6 +204,11 @@ def _robots_gate_counts_sql(seeds: str, robots: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "url_expand_final",
+    lambda: _url_expand_final_sql(small_table("frontier_seed"), small_table("redirects")),
+    small=True,
+)
 def q_url_expand_final(sf_dir: str):
     """URLExpansionBolt replay as a standalone query: for every distinct
     seed URL, the ≤``MAX_REDIRECTS``-hop expansion endpoint, its host, and
@@ -281,6 +292,11 @@ def _url_expand_final_sql(seeds: str, redirects: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "politeness_rounds",
+    lambda: _politeness_rounds_sql(small_table("frontier_seed")),
+    small=True,
+)
 def q_politeness_rounds(sf_dir: str):
     """Per-host politeness scheduling over the raw seed frontier: each
     distinct URL gets the RankerBolt score (micro units) and a fetch round
@@ -350,6 +366,13 @@ def _politeness_rounds_sql(seeds: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "frontier_schedule",
+    lambda: _frontier_schedule_sql(
+        small_table("frontier_seed"), small_table("redirects"), small_table("robots")
+    ),
+    small=True,
+)
 def q_frontier_schedule(sf_dir: str):
     """The composed fetch-scheduler manifest (the north rule end-to-end,
     minus the fetch itself): seed frontier → ≤4-hop expansion (drop
@@ -463,6 +486,7 @@ def _frontier_schedule_sql(seeds: str, redirects: str, robots: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query("host_link_matrix", lambda: _host_link_matrix_sql(small_table("pages")), small=True)
 def q_host_link_matrix(sf_dir: str):
     """The hostgraph: (src_host, dst_host, n_links) over every out-link of
     every fetched page — the host-level rollup crawl schedulers use for
@@ -603,6 +627,11 @@ def _hll_estimate(m_regs: np.ndarray) -> tuple[int, int]:
     return v, raw
 
 
+@query(
+    "frontier_hll_distinct",
+    lambda: _frontier_hll_sql(small_table("frontier_seed")),
+    small=True,
+)
 def q_frontier_hll_distinct(sf_dir: str):
     """HYPERLOGLOG DISTINCT-URL SKETCH over the seed frontier (Flajolet et
     al. 2007) — the sketch that sizes the 10^10-URL seen-set's cuckoo/bloom
@@ -702,6 +731,11 @@ def _frontier_hll_sql(seeds: str) -> str:
     )
 
 
+@query(
+    "frontier_skew_plan",
+    lambda: _frontier_skew_plan_sql(small_table("frontier_seed")),
+    small=True,
+)
 def q_frontier_skew_plan(sf_dir: str):
     """FRONTIER SKEW SALT PLAN: per host, the distinct-URL count, its
     frontier share in ppm, and the number of salted partitions the
@@ -769,6 +803,7 @@ def _frontier_skew_plan_sql(seeds: str) -> str:
     )
 
 
+@query("host_fetch_health", lambda: _host_fetch_health_sql(small_table("pages")), small=True)
 def q_host_fetch_health(sf_dir: str):
     """HOST FETCH HEALTH: per-host rollup of fetch outcomes over the pages
     table — (host, n_pages, n_ok, n_http_err, ok_ppm) where ok means
@@ -845,6 +880,11 @@ def _host_fetch_health_sql(pages: str) -> str:
     )
 
 
+@query(
+    "recrawl_due_counts",
+    lambda: _recrawl_due_counts_sql(small_table("frontier_seed")),
+    small=True,
+)
 def q_recrawl_due_counts(sf_dir: str):
     """TTL RECRAWL LOAD (CrawlDecider.java:14 — 24 h seen-URL expiry): at
     audit time ``RECRAWL_NOW_MS``, each host's distinct URLs split into
@@ -936,6 +976,11 @@ _CANON_FLAGS = [
 ]
 
 
+@query(
+    "url_canonical_audit",
+    lambda: _url_canonical_audit_sql(_fx_raw_urls(SMALL_SF)),
+    small=True,
+)
 def q_url_canonical_audit(sf_dir: str):
     """URL CANONICALIZATION AUDIT: every raw URL normalized by the
     frontier's URL-seen key rules (``functions.urls.canonicalize_url`` —
@@ -1088,6 +1133,11 @@ def _fx_robots_wildcards(sf_dir: str) -> str:
     return os.path.join(fdir, "robots_wildcards.parquet")
 
 
+@query(
+    "robots_wildcard_gate",
+    lambda: _robots_wildcard_sql(_fx_raw_urls(SMALL_SF), _fx_robots_wildcards(SMALL_SF)),
+    small=True,
+)
 def q_robots_wildcard_gate(sf_dir: str):
     """RFC 9309 WILDCARD ROBOTS GATE: the raw-URL frontier gated by
     per-host rule sets with '*' wildcards and trailing-'$' anchors under
@@ -1237,6 +1287,11 @@ def _hrw_hash_vec(key: np.ndarray, shard: int) -> np.ndarray:
     return x.astype(np.int64)
 
 
+@query(
+    "hrw_shard_rebalance",
+    lambda: _hrw_rebalance_sql(_fx_raw_urls(SMALL_SF)),
+    small=True,
+)
 def q_hrw_shard_rebalance(sf_dir: str):
     """RENDEZVOUS-HASHING SHARD REBALANCE AUDIT: every frontier URL key
     assigned to argmax_s h(key, s) under ``HRW_SHARDS`` shards and again
@@ -1341,6 +1396,7 @@ BLOOM_M_BITS = 131072  # 2^17 filter bits
 BLOOM_K = 3  # hash functions (the HRW mixer salted by hash index)
 
 
+@query("bloom_fp_audit", lambda: _bloom_fp_sql(_fx_raw_urls(SMALL_SF)), small=True)
 def q_bloom_fp_audit(sf_dir: str):
     """BLOOM FALSE-POSITIVE AUDIT: build a ``BLOOM_M_BITS``-bit,
     ``BLOOM_K``-hash Bloom filter over half the raw-URL keys (even
@@ -1478,54 +1534,3 @@ def _bloom_fp_sql(raw: str) -> str:
         "AS fp_ppm, fill_bits, "
         f"fill_bits * 1000000 // {m} AS fill_ppm FROM agg"
     )
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
-CRAWL_QUERIES = {
-    "url_canonical_audit": q_url_canonical_audit,
-    "hrw_shard_rebalance": q_hrw_shard_rebalance,
-    "robots_wildcard_gate": q_robots_wildcard_gate,
-    "bloom_fp_audit": q_bloom_fp_audit,
-    "robots_gate_counts": q_robots_gate_counts,
-    "url_expand_final": q_url_expand_final,
-    "politeness_rounds": q_politeness_rounds,
-    "frontier_schedule": q_frontier_schedule,
-    "host_link_matrix": q_host_link_matrix,
-    "frontier_hll_distinct": q_frontier_hll_distinct,
-    "frontier_skew_plan": q_frontier_skew_plan,
-    "host_fetch_health": q_host_fetch_health,
-    "recrawl_due_counts": q_recrawl_due_counts,
-}
-
-
-def build_crawl_oracles() -> dict[str, str]:
-    """Fixture-path DuckDB oracles (driver gate runs at sf0.01 → fixture
-    tier 'small'; same discipline as oracles_ext)."""
-    from .queries_media import fixture_dir_for
-
-    fdir = fixture_dir_for("/root/testdata/sf0.01")
-    seeds = os.path.join(fdir, "frontier_seed.parquet")
-    redirects = os.path.join(fdir, "redirects.parquet")
-    robots = os.path.join(fdir, "robots.parquet")
-    pages = os.path.join(fdir, "pages.parquet")
-    return {
-        "url_canonical_audit": _url_canonical_audit_sql(_fx_raw_urls("/root/testdata/sf0.01")),
-        "hrw_shard_rebalance": _hrw_rebalance_sql(_fx_raw_urls("/root/testdata/sf0.01")),
-        "robots_wildcard_gate": _robots_wildcard_sql(
-            _fx_raw_urls("/root/testdata/sf0.01"),
-            _fx_robots_wildcards("/root/testdata/sf0.01"),
-        ),
-        "bloom_fp_audit": _bloom_fp_sql(_fx_raw_urls("/root/testdata/sf0.01")),
-        "robots_gate_counts": _robots_gate_counts_sql(seeds, robots),
-        "url_expand_final": _url_expand_final_sql(seeds, redirects),
-        "politeness_rounds": _politeness_rounds_sql(seeds),
-        "frontier_schedule": _frontier_schedule_sql(seeds, redirects, robots),
-        "host_link_matrix": _host_link_matrix_sql(pages),
-        "frontier_hll_distinct": _frontier_hll_sql(seeds),
-        "frontier_skew_plan": _frontier_skew_plan_sql(seeds),
-        "host_fetch_health": _host_fetch_health_sql(pages),
-        "recrawl_due_counts": _recrawl_due_counts_sql(seeds),
-    }

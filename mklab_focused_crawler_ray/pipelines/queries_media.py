@@ -13,6 +13,7 @@ scale choice (tiny=100 images for sf0.001 smoke, small=5000 otherwise).
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -30,6 +31,8 @@ from ..stages.image import (
     pixel_batch,
     pseudo_embed_rgb,
 )
+from . import oracles_ext
+from .registry import query
 
 _TIER_FOR_SF = {"sf0.001": "tiny"}
 
@@ -50,6 +53,7 @@ def _images(sf_dir: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query("image_decode_check", partial(oracles_ext.extended, "image_decode_check"), small=True)
 def q_image_decode_check(sf_dir: str):
     """Per-row invariant booleans: decode_ok / w_ok / h_ok / phash_ok /
     psnr_ok (PSNR ≥ 40 dB; BASELINE input_hint invariant as a dataset).
@@ -82,6 +86,7 @@ def q_image_decode_check(sf_dir: str):
     )
 
 
+@query("image_phash_pairs", partial(oracles_ext.extended, "image_phash_pairs"), small=True)
 def q_image_phash_pairs(sf_dir: str):
     """Near-dup candidate pairs via pHash 16-bit band blocking + exact
     Hamming ≤ 8 verify (VisualIndexerBolt 0.85-gate analogue)."""
@@ -90,6 +95,7 @@ def q_image_phash_pairs(sf_dir: str):
     return phash_band_pairs(_images(sf_dir), max_hamming=8)
 
 
+@query("image_clusters", partial(oracles_ext.extended, "image_clusters"), small=True)
 def q_image_clusters(sf_dir: str):
     """Connected-component near-dup clusters with deterministic
     min-member-id labels (ClustererBolt minus UUID nondeterminism)."""
@@ -98,6 +104,7 @@ def q_image_clusters(sf_dir: str):
     return cluster_images(_images(sf_dir), max_hamming=8)
 
 
+@query("image_thumbnails", partial(oracles_ext.extended, "image_thumbnails"), small=True)
 def q_image_thumbnails(sf_dir: str):
     """Decode + area-resize pixel stage, reported as (image_id,
     thumb_hash, mean_{r,g,b}_x100) where thumb_hash is blake2b-8 of the
@@ -195,6 +202,7 @@ def thumbnail_signature_parquet(fdir: str, out: int = 8) -> str:
     )
 
 
+@query("image_blur_scores", partial(oracles_ext.extended, "image_blur_scores"), small=True)
 def q_image_blur_scores(sf_dir: str):
     """BLUR / SHARPNESS GATE: integer Laplacian-variance per image
     (``stages.image.lap_var_stats`` — BT.601 integer luma, 4-neighbor
@@ -220,6 +228,7 @@ JUNK_DARK_MAX_PPM = 500_000  # more than half the pixels dark → 'dark'
 JUNK_BRIGHT_MAX_PPM = 500_000  # more than half blown out → 'bright'
 
 
+@query("image_junk_gate", partial(oracles_ext.extended, "image_junk_gate"), small=True)
 def q_image_junk_gate(sf_dir: str):
     """COMPOSED IMAGE JUNK GATE: one decode per image feeding BOTH
     sharpness and exposure kernels, reduced to (image_id, keep,
@@ -283,6 +292,7 @@ FLAT_MIN_PPM = 10_000  # dominant 12-bit color bin above 1% of pixels →
 # 'flat' (placeholder/solid-color junk; fixture p95)
 
 
+@query("image_color_stats", partial(oracles_ext.extended, "image_color_stats"), small=True)
 def q_image_color_stats(sf_dir: str):
     """GRAYSCALE / FLAT-COLOR JUNK GATE: per-image integer color
     statistics (``stages.image.color_stats`` — exact mean chroma ppm +
@@ -329,6 +339,7 @@ def color_signature_parquet(fdir: str) -> str:
     )
 
 
+@query("image_curation_funnel", partial(oracles_ext.extended, "image_curation_funnel"), small=True)
 def q_image_curation_funnel(sf_dir: str):
     """IMAGE CURATION FUNNEL: the whole image-tier gate chain as ONE
     audit row of cumulative survivors —
@@ -423,6 +434,7 @@ def curation_gates(images: str):
     )
 
 
+@query("image_exposure_stats", partial(oracles_ext.extended, "image_exposure_stats"), small=True)
 def q_image_exposure_stats(sf_dir: str):
     """EXPOSURE JUNK GATE: per-image under/over-exposed pixel fractions
     (integer BT.601 luma thresholds 16/239, exact ppm) as task-based
@@ -460,6 +472,7 @@ def blur_signature_parquet(fdir: str) -> str:
     )
 
 
+@query("image_embed", partial(oracles_ext.extended, "image_embed"), small=True)
 def q_image_embed(sf_dir: str):
     """Deterministic 64-dim pseudo-embedding per image (SURF/VLAD/PCA
     stand-in, FeatureExtractorBolt shape), reported as (image_id,
@@ -521,6 +534,7 @@ def embed_signature_parquet(fdir: str) -> str:
     )
 
 
+@query("image_topk_similar", partial(oracles_ext.extended, "image_topk_similar"), small=True)
 def q_image_topk_similar(sf_dir: str):
     """Similarity search over the IMAGE tier: exact cosine top-5 neighbors
     for the first 5 images, over the engine-materialized pseudo-embedding
@@ -534,6 +548,7 @@ def q_image_topk_similar(sf_dir: str):
     return brute_force_topk(fixture_embeddings_parquet(sf_dir), n_queries=5, k=5)
 
 
+@query("caption_token_counts", partial(oracles_ext.extended, "caption_token_counts"), small=True)
 def q_caption_token_counts(sf_dir: str):
     """Text analytics over the multimodal table's CAPTION column (the
     input_hint pairs every image with a caption): global token tf + df,
@@ -575,12 +590,18 @@ def q_caption_token_counts(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query("ann_ivf_top10", partial(oracles_ext.extended, "ann_ivf_top10"), small=True)
 def q_ann_ivf_top10(sf_dir: str):
     from ..stages.ann import ivf_topk
 
     return ivf_topk(os.path.join(sf_dir, "embeddings.parquet"), n_queries=5, k=10)
 
 
+@query(
+    "ann_ivf_partitioned_top10",
+    partial(oracles_ext.extended, "ann_ivf_partitioned_top10"),
+    small=True,
+)
 def q_ann_ivf_partitioned_top10(sf_dir: str):
     """IVF over a centroid-partitioned parquet layout — queries read ONLY
     their nprobe partitions (prune-at-the-read scale path); result equals
@@ -591,12 +612,14 @@ def q_ann_ivf_partitioned_top10(sf_dir: str):
     return ivf_partitioned_topk(src, ivf_layout_key(src), n_queries=5, k=10)
 
 
+@query("ann_lsh_top10", partial(oracles_ext.extended, "ann_lsh_top10"), small=True)
 def q_ann_lsh_top10(sf_dir: str):
     from ..stages.ann import lsh_topk
 
     return lsh_topk(os.path.join(sf_dir, "embeddings.parquet"), n_queries=5, k=10)
 
 
+@query("embedding_dup_pairs", partial(oracles_ext.extended, "embedding_dup_pairs"))
 def q_embedding_dup_pairs(sf_dir: str):
     """Embedding-cosine near-dup pairs via hyperplane-LSH blocking
     (stages/dedup.embedding_cosine_pairs). NOTE: the driver's embeddings
@@ -640,6 +663,7 @@ def pseudo_embeddings_for_fixture(fdir: str) -> str:
     return cache.materialize(cache.key("pseudo_embeddings.parquet", images), write)
 
 
+@query("image_visual_clusters", partial(oracles_ext.extended, "image_visual_clusters"), small=True)
 def q_image_visual_clusters(sf_dir: str):
     """Full visual-indexing path (Crawler topology §3.2): pseudo-embed every
     image → replay through the sharded combined query+insert index (0.85
@@ -775,6 +799,7 @@ def visual_clusters_parallel(emb_parquet: str, n_parts: int = 4):
     )
 
 
+@query("image_visual_clusters_parallel")
 def q_image_visual_clusters_parallel(sf_dir: str):
     """Opt-in partition-parallel variant of q_image_visual_clusters — see
     :func:`visual_clusters_parallel` for semantics and the exact-equality
@@ -782,6 +807,7 @@ def q_image_visual_clusters_parallel(sf_dir: str):
     return visual_clusters_parallel(fixture_embeddings_parquet(sf_dir))
 
 
+@query("image_embed_dup_pairs", partial(oracles_ext.extended, "image_embed_dup_pairs"), small=True)
 def q_image_embed_dup_pairs(sf_dir: str):
     """Embedding-cosine near-dup over the image fixture's pseudo-embeddings:
     planted duplicates (re-encode / downscale) give genuine cosine≈1 pairs."""
@@ -799,6 +825,7 @@ def q_image_embed_dup_pairs(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query("simhash_dup_pairs", partial(oracles_ext.extended, "simhash_dup_pairs"), small=True)
 def q_simhash_dup_pairs(sf_dir: str):
     """SimHash near-dup pairs: 4×16-bit band blocking (pigeonhole-exact for
     Hamming ≤ 3), exact Hamming verify."""
@@ -811,6 +838,7 @@ def q_simhash_dup_pairs(sf_dir: str):
     )
 
 
+@query("items_pos_tokens", partial(oracles_ext.extended, "items_pos_tokens"), small=True)
 def q_items_pos_tokens(sf_dir: str):
     """TokenizationBolt POS mode: 'word#tag' tokens (deterministic
     suffix-rule tagger standing in for the Maxent model)."""
@@ -819,6 +847,7 @@ def q_items_pos_tokens(sf_dir: str):
     return items_tokens(_items(sf_dir), mode="POS")
 
 
+@query("ngram_jaccard_pairs", partial(oracles_ext.extended, "ngram_jaccard_pairs"))
 def q_ngram_jaccard_pairs(sf_dir: str):
     """Token-3-gram Jaccard ≥ 0.5 near-dup pairs: per-doc shingle-hash
     signature → MinHash-LSH candidate blocking → exact 3-gram Jaccard
@@ -845,6 +874,7 @@ EVENT_WINDOWS = 5
 DOCS_PER_WINDOW = 50
 
 
+@query("event_candidates", partial(oracles_ext.extended, "event_candidates"))
 def q_event_candidates(sf_dir: str):
     """Candidate event tokens per window over the documents table, windowed
     by ingest order (window = doc_id // DOCS_PER_WINDOW — the reference
@@ -896,6 +926,15 @@ def q_event_candidates(sf_dir: str):
     return candidate_events_dataset(counts, windows=EVENT_WINDOWS)
 
 
+@query(
+    "windowed_token_df",
+    (
+    'WITH tok AS (SELECT CAST(FLOOR(doc_id / {dpw}.0) AS BIGINT) AS "window", '
+    "unnest(list_distinct(regexp_extract_all(lower(text), '[a-z0-9]+'))) AS token "
+    "FROM documents) "
+    'SELECT "window", token, COUNT(*) AS df FROM tok GROUP BY 1, 2'
+    ).format(dpw=DOCS_PER_WINDOW),
+)
 def q_windowed_token_df(sf_dir: str):
     """SQL-checkable windowed (window, token) document frequency."""
     import ray.data as rd
@@ -932,6 +971,10 @@ def q_windowed_token_df(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "props_extract",
+    "SELECT event_id, CAST(json_extract(props, '$.k') AS BIGINT) AS k FROM events",
+)
 def q_props_extract(sf_dir: str):
     """JSON scalar extraction (Gson-deserialization parity — SURVEY §2.10
     scalar functions): props → k as int."""
@@ -952,6 +995,11 @@ def q_props_extract(sf_dir: str):
     )
 
 
+@query(
+    "top3_docs_per_lang",
+    "SELECT doc_id, lang, n_chars FROM documents "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY lang ORDER BY n_chars DESC, doc_id ASC) <= 3",
+)
 def q_top3_docs_per_lang(sf_dir: str):
     """Per-group bounded top-k (BoundedPQueue semantics per group): the 3
     longest documents per language, ties broken by doc_id asc."""
@@ -969,6 +1017,11 @@ def q_top3_docs_per_lang(sf_dir: str):
     )
 
 
+@query(
+    "user_rolling_counts",
+    "SELECT CAST(FLOOR(epoch_ms(ts)/600000.0) AS BIGINT) AS window, user_id, "
+    "COUNT(*) AS n FROM events GROUP BY 1, 2",
+)
 def q_host_counts_events(sf_dir: str):
     """Per-user rolling count with 10-minute windows (MediaCounterBolt
     10-min flush cadence as a (window, user) groupby)."""
@@ -1010,6 +1063,7 @@ def _items(sf_dir: str) -> str:
     return os.path.join(fixture_dir_for(sf_dir), "items.parquet")
 
 
+@query("items_entities", partial(oracles_ext.extended, "items_entities"), small=True)
 def q_items_entities(sf_dir: str):
     """EntityExtractionBolt: NER over item titles, deduped (type, lowercase
     name) with mention counts (deterministic pattern model; actor-pool
@@ -1046,6 +1100,7 @@ def q_items_entities(sf_dir: str):
     )
 
 
+@query("items_ne_tokens", partial(oracles_ext.extended, "items_ne_tokens"), small=True)
 def q_items_ne_tokens(sf_dir: str):
     """TokenizationBolt NE mode: entity-name tokens per item."""
     from ..stages.nlp import items_tokens
@@ -1053,6 +1108,7 @@ def q_items_ne_tokens(sf_dir: str):
     return items_tokens(_items(sf_dir), mode="NE")
 
 
+@query("items_bigrams", partial(oracles_ext.extended, "items_bigrams"), small=True)
 def q_items_bigrams(sf_dir: str):
     """TokenizationBolt ALL mode + ShingleFilter bigrams ('_' separator)."""
     from ..stages.nlp import items_tokens
@@ -1060,6 +1116,7 @@ def q_items_bigrams(sf_dir: str):
     return items_tokens(_items(sf_dir), mode="ALL", ngrams=2)
 
 
+@query("items_top100", partial(oracles_ext.extended, "items_top100"), small=True)
 def q_items_top100(sf_dir: str):
     """ItemsRankerBolt shares-score + BoundedPQueue top-100."""
     from ..stages.nlp import items_ranked
@@ -1067,6 +1124,7 @@ def q_items_top100(sf_dir: str):
     return items_ranked(_items(sf_dir), k=100)
 
 
+@query("items_tag_counts", partial(oracles_ext.extended, "items_tag_counts"), small=True)
 def q_items_tag_counts(sf_dir: str):
     """ItemsCounterBolt tag counts (explode + partial-agg groupby)."""
     from ..stages.nlp import items_tag_counts
@@ -1074,6 +1132,11 @@ def q_items_tag_counts(sf_dir: str):
     return items_tag_counts(_items(sf_dir))
 
 
+@query(
+    "items_event_candidates",
+    partial(oracles_ext.extended, "items_event_candidates"),
+    small=True,
+)
 def q_items_event_candidates(sf_dir: str):
     """EventDetectionBolt: windowed IDF-shift candidate events over item
     titles (60 s windows, 5 snapshots — SocialMediaMonitor defaults)."""
@@ -1082,6 +1145,7 @@ def q_items_event_candidates(sf_dir: str):
     return items_event_candidates(_items(sf_dir))
 
 
+@query("crawl_trace")
 def q_crawl_trace(sf_dir: str):
     """Flagship crawl (north rule) as a registry entry: run the full round
     loop on the deterministic tiny fixture (sharded frontier, politeness,
@@ -1112,6 +1176,7 @@ def q_crawl_trace(sf_dir: str):
     )
 
 
+@query("items_json_roundtrip", partial(oracles_ext.extended, "items_json_roundtrip"), small=True)
 def q_items_json_roundtrip(sf_dir: str):
     """Deserialization-bolt semantics (WebPage/MediaItem/Item
     DeserializationBolt: JSON string → typed record, parse failures DROPPED
@@ -1156,6 +1221,11 @@ def q_items_json_roundtrip(sf_dir: str):
     )
 
 
+@query(
+    "platform_media_extract",
+    partial(oracles_ext.extended, "platform_media_extract"),
+    small=True,
+)
 def q_platform_media_extract(sf_dir: str):
     """MediaExtractionBolt regex dispatch over the URL universe: platform +
     media id per social-routed URL ('' = passthrough row)."""
@@ -1182,6 +1252,17 @@ def q_platform_media_extract(sf_dir: str):
 MEDIA_ARRIVAL_MOD = 4096  # synthetic re-arrival rate: distinct media ids
 
 
+@query(
+    "media_stream_users",
+    "WITH arr AS (SELECT event_id, epoch_us(ts) AS ts_us, user_id, "
+    f"event_id % {MEDIA_ARRIVAL_MOD} AS media_id FROM events), "
+    "nm AS (SELECT media_id, ts_us, event_id, user_id FROM "
+    "(SELECT arr.*, ROW_NUMBER() OVER (PARTITION BY media_id "
+    "ORDER BY ts_us, event_id) AS rn FROM arr) WHERE rn = 1) "
+    "SELECT user_id, ts_us AS inserted_ts_us, media_id AS first_media_id "
+    "FROM (SELECT nm.*, ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY ts_us, event_id) AS urn FROM nm) WHERE urn = 1",
+)
 def q_media_stream_users(sf_dir: str):
     """StreamUsers side-table insert set — ``MediaUpdaterBolt.java:94-125``:
     on a NEW media item's insert, the contributing user is stored iff not
@@ -1260,6 +1341,7 @@ def q_media_stream_users(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query("image_format_stats", partial(oracles_ext.extended, "image_format_stats"), small=True)
 def q_image_format_stats(sf_dir: str):
     """Storage-format profile of the multimodal corpus: per ``fmt`` row
     count, total encoded bytes, total decoded pixels, caption character
@@ -1308,6 +1390,7 @@ def q_image_format_stats(sf_dir: str):
     )
 
 
+@query("image_aspect_stats", partial(oracles_ext.extended, "image_aspect_stats"), small=True)
 def q_image_aspect_stats(sf_dir: str):
     """Aspect-class × format histogram (wide = w:h beyond 4:3, tall = the
     transpose, boxy otherwise) with pixel volume — the size/aspect gate a
@@ -1341,6 +1424,11 @@ def q_image_aspect_stats(sf_dir: str):
     )
 
 
+@query(
+    "image_phash_dup_groups",
+    partial(oracles_ext.extended, "image_phash_dup_groups"),
+    small=True,
+)
 def q_image_phash_dup_groups(sf_dir: str):
     """Exact perceptual-hash dedup groups, first-wins: every ``phash``
     carried by more than one image, with copy count and the kept (minimum)
@@ -1390,6 +1478,7 @@ PR_ITERS = 5  # deterministic PageRank fixed-point iterations
 PR_TOP = 20  # pages kept
 
 
+@query("pagerank_top20", partial(oracles_ext.extended, "pagerank_top20"), small=True)
 def q_pagerank_top20(sf_dir: str):
     """ITERATIVE graph algorithm: integer-exact PageRank over the fixture\'s
     page link graph (``pages.out_links``), top-``PR_TOP`` pages after
@@ -1531,6 +1620,11 @@ def alignment_scores(images: str):
     return map_pixels(images, align_batch, ["caption"])
 
 
+@query(
+    "caption_image_alignment",
+    partial(oracles_ext.extended, "caption_image_alignment"),
+    small=True,
+)
 def q_caption_image_alignment(sf_dir: str):
     """CAPTION–IMAGE ALIGNMENT gate (VERDICT r3 missing #4): every
     image+caption pair scored by the integer dot of its shifted-micro
@@ -1553,6 +1647,7 @@ def q_caption_image_alignment(sf_dir: str):
 AR_BUCKETS = [(1, 1), (4, 3), (3, 4), (16, 9), (9, 16)]  # training AR set
 
 
+@query("image_ar_buckets", partial(oracles_ext.extended, "image_ar_buckets"), small=True)
 def q_image_ar_buckets(sf_dir: str):
     """ASPECT-RATIO BUCKETING (SDXL-style batched training prep): every
     image assigned to the nearest aspect-ratio bucket from a fixed
@@ -1595,6 +1690,7 @@ XMODAL_QUERIES = 5  # query captions (alphabetically-first image ids)
 XMODAL_K = 10  # images returned per query caption
 
 
+@query("caption_to_image_topk", partial(oracles_ext.extended, "caption_to_image_topk"), small=True)
 def q_caption_to_image_topk(sf_dir: str):
     """CROSS-MODAL RETRIEVAL: the ``XMODAL_QUERIES`` alphabetically-first
     images' captions used as text queries against EVERY image's pixel
@@ -1694,6 +1790,7 @@ def dhash_signature_parquet(fdir: str) -> str:
     )
 
 
+@query("image_dhash_agreement", partial(oracles_ext.extended, "image_dhash_agreement"), small=True)
 def q_image_dhash_agreement(sf_dir: str):
     """DUAL-HASH DEDUP AGREEMENT AUDIT: the banded near-dup pair sets
     of pHash (DCT, global frequency) and dHash (gradient) over the same
@@ -1730,6 +1827,7 @@ def q_image_dhash_agreement(sf_dir: str):
     )
 
 
+@query("image_dedup_eval", partial(oracles_ext.extended, "image_dedup_eval"), small=True)
 def q_image_dedup_eval(sf_dir: str):
     """IMAGE DEDUP QUALITY EVAL: pair-counting precision/recall of the
     pHash near-dup clustering (``q_image_clusters``) against the
@@ -1817,6 +1915,7 @@ XRECALL_QUERIES = 50  # sampled ground-truth pairs (alphabetically-first)
 XRECALL_KS = (1, 5, 10)
 
 
+@query("crossmodal_recall", partial(oracles_ext.extended, "crossmodal_recall"), small=True)
 def q_crossmodal_recall(sf_dir: str):
     """CROSS-MODAL RETRIEVAL QUALITY EVAL: recall@k in BOTH directions
     (caption→image and image→caption) for the ``XRECALL_QUERIES``
@@ -1923,6 +2022,11 @@ def crossmodal_recall_over(images: str):
     )
 
 
+@query(
+    "multimodal_filter_aligned",
+    partial(oracles_ext.extended, "multimodal_filter_aligned"),
+    small=True,
+)
 def q_multimodal_filter_aligned(sf_dir: str):
     """COMPOSED multimodal gate: ``multimodal_filter_kept`` (first-wins
     phash dedup ∧ pixel floor ∧ caption quality) ∧ caption–image
@@ -1994,6 +2098,11 @@ def q_multimodal_filter_aligned(sf_dir: str):
     return cogroup([kept, aligned], "image_id", join, nb)
 
 
+@query(
+    "multimodal_filter_kept",
+    partial(oracles_ext.extended, "multimodal_filter_kept"),
+    small=True,
+)
 def q_multimodal_filter_kept(sf_dir: str):
     """END-TO-END multimodal curation gate over the input_hint table — the
     image-tier analogue of ``corpus_filter_kept``: keep an image+caption
@@ -2075,6 +2184,7 @@ def q_multimodal_filter_kept(sf_dir: str):
 
 
 
+@query("page_image_join_stats", partial(oracles_ext.extended, "page_image_join_stats"), small=True)
 def q_page_image_join_stats(sf_dir: str):
     """CROSS-TABLE multimodal join: every page's embedded image ids
     (``pages.image_ids``) joined to the image table's dimensions, rolled up
@@ -2156,6 +2266,7 @@ def q_page_image_join_stats(sf_dir: str):
     )
 
 
+@query("caption_quality", partial(oracles_ext.extended, "caption_quality"), small=True)
 def q_caption_quality(sf_dir: str):
     """Quality-score gate over the CAPTION side of the multimodal pairs —
     ``functions/text.quality_features`` (the SimpleEstimator.isLowQuality
@@ -2202,6 +2313,7 @@ def _av_fixture_dir(sf_dir: str) -> str:
     return ensure_av_tables(os.path.basename(os.path.normpath(fdir)), fdir)
 
 
+@query("audio_clip_stats", partial(oracles_ext.extended, "audio_clip_stats"), small=True)
 def q_audio_clip_stats(sf_dir: str):
     """Integer clip features (sr, n_samples, rms, peak, zero_cross) from a
     REAL PCM-16 WAV decode in an actor-pool stage (stages/av.AudioFeatures;
@@ -2228,6 +2340,7 @@ def q_audio_clip_stats(sf_dir: str):
     )
 
 
+@query("video_frame_stats", partial(oracles_ext.extended, "video_frame_stats"), small=True)
 def q_video_frame_stats(sf_dir: str):
     """Every-5th-frame sample of the RVID1 fixture videos → exploded rows
     (video_id, frame_idx, frame_hash, mean_lum_milli) from a REAL container
@@ -2317,6 +2430,7 @@ def video_signature_parquet(fdir: str) -> str:
     return cache.materialize(cache.key("video_signatures.parquet", videos), write)
 
 
+@query("video_dup_pairs", partial(oracles_ext.extended, "video_dup_pairs"), small=True)
 def q_video_dup_pairs(sf_dir: str):
     """VIDEO NEAR-DUP MINING over sampled-frame signatures: pairs of
     videos whose every-Nth-frame hash sets (the video_frame_stats
@@ -2446,6 +2560,7 @@ def q_video_dup_pairs(sf_dir: str):
 VIDEO_CUT_THRESH_MILLI = 48_000
 
 
+@query("video_scene_cuts", partial(oracles_ext.extended, "video_scene_cuts"), small=True)
 def q_video_scene_cuts(sf_dir: str):
     """SCENE-CUT DETECTION at sampled-frame granularity: per video, the
     count of consecutive-sampled-frame pairs whose Rec.601 mean-luma jump
@@ -2480,92 +2595,3 @@ def q_video_scene_cuts(sf_dir: str):
         )
 
     return stats.groupby("video_id").map_groups(cuts, batch_format="pandas")
-
-
-MEDIA_QUERIES = {
-    "media_stream_users": q_media_stream_users,
-    "image_decode_check": q_image_decode_check,
-    "image_phash_pairs": q_image_phash_pairs,
-    "image_clusters": q_image_clusters,
-    "image_embed": q_image_embed,
-    "image_thumbnails": q_image_thumbnails,
-    "image_blur_scores": q_image_blur_scores,
-    "image_exposure_stats": q_image_exposure_stats,
-    "image_color_stats": q_image_color_stats,
-    "crossmodal_recall": q_crossmodal_recall,
-    "image_dedup_eval": q_image_dedup_eval,
-    "image_dhash_agreement": q_image_dhash_agreement,
-    "image_curation_funnel": q_image_curation_funnel,
-    "image_junk_gate": q_image_junk_gate,
-    "image_format_stats": q_image_format_stats,
-    "image_aspect_stats": q_image_aspect_stats,
-    "image_phash_dup_groups": q_image_phash_dup_groups,
-    "caption_quality": q_caption_quality,
-    "multimodal_filter_kept": q_multimodal_filter_kept,
-    "caption_image_alignment": q_caption_image_alignment,
-    "multimodal_filter_aligned": q_multimodal_filter_aligned,
-    "caption_to_image_topk": q_caption_to_image_topk,
-    "image_ar_buckets": q_image_ar_buckets,
-    "page_image_join_stats": q_page_image_join_stats,
-    "pagerank_top20": q_pagerank_top20,
-    "image_topk_similar": q_image_topk_similar,
-    "caption_token_counts": q_caption_token_counts,
-    "ann_ivf_top10": q_ann_ivf_top10,
-    "ann_lsh_top10": q_ann_lsh_top10,
-    "ann_ivf_partitioned_top10": q_ann_ivf_partitioned_top10,
-    "embedding_dup_pairs": q_embedding_dup_pairs,
-    "image_embed_dup_pairs": q_image_embed_dup_pairs,
-    "image_visual_clusters": q_image_visual_clusters,
-    "image_visual_clusters_parallel": q_image_visual_clusters_parallel,
-    "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
-    "simhash_dup_pairs": q_simhash_dup_pairs,
-    "items_pos_tokens": q_items_pos_tokens,
-    "event_candidates": q_event_candidates,
-    "windowed_token_df": q_windowed_token_df,
-    "props_extract": q_props_extract,
-    "top3_docs_per_lang": q_top3_docs_per_lang,
-    "user_rolling_counts": q_host_counts_events,
-    "items_entities": q_items_entities,
-    "items_ne_tokens": q_items_ne_tokens,
-    "items_bigrams": q_items_bigrams,
-    "items_top100": q_items_top100,
-    "items_tag_counts": q_items_tag_counts,
-    "items_event_candidates": q_items_event_candidates,
-    "platform_media_extract": q_platform_media_extract,
-    "items_json_roundtrip": q_items_json_roundtrip,
-    "crawl_trace": q_crawl_trace,
-    "audio_clip_stats": q_audio_clip_stats,
-    "video_frame_stats": q_video_frame_stats,
-    "video_dup_pairs": q_video_dup_pairs,
-    "video_scene_cuts": q_video_scene_cuts,
-}
-
-MEDIA_ORACLE_SQL = {
-    "media_stream_users": (
-        "WITH arr AS (SELECT event_id, epoch_us(ts) AS ts_us, user_id, "
-        f"event_id % {MEDIA_ARRIVAL_MOD} AS media_id FROM events), "
-        "nm AS (SELECT media_id, ts_us, event_id, user_id FROM "
-        "(SELECT arr.*, ROW_NUMBER() OVER (PARTITION BY media_id "
-        "ORDER BY ts_us, event_id) AS rn FROM arr) WHERE rn = 1) "
-        "SELECT user_id, ts_us AS inserted_ts_us, media_id AS first_media_id "
-        "FROM (SELECT nm.*, ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY ts_us, event_id) AS urn FROM nm) WHERE urn = 1"
-    ),
-    "windowed_token_df": (
-        'WITH tok AS (SELECT CAST(FLOOR(doc_id / {dpw}.0) AS BIGINT) AS "window", '
-        "unnest(list_distinct(regexp_extract_all(lower(text), '[a-z0-9]+'))) AS token "
-        "FROM documents) "
-        'SELECT "window", token, COUNT(*) AS df FROM tok GROUP BY 1, 2'
-    ).format(dpw=DOCS_PER_WINDOW),
-    "props_extract": (
-        "SELECT event_id, CAST(json_extract(props, '$.k') AS BIGINT) AS k FROM events"
-    ),
-    "top3_docs_per_lang": (
-        "SELECT doc_id, lang, n_chars FROM documents "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY lang ORDER BY n_chars DESC, doc_id ASC) <= 3"
-    ),
-    "user_rolling_counts": (
-        "SELECT CAST(FLOOR(epoch_ms(ts)/600000.0) AS BIGINT) AS window, user_id, "
-        "COUNT(*) AS n FROM events GROUP BY 1, 2"
-    ),
-}

@@ -26,11 +26,14 @@ import numpy as np
 import pyarrow as pa
 
 from ..scale import cogroup, derive_buckets
+from .registry import query
+
+_TOK_SQL_ML = "regexp_extract_all(lower(text), '[a-z0-9]+')"
 
 
 def _p(sf_dir: str, table: str) -> str:
     # local copy of queries._p — a top-level import would be circular
-    # (queries imports this module to register ML_QUERIES)
+    # (queries imports this module to register its queries)
     return os.path.join(sf_dir, f"{table}.parquet")
 
 KMEANS_K = 8  # centroids = embeddings with vec_id < K (deterministic init)
@@ -39,6 +42,12 @@ ANTI_PRIORITY = "1-URGENT"  # anti-join predicate on the orders side
 DAY_MS = 86_400_000
 
 
+@query(
+    "customers_without_urgent",
+    "SELECT c_mktsegment, COUNT(*) AS n_customers FROM customer c "
+    "WHERE NOT EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey "
+    f"AND o.o_orderpriority = '{ANTI_PRIORITY}') GROUP BY c_mktsegment",
+)
 def q_customers_without_urgent(sf_dir: str):
     """Distributed ANTI-JOIN: customers with NO '1-URGENT' order, counted
     per market segment.
@@ -108,6 +117,13 @@ def q_customers_without_urgent(sf_dir: str):
     )
 
 
+@query(
+    "orders_join_nation",
+    "SELECT n_name, COUNT(*) AS n_orders, "
+    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents "
+    "FROM orders JOIN customer ON o_custkey = c_custkey "
+    "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name",
+)
 def q_orders_join_nation(sf_dir: str):
     """Distributed SHUFFLE HASH JOIN (no broadcast side): orders ⋈ customer
     co-partitioned by hash(custkey) into ``join_buckets`` groups, each
@@ -200,6 +216,14 @@ def q_orders_join_nation(sf_dir: str):
 HOP_WINDOWS = 5  # each 1-minute slot contributes to this many hopping windows
 
 
+@query(
+    "hopping_counts",
+    "WITH e AS (SELECT CAST(FLOOR(epoch_ms(ts)/60000.0) AS BIGINT) AS m, event_type "
+    "FROM events), "
+    f"h AS (SELECT m - CAST(k AS BIGINT) AS w, event_type FROM e "
+    f"CROSS JOIN range({HOP_WINDOWS}) r(k)) "
+    "SELECT w, event_type, COUNT(*) AS n FROM h GROUP BY 1, 2",
+)
 def q_hopping_counts(sf_dir: str):
     """Hopping-window counts (5-minute windows advancing by 1 minute): the
     overlapping-window generalization of ``windowed_counts``'s tumbling
@@ -239,6 +263,11 @@ def q_hopping_counts(sf_dir: str):
     )
 
 
+@query(
+    "daily_active_users",
+    f"SELECT CAST(FLOOR(epoch_ms(ts)/{DAY_MS}.0) AS BIGINT) AS day, event_type, "
+    "COUNT(DISTINCT user_id) AS n_users FROM events GROUP BY 1, 2",
+)
 def q_daily_active_users(sf_dir: str):
     """Exact distinct-user counts per (day, event_type) with dedup BEFORE
     the shuffle: each batch collapses to its distinct (day, type, user)
@@ -289,6 +318,14 @@ def q_daily_active_users(sf_dir: str):
     )
 
 
+@query(
+    "user_value_rolling3",
+    "WITH e AS (SELECT event_id, user_id, epoch_ms(ts) AS ms, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
+    "SELECT event_id, user_id, CAST(SUM(cents) OVER (PARTITION BY user_id "
+    "ORDER BY ms, event_id ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS BIGINT) "
+    "AS roll3_cents FROM e",
+)
 def q_user_value_rolling3(sf_dir: str):
     """Per-user rolling-window aggregate (ROWS BETWEEN 2 PRECEDING AND
     CURRENT ROW over (ms, event_id) order): the sliding-count semantics of
@@ -349,6 +386,21 @@ def q_user_value_rolling3(sf_dir: str):
     )
 
 
+@query(
+    "kmeans_assign",
+    "WITH c AS (SELECT vec_id AS centroid_id, "
+    "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
+    f"FROM embeddings WHERE vec_id < {KMEANS_K}), "
+    "v AS (SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve "
+    "FROM embeddings), "
+    "s AS (SELECT v.vec_id, c.centroid_id, "
+    "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) AS BIGINT) AS cm "
+    "FROM v CROSS JOIN c), "
+    "a AS (SELECT vec_id, centroid_id, cm FROM s "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY cm DESC, centroid_id ASC) = 1) "
+    "SELECT centroid_id, COUNT(*) AS n, CAST(SUM(cm) AS BIGINT) AS sum_cos_micro "
+    "FROM a GROUP BY centroid_id",
+)
 def q_kmeans_assign(sf_dir: str):
     """One k-means assignment sweep: every embedding goes to its
     micro-cosine-nearest of ``KMEANS_K`` fixed centroids (deterministic
@@ -401,6 +453,20 @@ def q_kmeans_assign(sf_dir: str):
     )
 
 
+@query(
+    "tfidf_top_terms",
+    f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL_ML}) AS token FROM documents), "
+    "tf AS (SELECT doc_id, token, COUNT(*) AS tf FROM tok GROUP BY 1, 2), "
+    "df AS (SELECT token, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY 1), "
+    "n AS (SELECT COUNT(*) AS n FROM documents), "
+    "s AS (SELECT tf.doc_id, tf.token, tf.tf, tf.tf * "
+    "CAST(FLOOR(LOG10(n.n/CAST(df.df AS DOUBLE))*1000000 + 0.5) AS BIGINT) AS score "
+    "FROM tf JOIN df USING (token) CROSS JOIN n) "
+    "SELECT doc_id, token, tf, score, "
+    "CAST(ROW_NUMBER() OVER w - 1 AS BIGINT) AS rank FROM s "
+    "WINDOW w AS (PARTITION BY doc_id ORDER BY score DESC, token ASC) "
+    f"QUALIFY ROW_NUMBER() OVER w <= {TFIDF_TOP}",
+)
 def q_tfidf_top_terms(sf_dir: str):
     """Per-document top-``TFIDF_TOP`` terms by tf·idf, EXACT in integers:
     score = tf × idf_micro (both int64), ties → term ascending. The
@@ -479,6 +545,16 @@ def q_tfidf_top_terms(sf_dir: str):
     return docs.map_batches(score, batch_format="pyarrow")
 
 
+@query(
+    "orders_above_cust_avg",
+    "WITH a AS (SELECT o_custkey, COUNT(*) AS cnt, "
+    "SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS s "
+    "FROM orders GROUP BY 1) "
+    "SELECT o_orderpriority, COUNT(*) AS n_above FROM orders "
+    "JOIN a USING (o_custkey) "
+    "WHERE CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) * cnt > s "
+    "GROUP BY 1",
+)
 def q_orders_above_cust_avg(sf_dir: str):
     """Correlated-aggregate join, EXACT without division: orders priced
     above their own customer's average order value, counted per priority.
@@ -586,6 +662,13 @@ def q_orders_above_cust_avg(sf_dir: str):
     )
 
 
+@query(
+    "latest_event_per_user",
+    "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events) "
+    "SELECT user_id, event_id, ms FROM e "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY ms DESC, event_id DESC) = 1",
+)
 def q_latest_event_per_user(sf_dir: str):
     """ARGMAX per key: each user's latest event (greatest (ms, event_id)),
     the MongoDbSpout ``sort(desc).limit(1)``-per-key pattern. Per-batch
@@ -644,6 +727,14 @@ ROLLUP_ALL_DAY = -1  # sentinel for the day-rollup level
 ROLLUP_ALL_TYPE = "ALL"  # sentinel for the type-rollup level
 
 
+@query(
+    "event_rollup_counts",
+    f"WITH e AS (SELECT CAST(FLOOR(epoch_ms(ts)/{DAY_MS}.0) AS BIGINT) AS day, "
+    "event_type FROM events) "
+    f"SELECT COALESCE(day, {ROLLUP_ALL_DAY}) AS day, "
+    f"COALESCE(event_type, '{ROLLUP_ALL_TYPE}') AS event_type, COUNT(*) AS n "
+    "FROM e GROUP BY ROLLUP (day, event_type)",
+)
 def q_event_rollup_counts(sf_dir: str):
     """Multi-level ROLLUP aggregation in ONE shuffle: counts at
     (day, type), (day, ALL) and (ALL, ALL) granularity, with every rollup
@@ -697,6 +788,12 @@ SET_A_PRIO = "1-URGENT"  # set difference: customers with an A-priority order ..
 SET_B_PRIO = "5-LOW"  # ... and no B-priority order
 
 
+@query(
+    "custs_urgent_no_low",
+    f"SELECT o_custkey FROM orders WHERE o_orderpriority = '{SET_A_PRIO}' "
+    "EXCEPT "
+    f"SELECT o_custkey FROM orders WHERE o_orderpriority = '{SET_B_PRIO}'",
+)
 def q_custs_urgent_no_low(sf_dir: str):
     """Distributed SET DIFFERENCE (EXCEPT): customers who placed at least
     one URGENT order and no LOW order. Per-batch dedup collapses rows to
@@ -744,6 +841,23 @@ def q_custs_urgent_no_low(sf_dir: str):
 OVERLAP_BUCKET_MS = 4 * 3_600_000  # time-range partition for the interval join
 
 
+def _session_overlap_sql() -> str:
+    # interval-overlap join oracle, composed from the registered
+    # sessionization oracle
+    from .queries import ORACLE_SQL
+
+    return (
+        "WITH sess AS (" + ORACLE_SQL["user_sessions"] + ") "
+        "SELECT a.user_id AS user_a, a.session_idx AS sidx_a, "
+        "b.user_id AS user_b, b.session_idx AS sidx_b, "
+        "CAST(LEAST(a.end_ms, b.end_ms) - GREATEST(a.start_ms, b.start_ms) AS BIGINT) "
+        "AS overlap_ms "
+        "FROM sess a JOIN sess b ON a.start_ms <= b.end_ms AND b.start_ms <= a.end_ms "
+        "AND (a.user_id < b.user_id OR (a.user_id = b.user_id AND a.session_idx < b.session_idx))"
+    )
+
+
+@query("session_overlap_pairs", _session_overlap_sql)
 def q_session_overlap_pairs(sf_dir: str):
     """Distributed INTERVAL (range-overlap) JOIN: all pairs of user
     sessions that overlap in time, with their exact overlap length — the
@@ -848,6 +962,7 @@ def q_user_sessions_sessions(sf_dir: str):
 HLL_P = 12  # 2^12 registers; 64-12=52 rho bits — exact in float64 log2
 
 
+@query("approx_distinct_users")
 def q_approx_distinct_users(sf_dir: str):
     """HyperLogLog distinct-user estimate per event_type — the mergeable
     sketch for distinct counts too large for ``q_daily_active_users``'s
@@ -916,6 +1031,24 @@ def q_approx_distinct_users(sf_dir: str):
 QUARTILE_QS = (25, 50, 75)  # equi-depth edges per event_type
 
 
+@query(
+    "value_quartile_counts",
+    "WITH c AS (SELECT event_type, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents "
+    "FROM events), "
+    "n AS (SELECT event_type, COUNT(*) AS n FROM c GROUP BY 1), "
+    "r AS (SELECT event_type, cents, "
+    "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c), "
+    "e AS (SELECT r.event_type, "
+    + ", ".join(
+        f"MIN(CASE WHEN rk >= ({q} * n.n + 99) // 100 THEN cents END) AS e{q}"
+        for q in QUARTILE_QS
+    )
+    + " FROM r JOIN n USING (event_type) GROUP BY r.event_type) "
+    "SELECT c.event_type, CAST(("
+    + " + ".join(f"CASE WHEN cents > e{q} THEN 1 ELSE 0 END" for q in QUARTILE_QS)
+    + ") AS BIGINT) AS quartile, COUNT(*) AS n "
+    "FROM c JOIN e USING (event_type) GROUP BY 1, 2",
+)
 def q_value_quartile_counts(sf_dir: str):
     """Equi-depth (quantile) bucketing: each event lands in its per-type
     value QUARTILE, where the edges are the EXACT p25/p50/p75 under the
@@ -999,6 +1132,17 @@ def q_value_quartile_counts(sf_dir: str):
     )
 
 
+@query(
+    "doc_unigram_logprob",
+    f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL_ML}) AS token FROM documents), "
+    "tot AS (SELECT COUNT(*) AS t FROM tok), "
+    "uc AS (SELECT token, COUNT(*) AS c FROM tok GROUP BY 1), "
+    "lp AS (SELECT token, "
+    "CAST(FLOOR(LOG10(CAST(c AS DOUBLE)/t.t)*1000000 + 0.5) AS BIGINT) AS lp "
+    "FROM uc CROSS JOIN tot t) "
+    "SELECT doc_id, COUNT(*) AS n_tokens, CAST(SUM(lp.lp) AS BIGINT) AS logprob_micro "
+    "FROM tok JOIN lp USING (token) GROUP BY doc_id",
+)
 def q_doc_unigram_logprob(sf_dir: str):
     """Unigram language-model scoring: per document, the summed corpus
     log10-probability of its token stream (micro-int units) — the
@@ -1061,6 +1205,16 @@ def q_doc_unigram_logprob(sf_dir: str):
     return docs.map_batches(score, batch_format="pyarrow")
 
 
+@query(
+    "embedding_norm_stats",
+    "WITH m AS (SELECT CAST(label AS BIGINT) AS label, "
+    "list_transform(embedding, "
+    "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS mi "
+    "FROM embeddings) "
+    "SELECT label, COUNT(*) AS n, "
+    "CAST(SUM(list_sum(list_transform(mi, x -> x*x))) AS BIGINT) AS sumsq_micro2 "
+    "FROM m GROUP BY label",
+)
 def q_embedding_norm_stats(sf_dir: str):
     """Per-label vector-norm statistics in EXACT integer arithmetic: each
     float is micro-quantized to int64 first, then the squared-norm sum is
@@ -1099,6 +1253,14 @@ def q_embedding_norm_stats(sf_dir: str):
 SIG_VALUE_GATE = 90.0  # signature gate: high-value events only (non-degenerate)
 
 
+@query(
+    "revenue_running_by_date",
+    "WITH d AS (SELECT CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
+    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
+    "FROM orders GROUP BY 1) "
+    "SELECT day, revenue_cents, "
+    "CAST(SUM(revenue_cents) OVER (ORDER BY day) AS BIGINT) AS running_cents FROM d",
+)
 def q_revenue_running_by_date(sf_dir: str):
     """GLOBAL running (cumulative) revenue by order day — the prefix-sum
     window ``SUM(...) OVER (ORDER BY day)`` Ray Data has no native operator
@@ -1156,6 +1318,13 @@ def q_revenue_running_by_date(sf_dir: str):
     )
 
 
+@query(
+    "urgent_lineitem_semijoin",
+    "SELECT l_returnflag, COUNT(*) AS n_items, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
+    "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
+    f"WHERE o_orderpriority = '{ANTI_PRIORITY}' GROUP BY 1",
+)
 def q_urgent_lineitem_semijoin(sf_dir: str):
     """Fact-table SEMI-JOIN via a broadcast key set: lineitem rows whose
     order is '1-URGENT', counted and summed (cents) per return flag.
@@ -1212,6 +1381,13 @@ def q_urgent_lineitem_semijoin(sf_dir: str):
     )
 
 
+@query(
+    "user_event_signature",
+    "SELECT user_id, "
+    "string_agg(DISTINCT event_type, '|' ORDER BY event_type) AS signature, "
+    "COUNT(DISTINCT event_type) AS n_types FROM events "
+    f"WHERE value >= {SIG_VALUE_GATE} GROUP BY user_id",
+)
 def q_user_event_signature(sf_dir: str):
     """SET-VALUED aggregate: each user's sorted distinct high-value event
     types joined with '|' (plus the type count) — the string_agg(DISTINCT
@@ -1281,6 +1457,17 @@ def q_user_event_signature(sf_dir: str):
     )
 
 
+@query(
+    "event_weekday_pivot",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events) "
+    "SELECT event_type, "
+    + ", ".join(
+        f"CAST(SUM(CASE WHEN wd = {d} THEN 1 ELSE 0 END) AS BIGINT) AS wd{d}"
+        for d in range(7)
+    )
+    + " FROM e GROUP BY event_type",
+)
 def q_event_weekday_pivot(sf_dir: str):
     """PIVOT (long → wide crosstab): one row per event type with seven
     day-of-week count columns (wd0..wd6, day = epoch-day mod 7 — a pure
@@ -1326,6 +1513,16 @@ def q_event_weekday_pivot(sf_dir: str):
     )
 
 
+@query(
+    "user_acquisition_curve",
+    "WITH f AS (SELECT event_type, user_id, "
+    "MIN(CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT)) AS day "
+    "FROM events GROUP BY 1, 2), "
+    "d AS (SELECT event_type, day, COUNT(*) AS new_users FROM f GROUP BY 1, 2) "
+    "SELECT event_type, day, new_users, "
+    "CAST(SUM(new_users) OVER (PARTITION BY event_type ORDER BY day) AS BIGINT) "
+    "AS cum_users FROM d",
+)
 def q_user_acquisition_curve(sf_dir: str):
     """RUNNING COUNT(DISTINCT) per partition key: for each event type, new
     users per day (first time a user performs that type) and the cumulative
@@ -1398,6 +1595,14 @@ CKSUM_MOD = 1_000_000_007  # per-row hash modulus (keeps batch partials in int64
 CKSUM_BUCKETS = 64
 
 
+@query(
+    "orders_partition_checksums",
+    "WITH e AS (SELECT o_orderkey AS k, "
+    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders) "
+    f"SELECT k % {CKSUM_BUCKETS} AS bucket, COUNT(*) AS n_rows, "
+    f"CAST(SUM((k*31 + cents) % {CKSUM_MOD}) % {CKSUM_MOD} AS BIGINT) AS checksum "
+    "FROM e GROUP BY 1",
+)
 def q_orders_partition_checksums(sf_dir: str):
     """PARTITION CHECKSUMS for cross-engine data validation: per
     hash-bucket, the row count and an order-independent polynomial checksum
@@ -1453,6 +1658,15 @@ PMI_MIN_COUNT = 5  # collocation support floor
 PMI_TOP = 20  # bigrams kept
 
 
+@query(
+    "order_price_percentile_rank",
+    "WITH e AS (SELECT o_orderkey, o_orderpriority, "
+    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders) "
+    "SELECT o_orderkey, o_orderpriority, "
+    "CAST(FLOOR((RANK() OVER (PARTITION BY o_orderpriority ORDER BY cents) - 1) "
+    "* 1000000.0 / (COUNT(*) OVER (PARTITION BY o_orderpriority) - 1) + 0.5) "
+    "AS BIGINT) AS prank_micro FROM e",
+)
 def q_order_price_percentile_rank(sf_dir: str):
     """GLOBAL per-partition window WITHOUT sorting the fact table:
     ``PERCENT_RANK() OVER (PARTITION BY priority ORDER BY price)`` for
@@ -1531,6 +1745,16 @@ def q_order_price_percentile_rank(sf_dir: str):
     ).map_batches(rank, batch_format="pyarrow")
 
 
+@query(
+    "order_reconciliation",
+    "WITH li AS (SELECT l_orderkey, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS s "
+    "FROM lineitem GROUP BY 1) "
+    "SELECT o_orderstatus, COUNT(*) AS n_orders, "
+    "CAST(SUM(CASE WHEN COALESCE(li.s, 0) > "
+    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) THEN 1 ELSE 0 END) AS BIGINT) "
+    "AS n_above FROM orders LEFT JOIN li ON l_orderkey = o_orderkey GROUP BY 1",
+)
 def q_order_reconciliation(sf_dir: str):
     """CO-GROUP reconciliation audit of two large tables: per order status,
     how many orders' summed lineitem price (cents) exceeds the order's
@@ -1621,6 +1845,27 @@ def q_order_reconciliation(sf_dir: str):
     )
 
 
+@query(
+    "bigram_pmi",
+    "WITH tok AS (SELECT regexp_extract_all(lower(text), '[a-z0-9]+') AS tk "
+    "FROM documents), "
+    "uni AS (SELECT unnest(tk) AS token FROM tok), "
+    "uc AS (SELECT token, COUNT(*) AS c FROM uni GROUP BY 1), "
+    "tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM uni), "
+    "bi AS (SELECT unnest(list_transform(range(1, len(tk)), "
+    "i -> tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1])) AS bigram "
+    "FROM tok WHERE len(tk) >= 2), "
+    "bc AS (SELECT bigram, COUNT(*) AS n FROM bi GROUP BY 1), "
+    "btot AS (SELECT CAST(COUNT(*) AS BIGINT) AS b FROM bi) "
+    "SELECT bigram, n, "
+    "CAST(FLOOR(LOG10(CAST(n AS DOUBLE)*t*t/(CAST(b AS DOUBLE)*ca.c*cb.c))"
+    "*1000000 + 0.5) AS BIGINT) AS pmi_micro "
+    "FROM bc CROSS JOIN tot CROSS JOIN btot "
+    "JOIN uc ca ON ca.token = split_part(bigram, ' ', 1) "
+    "JOIN uc cb ON cb.token = split_part(bigram, ' ', 2) "
+    f"WHERE n >= {PMI_MIN_COUNT} "
+    f"ORDER BY pmi_micro DESC, bigram ASC LIMIT {PMI_TOP}",
+)
 def q_bigram_pmi(sf_dir: str):
     """COLLOCATION MINING: the ``PMI_TOP`` adjacent-token bigrams with the
     highest pointwise mutual information (log10, micro-int) over the
@@ -1710,238 +1955,3 @@ def q_bigram_pmi(sf_dir: str):
         .sort(["pmi_micro", "bigram"], descending=[True, False])
         .limit(PMI_TOP)
     )
-
-
-ML_QUERIES = {
-    "customers_without_urgent": q_customers_without_urgent,
-    "orders_join_nation": q_orders_join_nation,
-    "hopping_counts": q_hopping_counts,
-    "daily_active_users": q_daily_active_users,
-    "approx_distinct_users": q_approx_distinct_users,
-    "session_overlap_pairs": q_session_overlap_pairs,
-    "user_value_rolling3": q_user_value_rolling3,
-    "kmeans_assign": q_kmeans_assign,
-    "value_quartile_counts": q_value_quartile_counts,
-    "event_rollup_counts": q_event_rollup_counts,
-    "orders_above_cust_avg": q_orders_above_cust_avg,
-    "latest_event_per_user": q_latest_event_per_user,
-    "custs_urgent_no_low": q_custs_urgent_no_low,
-    "doc_unigram_logprob": q_doc_unigram_logprob,
-    "tfidf_top_terms": q_tfidf_top_terms,
-    "embedding_norm_stats": q_embedding_norm_stats,
-    "revenue_running_by_date": q_revenue_running_by_date,
-    "urgent_lineitem_semijoin": q_urgent_lineitem_semijoin,
-    "user_event_signature": q_user_event_signature,
-    "event_weekday_pivot": q_event_weekday_pivot,
-    "order_price_percentile_rank": q_order_price_percentile_rank,
-    "order_reconciliation": q_order_reconciliation,
-    "bigram_pmi": q_bigram_pmi,
-    "user_acquisition_curve": q_user_acquisition_curve,
-    "orders_partition_checksums": q_orders_partition_checksums,
-}
-
-_TOK_SQL_ML = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-
-ML_ORACLE_SQL = {
-    "orders_join_nation": (
-        "SELECT n_name, COUNT(*) AS n_orders, "
-        "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_cents "
-        "FROM orders JOIN customer ON o_custkey = c_custkey "
-        "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-    ),
-    "hopping_counts": (
-        "WITH e AS (SELECT CAST(FLOOR(epoch_ms(ts)/60000.0) AS BIGINT) AS m, event_type "
-        "FROM events), "
-        f"h AS (SELECT m - CAST(k AS BIGINT) AS w, event_type FROM e "
-        f"CROSS JOIN range({HOP_WINDOWS}) r(k)) "
-        "SELECT w, event_type, COUNT(*) AS n FROM h GROUP BY 1, 2"
-    ),
-    "customers_without_urgent": (
-        "SELECT c_mktsegment, COUNT(*) AS n_customers FROM customer c "
-        "WHERE NOT EXISTS (SELECT 1 FROM orders o WHERE o.o_custkey = c.c_custkey "
-        f"AND o.o_orderpriority = '{ANTI_PRIORITY}') GROUP BY c_mktsegment"
-    ),
-    "daily_active_users": (
-        f"SELECT CAST(FLOOR(epoch_ms(ts)/{DAY_MS}.0) AS BIGINT) AS day, event_type, "
-        "COUNT(DISTINCT user_id) AS n_users FROM events GROUP BY 1, 2"
-    ),
-    "user_value_rolling3": (
-        "WITH e AS (SELECT event_id, user_id, epoch_ms(ts) AS ms, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
-        "SELECT event_id, user_id, CAST(SUM(cents) OVER (PARTITION BY user_id "
-        "ORDER BY ms, event_id ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS BIGINT) "
-        "AS roll3_cents FROM e"
-    ),
-    "orders_above_cust_avg": (
-        "WITH a AS (SELECT o_custkey, COUNT(*) AS cnt, "
-        "SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS s "
-        "FROM orders GROUP BY 1) "
-        "SELECT o_orderpriority, COUNT(*) AS n_above FROM orders "
-        "JOIN a USING (o_custkey) "
-        "WHERE CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) * cnt > s "
-        "GROUP BY 1"
-    ),
-    "latest_event_per_user": (
-        "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events) "
-        "SELECT user_id, event_id, ms FROM e "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY ms DESC, event_id DESC) = 1"
-    ),
-    "event_rollup_counts": (
-        f"WITH e AS (SELECT CAST(FLOOR(epoch_ms(ts)/{DAY_MS}.0) AS BIGINT) AS day, "
-        "event_type FROM events) "
-        f"SELECT COALESCE(day, {ROLLUP_ALL_DAY}) AS day, "
-        f"COALESCE(event_type, '{ROLLUP_ALL_TYPE}') AS event_type, COUNT(*) AS n "
-        "FROM e GROUP BY ROLLUP (day, event_type)"
-    ),
-    "custs_urgent_no_low": (
-        f"SELECT o_custkey FROM orders WHERE o_orderpriority = '{SET_A_PRIO}' "
-        "EXCEPT "
-        f"SELECT o_custkey FROM orders WHERE o_orderpriority = '{SET_B_PRIO}'"
-    ),
-    "value_quartile_counts": (
-        "WITH c AS (SELECT event_type, CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents "
-        "FROM events), "
-        "n AS (SELECT event_type, COUNT(*) AS n FROM c GROUP BY 1), "
-        "r AS (SELECT event_type, cents, "
-        "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c), "
-        "e AS (SELECT r.event_type, "
-        + ", ".join(
-            f"MIN(CASE WHEN rk >= ({q} * n.n + 99) // 100 THEN cents END) AS e{q}"
-            for q in QUARTILE_QS
-        )
-        + " FROM r JOIN n USING (event_type) GROUP BY r.event_type) "
-        "SELECT c.event_type, CAST(("
-        + " + ".join(f"CASE WHEN cents > e{q} THEN 1 ELSE 0 END" for q in QUARTILE_QS)
-        + ") AS BIGINT) AS quartile, COUNT(*) AS n "
-        "FROM c JOIN e USING (event_type) GROUP BY 1, 2"
-    ),
-    "doc_unigram_logprob": (
-        f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL_ML}) AS token FROM documents), "
-        "tot AS (SELECT COUNT(*) AS t FROM tok), "
-        "uc AS (SELECT token, COUNT(*) AS c FROM tok GROUP BY 1), "
-        "lp AS (SELECT token, "
-        "CAST(FLOOR(LOG10(CAST(c AS DOUBLE)/t.t)*1000000 + 0.5) AS BIGINT) AS lp "
-        "FROM uc CROSS JOIN tot t) "
-        "SELECT doc_id, COUNT(*) AS n_tokens, CAST(SUM(lp.lp) AS BIGINT) AS logprob_micro "
-        "FROM tok JOIN lp USING (token) GROUP BY doc_id"
-    ),
-    "kmeans_assign": (
-        "WITH c AS (SELECT vec_id AS centroid_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
-        f"FROM embeddings WHERE vec_id < {KMEANS_K}), "
-        "v AS (SELECT vec_id, list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve "
-        "FROM embeddings), "
-        "s AS (SELECT v.vec_id, c.centroid_id, "
-        "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) AS BIGINT) AS cm "
-        "FROM v CROSS JOIN c), "
-        "a AS (SELECT vec_id, centroid_id, cm FROM s "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY cm DESC, centroid_id ASC) = 1) "
-        "SELECT centroid_id, COUNT(*) AS n, CAST(SUM(cm) AS BIGINT) AS sum_cos_micro "
-        "FROM a GROUP BY centroid_id"
-    ),
-    "tfidf_top_terms": (
-        f"WITH tok AS (SELECT doc_id, unnest({_TOK_SQL_ML}) AS token FROM documents), "
-        "tf AS (SELECT doc_id, token, COUNT(*) AS tf FROM tok GROUP BY 1, 2), "
-        "df AS (SELECT token, COUNT(DISTINCT doc_id) AS df FROM tok GROUP BY 1), "
-        "n AS (SELECT COUNT(*) AS n FROM documents), "
-        "s AS (SELECT tf.doc_id, tf.token, tf.tf, tf.tf * "
-        "CAST(FLOOR(LOG10(n.n/CAST(df.df AS DOUBLE))*1000000 + 0.5) AS BIGINT) AS score "
-        "FROM tf JOIN df USING (token) CROSS JOIN n) "
-        "SELECT doc_id, token, tf, score, "
-        "CAST(ROW_NUMBER() OVER w - 1 AS BIGINT) AS rank FROM s "
-        "WINDOW w AS (PARTITION BY doc_id ORDER BY score DESC, token ASC) "
-        f"QUALIFY ROW_NUMBER() OVER w <= {TFIDF_TOP}"
-    ),
-    "embedding_norm_stats": (
-        "WITH m AS (SELECT CAST(label AS BIGINT) AS label, "
-        "list_transform(embedding, "
-        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS mi "
-        "FROM embeddings) "
-        "SELECT label, COUNT(*) AS n, "
-        "CAST(SUM(list_sum(list_transform(mi, x -> x*x))) AS BIGINT) AS sumsq_micro2 "
-        "FROM m GROUP BY label"
-    ),
-    "revenue_running_by_date": (
-        "WITH d AS (SELECT CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
-        "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-        "FROM orders GROUP BY 1) "
-        "SELECT day, revenue_cents, "
-        "CAST(SUM(revenue_cents) OVER (ORDER BY day) AS BIGINT) AS running_cents FROM d"
-    ),
-    "urgent_lineitem_semijoin": (
-        "SELECT l_returnflag, COUNT(*) AS n_items, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents "
-        "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-        f"WHERE o_orderpriority = '{ANTI_PRIORITY}' GROUP BY 1"
-    ),
-    "user_event_signature": (
-        "SELECT user_id, "
-        "string_agg(DISTINCT event_type, '|' ORDER BY event_type) AS signature, "
-        "COUNT(DISTINCT event_type) AS n_types FROM events "
-        f"WHERE value >= {SIG_VALUE_GATE} GROUP BY user_id"
-    ),
-    "event_weekday_pivot": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events) "
-        "SELECT event_type, "
-        + ", ".join(
-            f"CAST(SUM(CASE WHEN wd = {d} THEN 1 ELSE 0 END) AS BIGINT) AS wd{d}"
-            for d in range(7)
-        )
-        + " FROM e GROUP BY event_type"
-    ),
-    "order_price_percentile_rank": (
-        "WITH e AS (SELECT o_orderkey, o_orderpriority, "
-        "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders) "
-        "SELECT o_orderkey, o_orderpriority, "
-        "CAST(FLOOR((RANK() OVER (PARTITION BY o_orderpriority ORDER BY cents) - 1) "
-        "* 1000000.0 / (COUNT(*) OVER (PARTITION BY o_orderpriority) - 1) + 0.5) "
-        "AS BIGINT) AS prank_micro FROM e"
-    ),
-    "order_reconciliation": (
-        "WITH li AS (SELECT l_orderkey, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS s "
-        "FROM lineitem GROUP BY 1) "
-        "SELECT o_orderstatus, COUNT(*) AS n_orders, "
-        "CAST(SUM(CASE WHEN COALESCE(li.s, 0) > "
-        "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) THEN 1 ELSE 0 END) AS BIGINT) "
-        "AS n_above FROM orders LEFT JOIN li ON l_orderkey = o_orderkey GROUP BY 1"
-    ),
-    "bigram_pmi": (
-        "WITH tok AS (SELECT regexp_extract_all(lower(text), '[a-z0-9]+') AS tk "
-        "FROM documents), "
-        "uni AS (SELECT unnest(tk) AS token FROM tok), "
-        "uc AS (SELECT token, COUNT(*) AS c FROM uni GROUP BY 1), "
-        "tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM uni), "
-        "bi AS (SELECT unnest(list_transform(range(1, len(tk)), "
-        "i -> tk[CAST(i AS INT)] || ' ' || tk[CAST(i AS INT)+1])) AS bigram "
-        "FROM tok WHERE len(tk) >= 2), "
-        "bc AS (SELECT bigram, COUNT(*) AS n FROM bi GROUP BY 1), "
-        "btot AS (SELECT CAST(COUNT(*) AS BIGINT) AS b FROM bi) "
-        "SELECT bigram, n, "
-        "CAST(FLOOR(LOG10(CAST(n AS DOUBLE)*t*t/(CAST(b AS DOUBLE)*ca.c*cb.c))"
-        "*1000000 + 0.5) AS BIGINT) AS pmi_micro "
-        "FROM bc CROSS JOIN tot CROSS JOIN btot "
-        "JOIN uc ca ON ca.token = split_part(bigram, ' ', 1) "
-        "JOIN uc cb ON cb.token = split_part(bigram, ' ', 2) "
-        f"WHERE n >= {PMI_MIN_COUNT} "
-        f"ORDER BY pmi_micro DESC, bigram ASC LIMIT {PMI_TOP}"
-    ),
-    "orders_partition_checksums": (
-        "WITH e AS (SELECT o_orderkey AS k, "
-        "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders) "
-        f"SELECT k % {CKSUM_BUCKETS} AS bucket, COUNT(*) AS n_rows, "
-        f"CAST(SUM((k*31 + cents) % {CKSUM_MOD}) % {CKSUM_MOD} AS BIGINT) AS checksum "
-        "FROM e GROUP BY 1"
-    ),
-    "user_acquisition_curve": (
-        "WITH f AS (SELECT event_type, user_id, "
-        "MIN(CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT)) AS day "
-        "FROM events GROUP BY 1, 2), "
-        "d AS (SELECT event_type, day, COUNT(*) AS new_users FROM f GROUP BY 1, 2) "
-        "SELECT event_type, day, new_users, "
-        "CAST(SUM(new_users) OVER (PARTITION BY event_type ORDER BY day) AS BIGINT) "
-        "AS cum_users FROM d"
-    ),
-}

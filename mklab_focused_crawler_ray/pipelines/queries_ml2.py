@@ -26,10 +26,12 @@ import numpy as np
 import pyarrow as pa
 
 from ..scale import cogroup, derive_buckets
+from .registry import query
 
 # tokenization shared with the heavy-hitter / budget oracles:
 # regexp_extract_all(lower(text), '[a-z0-9]+')
 _TOK2_RE = re.compile(r"[a-z0-9]+")
+_TOK2_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
 
 HH_K = 50  # heavy hitter threshold: tokens with count*HH_K > total tokens
 GAPFILL_HOUR_US = 3_600_000_000  # gap-fill granularity (µs per hour)
@@ -62,6 +64,13 @@ def _ms(batch: pa.Table, col: str = "ts") -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "heavy_hitter_tokens",
+    f"WITH uni AS (SELECT UNNEST({_TOK2_SQL}) AS token FROM documents), "
+    "tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM uni), "
+    "c AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS n FROM uni GROUP BY 1) "
+    f"SELECT token, n FROM c CROSS JOIN tot WHERE n * {HH_K} > t",
+)
 def q_heavy_hitter_tokens(sf_dir: str):
     """EXACT distributed heavy hitters: every token whose corpus count
     exceeds total/HH_K, with its exact count — no approximation.
@@ -150,6 +159,20 @@ def q_heavy_hitter_tokens(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "events_hourly_gapfill",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(epoch_us(ts)/3600000000.0) AS BIGINT) AS hour FROM events), "
+    "b AS (SELECT MIN(hour) AS lo, MAX(hour) AS hi FROM e), "
+    "spine AS (SELECT t.event_type, gs.hour FROM "
+    "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
+    "(SELECT UNNEST(generate_series(lo, hi)) AS hour FROM b) gs), "
+    "c AS (SELECT event_type, hour, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM e GROUP BY 1, 2) "
+    "SELECT s.event_type, s.hour, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
+    "FROM spine s LEFT JOIN c ON s.event_type = c.event_type "
+    "AND s.hour = c.hour",
+)
 def q_events_hourly_gapfill(sf_dir: str):
     """Zero-filled hourly time series per event type (date-spine gap fill):
     every (event_type, hour) cell in the [global min hour, global max hour]
@@ -213,6 +236,14 @@ def q_events_hourly_gapfill(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "user_top_event",
+    "WITH c AS (SELECT user_id, event_type, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM events GROUP BY 1, 2) "
+    "SELECT user_id, event_type, n FROM c "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY n DESC, event_type ASC) = 1",
+)
 def q_user_top_event(sf_dir: str):
     """MODE per key: each user's most frequent event type (ties broken by
     lexicographically smallest type) with its exact count.
@@ -281,6 +312,23 @@ def q_user_top_event(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "q3_shipping_priority",
+    "WITH l AS (SELECT l_orderkey, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT) * "
+    "(1000000 - CAST(FLOOR(l_discount*1000000 + 0.5) AS BIGINT))) AS BIGINT) "
+    "AS rev_u FROM lineitem "
+    f"WHERE CAST(FLOOR(epoch_us(l_shipdate)/86400000000.0) AS BIGINT) > {Q3_CUT_DAYS} "
+    "GROUP BY 1) "
+    "SELECT o_orderkey AS l_orderkey, "
+    "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS o_days, "
+    "l.rev_u AS rev_u "
+    "FROM orders JOIN customer ON o_custkey = c_custkey "
+    "JOIN l ON l.l_orderkey = o_orderkey "
+    f"WHERE c_mktsegment = '{Q3_SEGMENT}' "
+    f"AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) < {Q3_CUT_DAYS} "
+    f"ORDER BY rev_u DESC, l_orderkey ASC LIMIT {Q3_TOPK}",
+)
 def q_q3_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape — customer ⋈ orders ⋈ lineitem with selective filters
     on every table and a grouped top-K by revenue: the canonical two-hop
@@ -440,6 +488,14 @@ def q_q3_shipping_priority(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "event_type_cube",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events) "
+    f"SELECT COALESCE(event_type, '{CUBE_ALL_TYPE}') AS event_type, "
+    f"CAST(COALESCE(wd, {CUBE_ALL_WD}) AS BIGINT) AS wd, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM e GROUP BY CUBE (event_type, wd)",
+)
 def q_event_type_cube(sf_dir: str):
     """CUBE aggregation in ONE shuffle: counts at every granularity of
     (event_type, weekday) — (t, w), (t, ALL), (ALL, w), (ALL, ALL) — with
@@ -486,6 +542,20 @@ def q_event_type_cube(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "lang_token_budget",
+    f"WITH d AS (SELECT lang, CAST(len({_TOK2_SQL}) AS BIGINT) AS c "
+    "FROM documents), "
+    "g AS (SELECT lang, CAST(SUM(c) AS BIGINT) AS n_tokens FROM d GROUP BY 1), "
+    "t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS total, "
+    "CAST(COUNT(*) AS BIGINT) AS nl FROM g) "
+    "SELECT lang, n_tokens, "
+    f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
+    "AS BIGINT) AS alloc_tokens, "
+    f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
+    "* 1000000 // n_tokens AS BIGINT) AS rate_micro "
+    "FROM g CROSS JOIN t",
+)
 def q_lang_token_budget(sf_dir: str):
     """Data-mixing allocator: given a global token budget of
     total_tokens × BUDGET_FRAC split equally across languages, compute each
@@ -544,6 +614,16 @@ def q_lang_token_budget(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "user_gap_stats",
+    "WITH o AS (SELECT user_id, epoch_ms(ts) AS ms, "
+    "epoch_ms(ts) - LAG(epoch_ms(ts)) OVER "
+    "(PARTITION BY user_id ORDER BY epoch_ms(ts)) AS gap FROM events) "
+    "SELECT user_id, CAST(COUNT(gap) AS BIGINT) AS n_gaps, "
+    "CAST(MAX(gap) AS BIGINT) AS max_gap_ms, "
+    "CAST(SUM(gap) AS BIGINT) AS sum_gap_ms "
+    "FROM o GROUP BY 1 HAVING COUNT(gap) >= 1",
+)
 def q_user_gap_stats(sf_dir: str):
     """Per-user inter-event GAP statistics (LAG-diff aggregate): for every
     user with ≥ 2 events, the number of gaps, the maximum gap and the total
@@ -605,6 +685,14 @@ def q_user_gap_stats(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "event_value_median_by_type",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
+    "SELECT event_type, "
+    "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY cents) AS BIGINT) "
+    "AS median_cents FROM e GROUP BY 1",
+)
 def q_event_value_median_by_type(sf_dir: str):
     """EXACT per-group median (percentile_disc 0.5) of event value per
     event type, by bounded-key counting: values quantize to exact cents, so
@@ -666,6 +754,25 @@ Q5_LO_DAYS = 9496  # 1996-01-01
 Q5_HI_DAYS = 10227  # 1998-01-01
 
 
+@query(
+    "q5_local_supplier_volume",
+    "SELECT n_name, "
+    "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT) * "
+    "(1000000 - CAST(FLOOR(l_discount*1000000 + 0.5) AS BIGINT))) AS BIGINT) "
+    "AS rev_u "
+    "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
+    "JOIN customer ON o_custkey = c_custkey "
+    "JOIN supplier ON l_suppkey = s_suppkey "
+    "AND s_nationkey = c_nationkey "
+    "JOIN nation ON c_nationkey = n_nationkey "
+    "JOIN region ON n_regionkey = r_regionkey "
+    f"WHERE r_name = '{Q5_REGION}' "
+    "AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) "
+    f">= {Q5_LO_DAYS} "
+    "AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) "
+    f"< {Q5_HI_DAYS} "
+    "GROUP BY n_name",
+)
 def q_q5_local_supplier_volume(sf_dir: str):
     """TPC-H Q5 shape — local supplier volume: revenue per nation from
     lineitems whose SUPPLIER and CUSTOMER share the nation, restricted to
@@ -858,6 +965,10 @@ def q_q5_local_supplier_volume(sf_dir: str):
 N_SALTS = 8
 
 
+@query(
+    "event_type_counts_salted",
+    "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1",
+)
 def q_event_type_counts_salted(sf_dir: str):
     """SALTED two-stage aggregation: counts per event type where the first
     shuffle groups on (key, salt) — splitting every hot key across N_SALTS
@@ -904,6 +1015,23 @@ def q_event_type_counts_salted(sf_dir: str):
 TRAIL_HOURS = 24
 
 
+@query(
+    "events_daily_trailing",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(epoch_us(ts)/3600000000.0) AS BIGINT) AS hour FROM events), "
+    "b AS (SELECT MIN(hour) AS lo, MAX(hour) AS hi FROM e), "
+    "spine AS (SELECT t.event_type, gs.hour FROM "
+    "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
+    "(SELECT UNNEST(generate_series(lo, hi)) AS hour FROM b) gs), "
+    "c AS (SELECT event_type, hour, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM e GROUP BY 1, 2), "
+    "f AS (SELECT s.event_type, s.hour, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
+    "FROM spine s LEFT JOIN c ON s.event_type = c.event_type "
+    "AND s.hour = c.hour) "
+    "SELECT event_type, hour, n, "
+    "CAST(SUM(n) OVER (PARTITION BY event_type ORDER BY hour "
+    f"ROWS {TRAIL_HOURS - 1} PRECEDING) AS BIGINT) AS trail24 FROM f",
+)
 def q_events_daily_trailing(sf_dir: str):
     """Trailing 24-hour event count per type at every hour — a ROWS-frame
     window over the DENSE gap-filled spine (zero rows included, so the
@@ -948,6 +1076,20 @@ def q_events_daily_trailing(sf_dir: str):
 PAIR_QUANT = 1000  # kilo-int quantization of embedding components
 
 
+@query(
+    "label_pairwise_dot",
+    "WITH q AS (SELECT vec_id, CAST(label AS BIGINT) AS label, "
+    "list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PAIR_QUANT} + 0.5) AS BIGINT)) AS e "
+    "FROM embeddings), "
+    "p AS (SELECT a.label, "
+    "(SELECT CAST(SUM(z.l1*z.l2) AS BIGINT) FROM "
+    "(SELECT UNNEST(a.e) AS l1, UNNEST(b.e) AS l2) z) AS d "
+    "FROM q a JOIN q b ON a.label = b.label AND a.vec_id < b.vec_id) "
+    "SELECT label, CAST((SELECT COUNT(*) FROM q qq WHERE qq.label = p.label) "
+    "AS BIGINT) AS n_vecs, CAST(SUM(d) AS BIGINT) AS pair_dot "
+    "FROM p GROUP BY label",
+)
 def q_label_pairwise_dot(sf_dir: str):
     """Sum of PAIRWISE dot products within each embedding label — computed
     WITHOUT materializing a single pair: with integer-quantized vectors,
@@ -1022,6 +1164,14 @@ def q_label_pairwise_dot(sf_dir: str):
 SEQ_K = 10  # first-K events kept per user
 
 
+@query(
+    "user_event_sequence",
+    "WITH e AS (SELECT user_id, event_type, "
+    "ROW_NUMBER() OVER (PARTITION BY user_id "
+    "ORDER BY epoch_ms(ts), event_id) AS rn FROM events) "
+    "SELECT user_id, STRING_AGG(event_type, ',' ORDER BY rn) AS seq "
+    f"FROM e WHERE rn <= {SEQ_K} GROUP BY user_id",
+)
 def q_user_event_sequence(sf_dir: str):
     """ORDERED STRING_AGG per key: each user's first SEQ_K event types,
     comma-joined in (ts, event_id) order — the behavioral-sequence
@@ -1097,6 +1247,14 @@ def q_user_event_sequence(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "orders_join_nation_salted",
+    "SELECT n_name, COUNT(*) AS n_orders, "
+    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
+    "AS total_cents "
+    "FROM orders JOIN customer ON o_custkey = c_custkey "
+    "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name",
+)
 def q_orders_join_nation_salted(sf_dir: str):
     """SALT-REPLICATED shuffle hash join — the skew-safe variant of
     ``orders_join_nation``: every probe (orders) row routes to
@@ -1198,6 +1356,13 @@ FUNNEL_FIRST = "view"
 FUNNEL_THEN = "click"
 
 
+@query(
+    "funnel_users",
+    "WITH e AS (SELECT user_id, event_type, epoch_ms(ts) AS ms FROM events) "
+    "SELECT DISTINCT a.user_id FROM e a JOIN e b ON a.user_id = b.user_id "
+    f"AND a.event_type = '{FUNNEL_FIRST}' AND b.event_type = '{FUNNEL_THEN}' "
+    f"AND b.ms > a.ms AND b.ms <= a.ms + {FUNNEL_MS}",
+)
 def q_funnel_users(sf_dir: str):
     """FUNNEL detection: users with at least one '{then}' event strictly
     after a '{first}' event and within FUNNEL_MS of it — the two-step
@@ -1264,6 +1429,11 @@ def q_funnel_users(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "orders_without_lineitem",
+    "SELECT o_orderkey FROM orders WHERE NOT EXISTS "
+    "(SELECT 1 FROM lineitem WHERE l_orderkey = o_orderkey)",
+)
 def q_orders_without_lineitem(sf_dir: str):
     """Referential-integrity ANTI-JOIN over two LARGE sides: orders with no
     lineitem rows (orphans). Unlike ``customers_without_urgent`` (whose
@@ -1315,6 +1485,16 @@ def q_orders_without_lineitem(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "user_retention_cohort",
+    "WITH e AS (SELECT user_id, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
+    "d AS (SELECT DISTINCT user_id, day FROM e), "
+    "c AS (SELECT user_id, MIN(day) AS cohort FROM d GROUP BY 1) "
+    "SELECT c.cohort AS cohort_day, d.day - c.cohort AS offset_day, "
+    "CAST(COUNT(*) AS BIGINT) AS n_users "
+    "FROM d JOIN c ON d.user_id = c.user_id GROUP BY 1, 2",
+)
 def q_user_retention_cohort(sf_dir: str):
     """COHORT RETENTION: users grouped by first-seen day (their cohort),
     counted as active at each day-offset from that cohort — the triangle
@@ -1383,6 +1563,19 @@ def q_user_retention_cohort(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "label_dim_argmax",
+    "WITH q AS (SELECT CAST(label AS BIGINT) AS label, list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PAIR_QUANT} + 0.5) AS BIGINT)) AS e "
+    "FROM embeddings), "
+    "u AS (SELECT label, UNNEST(e) AS v, "
+    "UNNEST(range(len(e))) AS dim FROM q), "
+    "g AS (SELECT label, CAST(dim AS BIGINT) AS dim, "
+    "CAST(SUM(v) AS BIGINT) AS s FROM u GROUP BY 1, 2) "
+    "SELECT label, dim, s FROM g "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY label "
+    "ORDER BY s DESC, dim ASC) = 1",
+)
 def q_label_dim_argmax(sf_dir: str):
     """ARRAY ANALYTICS: for each embedding label, the dimension with the
     largest summed (kilo-quantized) component, ties to the smallest
@@ -1443,6 +1636,21 @@ SAMPLE_HASH_MULT = 2654435761  # Knuth multiplicative hash, SQL-expressible
 SAMPLE_HASH_MOD = 1 << 32
 
 
+@query(
+    "lang_sampled_docs",
+    f"WITH d AS (SELECT lang, CAST(len({_TOK2_SQL}) AS BIGINT) AS c "
+    "FROM documents), "
+    "g AS (SELECT lang, CAST(SUM(c) AS BIGINT) AS n_tokens FROM d GROUP BY 1), "
+    "t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS total, "
+    "CAST(COUNT(*) AS BIGINT) AS nl FROM g), "
+    "r AS (SELECT lang, "
+    f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
+    "* 1000000 // n_tokens AS BIGINT) AS rate_micro FROM g CROSS JOIN t) "
+    "SELECT doc_id, documents.lang AS lang "
+    "FROM documents JOIN r ON documents.lang = r.lang "
+    f"WHERE (doc_id * {SAMPLE_HASH_MULT}) % {SAMPLE_HASH_MOD} % 1000000 "
+    "< rate_micro",
+)
 def q_lang_sampled_docs(sf_dir: str):
     """End-to-end DATA-MIXING application: the ``lang_token_budget``
     allocator's per-language rates applied as a deterministic sampling
@@ -1484,6 +1692,18 @@ def q_lang_sampled_docs(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "event_weekday_unpivot",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events), "
+    "spine AS (SELECT t.event_type, CAST(gs.wd AS BIGINT) AS wd FROM "
+    "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
+    "(SELECT UNNEST(range(7)) AS wd) gs), "
+    "c AS (SELECT event_type, wd, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM e GROUP BY 1, 2) "
+    "SELECT s.event_type, s.wd, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
+    "FROM spine s LEFT JOIN c ON s.event_type = c.event_type AND s.wd = c.wd",
+)
 def q_event_weekday_unpivot(sf_dir: str):
     """UNPIVOT (wide→long): melts the weekday PIVOT's wd0..wd6 columns back
     into (event_type, wd, n) rows — the round-trip proving the pivot pair
@@ -1506,230 +1726,3 @@ def q_event_weekday_unpivot(sf_dir: str):
     return q_event_weekday_pivot(sf_dir).repartition(1).map_batches(
         melt, batch_format="pyarrow", batch_size=None
     )
-
-
-ML2_QUERIES = {
-    "heavy_hitter_tokens": q_heavy_hitter_tokens,
-    "events_hourly_gapfill": q_events_hourly_gapfill,
-    "user_top_event": q_user_top_event,
-    "q3_shipping_priority": q_q3_shipping_priority,
-    "event_type_cube": q_event_type_cube,
-    "lang_token_budget": q_lang_token_budget,
-    "user_gap_stats": q_user_gap_stats,
-    "event_value_median_by_type": q_event_value_median_by_type,
-    "q5_local_supplier_volume": q_q5_local_supplier_volume,
-    "event_type_counts_salted": q_event_type_counts_salted,
-    "events_daily_trailing": q_events_daily_trailing,
-    "label_pairwise_dot": q_label_pairwise_dot,
-    "user_event_sequence": q_user_event_sequence,
-    "orders_join_nation_salted": q_orders_join_nation_salted,
-    "funnel_users": q_funnel_users,
-    "orders_without_lineitem": q_orders_without_lineitem,
-    "user_retention_cohort": q_user_retention_cohort,
-    "label_dim_argmax": q_label_dim_argmax,
-    "lang_sampled_docs": q_lang_sampled_docs,
-    "event_weekday_unpivot": q_event_weekday_unpivot,
-}
-
-_TOK2_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-
-ML2_ORACLE_SQL = {
-    "heavy_hitter_tokens": (
-        f"WITH uni AS (SELECT UNNEST({_TOK2_SQL}) AS token FROM documents), "
-        "tot AS (SELECT CAST(COUNT(*) AS BIGINT) AS t FROM uni), "
-        "c AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS n FROM uni GROUP BY 1) "
-        f"SELECT token, n FROM c CROSS JOIN tot WHERE n * {HH_K} > t"
-    ),
-    "events_hourly_gapfill": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(epoch_us(ts)/3600000000.0) AS BIGINT) AS hour FROM events), "
-        "b AS (SELECT MIN(hour) AS lo, MAX(hour) AS hi FROM e), "
-        "spine AS (SELECT t.event_type, gs.hour FROM "
-        "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
-        "(SELECT UNNEST(generate_series(lo, hi)) AS hour FROM b) gs), "
-        "c AS (SELECT event_type, hour, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM e GROUP BY 1, 2) "
-        "SELECT s.event_type, s.hour, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
-        "FROM spine s LEFT JOIN c ON s.event_type = c.event_type "
-        "AND s.hour = c.hour"
-    ),
-    "user_top_event": (
-        "WITH c AS (SELECT user_id, event_type, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM events GROUP BY 1, 2) "
-        "SELECT user_id, event_type, n FROM c "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY n DESC, event_type ASC) = 1"
-    ),
-    "q3_shipping_priority": (
-        "WITH l AS (SELECT l_orderkey, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT) * "
-        "(1000000 - CAST(FLOOR(l_discount*1000000 + 0.5) AS BIGINT))) AS BIGINT) "
-        "AS rev_u FROM lineitem "
-        f"WHERE CAST(FLOOR(epoch_us(l_shipdate)/86400000000.0) AS BIGINT) > {Q3_CUT_DAYS} "
-        "GROUP BY 1) "
-        "SELECT o_orderkey AS l_orderkey, "
-        "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS o_days, "
-        "l.rev_u AS rev_u "
-        "FROM orders JOIN customer ON o_custkey = c_custkey "
-        "JOIN l ON l.l_orderkey = o_orderkey "
-        f"WHERE c_mktsegment = '{Q3_SEGMENT}' "
-        f"AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) < {Q3_CUT_DAYS} "
-        f"ORDER BY rev_u DESC, l_orderkey ASC LIMIT {Q3_TOPK}"
-    ),
-    "event_type_cube": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events) "
-        f"SELECT COALESCE(event_type, '{CUBE_ALL_TYPE}') AS event_type, "
-        f"CAST(COALESCE(wd, {CUBE_ALL_WD}) AS BIGINT) AS wd, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM e GROUP BY CUBE (event_type, wd)"
-    ),
-    "lang_token_budget": (
-        f"WITH d AS (SELECT lang, CAST(len({_TOK2_SQL}) AS BIGINT) AS c "
-        "FROM documents), "
-        "g AS (SELECT lang, CAST(SUM(c) AS BIGINT) AS n_tokens FROM d GROUP BY 1), "
-        "t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS total, "
-        "CAST(COUNT(*) AS BIGINT) AS nl FROM g) "
-        "SELECT lang, n_tokens, "
-        f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
-        "AS BIGINT) AS alloc_tokens, "
-        f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
-        "* 1000000 // n_tokens AS BIGINT) AS rate_micro "
-        "FROM g CROSS JOIN t"
-    ),
-    "user_gap_stats": (
-        "WITH o AS (SELECT user_id, epoch_ms(ts) AS ms, "
-        "epoch_ms(ts) - LAG(epoch_ms(ts)) OVER "
-        "(PARTITION BY user_id ORDER BY epoch_ms(ts)) AS gap FROM events) "
-        "SELECT user_id, CAST(COUNT(gap) AS BIGINT) AS n_gaps, "
-        "CAST(MAX(gap) AS BIGINT) AS max_gap_ms, "
-        "CAST(SUM(gap) AS BIGINT) AS sum_gap_ms "
-        "FROM o GROUP BY 1 HAVING COUNT(gap) >= 1"
-    ),
-    "event_value_median_by_type": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
-        "SELECT event_type, "
-        "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY cents) AS BIGINT) "
-        "AS median_cents FROM e GROUP BY 1"
-    ),
-    "q5_local_supplier_volume": (
-        "SELECT n_name, "
-        "CAST(SUM(CAST(FLOOR(l_extendedprice*100 + 0.5) AS BIGINT) * "
-        "(1000000 - CAST(FLOOR(l_discount*1000000 + 0.5) AS BIGINT))) AS BIGINT) "
-        "AS rev_u "
-        "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-        "JOIN customer ON o_custkey = c_custkey "
-        "JOIN supplier ON l_suppkey = s_suppkey "
-        "AND s_nationkey = c_nationkey "
-        "JOIN nation ON c_nationkey = n_nationkey "
-        "JOIN region ON n_regionkey = r_regionkey "
-        f"WHERE r_name = '{Q5_REGION}' "
-        "AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) "
-        f">= {Q5_LO_DAYS} "
-        "AND CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) "
-        f"< {Q5_HI_DAYS} "
-        "GROUP BY n_name"
-    ),
-    "event_type_counts_salted": (
-        "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1"
-    ),
-    "events_daily_trailing": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(epoch_us(ts)/3600000000.0) AS BIGINT) AS hour FROM events), "
-        "b AS (SELECT MIN(hour) AS lo, MAX(hour) AS hi FROM e), "
-        "spine AS (SELECT t.event_type, gs.hour FROM "
-        "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
-        "(SELECT UNNEST(generate_series(lo, hi)) AS hour FROM b) gs), "
-        "c AS (SELECT event_type, hour, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM e GROUP BY 1, 2), "
-        "f AS (SELECT s.event_type, s.hour, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
-        "FROM spine s LEFT JOIN c ON s.event_type = c.event_type "
-        "AND s.hour = c.hour) "
-        "SELECT event_type, hour, n, "
-        "CAST(SUM(n) OVER (PARTITION BY event_type ORDER BY hour "
-        f"ROWS {TRAIL_HOURS - 1} PRECEDING) AS BIGINT) AS trail24 FROM f"
-    ),
-    "label_pairwise_dot": (
-        "WITH q AS (SELECT vec_id, CAST(label AS BIGINT) AS label, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PAIR_QUANT} + 0.5) AS BIGINT)) AS e "
-        "FROM embeddings), "
-        "p AS (SELECT a.label, "
-        "(SELECT CAST(SUM(z.l1*z.l2) AS BIGINT) FROM "
-        "(SELECT UNNEST(a.e) AS l1, UNNEST(b.e) AS l2) z) AS d "
-        "FROM q a JOIN q b ON a.label = b.label AND a.vec_id < b.vec_id) "
-        "SELECT label, CAST((SELECT COUNT(*) FROM q qq WHERE qq.label = p.label) "
-        "AS BIGINT) AS n_vecs, CAST(SUM(d) AS BIGINT) AS pair_dot "
-        "FROM p GROUP BY label"
-    ),
-    "user_event_sequence": (
-        "WITH e AS (SELECT user_id, event_type, "
-        "ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY epoch_ms(ts), event_id) AS rn FROM events) "
-        "SELECT user_id, STRING_AGG(event_type, ',' ORDER BY rn) AS seq "
-        f"FROM e WHERE rn <= {SEQ_K} GROUP BY user_id"
-    ),
-    "orders_join_nation_salted": (
-        "SELECT n_name, COUNT(*) AS n_orders, "
-        "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
-        "AS total_cents "
-        "FROM orders JOIN customer ON o_custkey = c_custkey "
-        "JOIN nation ON c_nationkey = n_nationkey GROUP BY n_name"
-    ),
-    "funnel_users": (
-        "WITH e AS (SELECT user_id, event_type, epoch_ms(ts) AS ms FROM events) "
-        "SELECT DISTINCT a.user_id FROM e a JOIN e b ON a.user_id = b.user_id "
-        f"AND a.event_type = '{FUNNEL_FIRST}' AND b.event_type = '{FUNNEL_THEN}' "
-        f"AND b.ms > a.ms AND b.ms <= a.ms + {FUNNEL_MS}"
-    ),
-    "orders_without_lineitem": (
-        "SELECT o_orderkey FROM orders WHERE NOT EXISTS "
-        "(SELECT 1 FROM lineitem WHERE l_orderkey = o_orderkey)"
-    ),
-    "user_retention_cohort": (
-        "WITH e AS (SELECT user_id, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
-        "d AS (SELECT DISTINCT user_id, day FROM e), "
-        "c AS (SELECT user_id, MIN(day) AS cohort FROM d GROUP BY 1) "
-        "SELECT c.cohort AS cohort_day, d.day - c.cohort AS offset_day, "
-        "CAST(COUNT(*) AS BIGINT) AS n_users "
-        "FROM d JOIN c ON d.user_id = c.user_id GROUP BY 1, 2"
-    ),
-    "label_dim_argmax": (
-        "WITH q AS (SELECT CAST(label AS BIGINT) AS label, list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PAIR_QUANT} + 0.5) AS BIGINT)) AS e "
-        "FROM embeddings), "
-        "u AS (SELECT label, UNNEST(e) AS v, "
-        "UNNEST(range(len(e))) AS dim FROM q), "
-        "g AS (SELECT label, CAST(dim AS BIGINT) AS dim, "
-        "CAST(SUM(v) AS BIGINT) AS s FROM u GROUP BY 1, 2) "
-        "SELECT label, dim, s FROM g "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY label "
-        "ORDER BY s DESC, dim ASC) = 1"
-    ),
-    "lang_sampled_docs": (
-        f"WITH d AS (SELECT lang, CAST(len({_TOK2_SQL}) AS BIGINT) AS c "
-        "FROM documents), "
-        "g AS (SELECT lang, CAST(SUM(c) AS BIGINT) AS n_tokens FROM d GROUP BY 1), "
-        "t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS total, "
-        "CAST(COUNT(*) AS BIGINT) AS nl FROM g), "
-        "r AS (SELECT lang, "
-        f"CAST(LEAST(n_tokens, total * {BUDGET_FRAC_NUM} // {BUDGET_FRAC_DEN} // nl) "
-        "* 1000000 // n_tokens AS BIGINT) AS rate_micro FROM g CROSS JOIN t) "
-        "SELECT doc_id, documents.lang AS lang "
-        "FROM documents JOIN r ON documents.lang = r.lang "
-        f"WHERE (doc_id * {SAMPLE_HASH_MULT}) % {SAMPLE_HASH_MOD} % 1000000 "
-        "< rate_micro"
-    ),
-    "event_weekday_unpivot": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) % 7 AS wd FROM events), "
-        "spine AS (SELECT t.event_type, CAST(gs.wd AS BIGINT) AS wd FROM "
-        "(SELECT DISTINCT event_type FROM e) t CROSS JOIN "
-        "(SELECT UNNEST(range(7)) AS wd) gs), "
-        "c AS (SELECT event_type, wd, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM e GROUP BY 1, 2) "
-        "SELECT s.event_type, s.wd, CAST(COALESCE(c.n, 0) AS BIGINT) AS n "
-        "FROM spine s LEFT JOIN c ON s.event_type = c.event_type AND s.wd = c.wd"
-    ),
-}

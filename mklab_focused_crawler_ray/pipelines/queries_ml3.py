@@ -39,6 +39,9 @@ from .. import cache
 from ..scale import cogroup, derive_buckets
 
 from .queries_ml2 import _p
+from .registry import query
+
+_TOK3_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
 
 SPLIT_MULT = 2654435761  # Knuth multiplicative hash (SQL-expressible)
 SPLIT_TRAIN_PCT, SPLIT_VAL_PCT = 80, 90  # <80 train, <90 val, else test
@@ -67,6 +70,12 @@ def _ed1(a: str, b: str) -> bool:
     return a[i:] == b[i + 1 :]
 
 
+@query(
+    "part_name_typo_pairs",
+    "WITH n AS (SELECT DISTINCT p_name AS nm FROM part) "
+    "SELECT a.nm AS name_a, b.nm AS name_b FROM n a JOIN n b "
+    "ON a.nm < b.nm AND levenshtein(a.nm, b.nm) = 1",
+)
 def q_part_name_typo_pairs(sf_dir: str):
     """STRING-SIMILARITY SELF-JOIN: unordered pairs of distinct part names
     within edit distance 1, found WITHOUT the O(n²) cross join via SymSpell
@@ -147,6 +156,16 @@ def q_part_name_typo_pairs(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "doc_split_assign",
+    "WITH a AS (SELECT lang, CASE "
+    f"WHEN (doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_TRAIN_PCT} "
+    "THEN 'train' "
+    f"WHEN (doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_VAL_PCT} "
+    "THEN 'val' ELSE 'test' END AS split FROM documents) "
+    "SELECT lang, split, CAST(COUNT(*) AS BIGINT) AS n_docs "
+    "FROM a GROUP BY 1, 2",
+)
 def q_doc_split_assign(sf_dir: str):
     """TRAIN/VAL/TEST SPLIT: every document deterministically assigned to
     train/val/test by a multiplicative hash of its id (80/10/10), reported
@@ -195,6 +214,16 @@ def q_doc_split_assign(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "postings_and_query",
+    f"WITH uni AS (SELECT doc_id, UNNEST({_TOK3_SQL}) AS token "
+    "FROM documents), "
+    "c AS (SELECT token, COUNT(*) AS n FROM uni GROUP BY 1), "
+    "t2 AS (SELECT token FROM c ORDER BY n ASC, token ASC LIMIT 2) "
+    "SELECT doc_id FROM documents d WHERE NOT EXISTS ("
+    "SELECT 1 FROM t2 WHERE NOT list_contains("
+    f"{_TOK3_SQL}, t2.token))",
+)
 def q_postings_and_query(sf_dir: str):
     """BOOLEAN AND SEARCH: documents containing BOTH of the corpus's two
     RAREST tokens (ties alphabetical), answered from the token-bucketed
@@ -231,6 +260,15 @@ def q_postings_and_query(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "contrastive_negatives",
+    "WITH t AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM embeddings), "
+    f"g AS (SELECT UNNEST(range(1, {NEG_K + 1})) AS j) "
+    "SELECT CAST(vec_id AS BIGINT) AS vec_id, CAST(g.j AS BIGINT) AS j, "
+    f"(vec_id * {NEG_MULT} + g.j) % t.n AS neg_id "
+    "FROM embeddings CROSS JOIN t CROSS JOIN g "
+    f"WHERE (vec_id * {NEG_MULT} + g.j) % t.n != vec_id",
+)
 def q_contrastive_negatives(sf_dir: str):
     """NEGATIVE SAMPLING: for every anchor vector, ``NEG_K`` deterministic
     negatives drawn by a multiplicative hash over the dense id space —
@@ -269,6 +307,17 @@ def q_contrastive_negatives(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "key_skew_profile",
+    "WITH c AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM events GROUP BY 1), "
+    "t AS (SELECT CAST(SUM(n) AS BIGINT) AS total FROM c) "
+    "SELECT event_type, n, n * 1000000 // total AS share_ppm, "
+    "ROW_NUMBER() OVER (ORDER BY n DESC, event_type ASC) AS rnk, "
+    "CAST(SUM(n * 1000000 // total) OVER (ORDER BY n DESC, event_type ASC "
+    "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_ppm "
+    "FROM c CROSS JOIN t",
+)
 def q_key_skew_profile(sf_dir: str):
     """KEY-SKEW PROFILE: per event type its count, parts-per-million share,
     frequency rank, and cumulative share — the diagnostic that tells a
@@ -323,6 +372,17 @@ def q_key_skew_profile(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "chunk_dedup_groups",
+    f"WITH t AS (SELECT doc_id, {_TOK3_SQL} AS tok FROM documents), "
+    "c AS (SELECT doc_id, array_to_string("
+    "tok[gs.ci*32+1 : gs.ci*32+32], ' ') AS chunk "
+    "FROM t, (SELECT UNNEST(range(1024)) AS ci) gs "
+    "WHERE gs.ci*32 < len(tok)) "
+    "SELECT chunk, CAST(COUNT(*) AS BIGINT) AS n_occ, "
+    "CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS n_docs "
+    "FROM c GROUP BY 1 HAVING COUNT(*) > 1",
+)
 def q_chunk_dedup_groups(sf_dir: str):
     """PARAGRAPH-LEVEL EXACT DEDUP: split every document into the same
     ``CHUNK_W``-token windows as ``doc_chunks`` and report every chunk
@@ -391,6 +451,14 @@ BLOOM_PRIORITY = "3-MEDIUM"
 BLOOM_BITS_PER_KEY = 16
 
 
+@query(
+    "bloom_semijoin_lines",
+    "SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n_lines, "
+    "CAST(SUM(CAST(FLOOR(l_quantity + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty "
+    "FROM lineitem l WHERE EXISTS (SELECT 1 FROM orders o "
+    "WHERE o.o_orderkey = l.l_orderkey AND o.o_orderpriority = "
+    f"'{BLOOM_PRIORITY}') GROUP BY 1",
+)
 def q_bloom_semijoin_lines(sf_dir: str):
     """BLOOM-PREFILTERED SEMI-JOIN: lineitem rows of '3-MEDIUM'-priority
     orders, counted and quantity-summed per return flag — the 100-TB scale
@@ -497,6 +565,16 @@ def q_bloom_semijoin_lines(sf_dir: str):
 ORD_BUCKETS = 64
 
 
+@query(
+    "user_event_ordinals",
+    "WITH e AS (SELECT user_id % 64 AS bucket, event_id, "
+    "ROW_NUMBER() OVER (PARTITION BY user_id % 64 "
+    "ORDER BY ts ASC, event_id ASC) AS o FROM events) "
+    "SELECT CAST(bucket AS BIGINT) AS bucket, "
+    "CAST(COUNT(*) AS BIGINT) AS n_rows, "
+    "CAST(SUM(o * event_id) AS BIGINT) AS ord_checksum "
+    "FROM e GROUP BY 1",
+)
 def q_user_event_ordinals(sf_dir: str):
     """SECONDARY SORT: events hash-partitioned by user bucket, sorted
     WITHIN each partition by (ts, event_id), every row given its partition
@@ -552,6 +630,18 @@ def q_user_event_ordinals(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "lang_source_chi2",
+    "WITH c AS (SELECT lang, source, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM documents GROUP BY 1, 2), "
+    "w AS (SELECT lang, source, n, "
+    "CAST(SUM(n) OVER (PARTITION BY lang) AS BIGINT) AS row_n, "
+    "CAST(SUM(n) OVER (PARTITION BY source) AS BIGINT) AS col_n, "
+    "CAST(SUM(n) OVER () AS BIGINT) AS total FROM c) "
+    "SELECT lang, source, n, "
+    "(n * total - row_n * col_n) * (n * total - row_n * col_n) "
+    "// (row_n * col_n) * 1000000 // total AS contrib_micro FROM w",
+)
 def q_lang_source_chi2(sf_dir: str):
     """CONTINGENCY ANALYSIS: the (lang × source) observed-count table with
     each cell's chi-square contribution in integer micro units — the
@@ -628,6 +718,22 @@ AUDIT_DISCOUNT_CAP = 0.07
 AUDIT_QTY_CAP = 45.0
 
 
+@query(
+    "orders_constraint_audit",
+    "SELECT * FROM ("
+    "SELECT 'late_order_date' AS check_name, CAST(COUNT(*) AS BIGINT) "
+    "AS n_violations FROM orders "
+    "WHERE o_orderdate >= TIMESTAMP '2001-01-01' "
+    "UNION ALL SELECT 'price_above_cap', CAST(COUNT(*) AS BIGINT) "
+    f"FROM orders WHERE o_totalprice > {AUDIT_PRICE_CAP} "
+    "UNION ALL SELECT 'discount_above_cap', CAST(COUNT(*) AS BIGINT) "
+    f"FROM lineitem WHERE l_discount > {AUDIT_DISCOUNT_CAP} "
+    "UNION ALL SELECT 'quantity_above_cap', CAST(COUNT(*) AS BIGINT) "
+    f"FROM lineitem WHERE l_quantity > {AUDIT_QTY_CAP} "
+    "UNION ALL SELECT 'orphan_lineitem', CAST(COUNT(*) AS BIGINT) "
+    "FROM lineitem l WHERE NOT EXISTS (SELECT 1 FROM orders o "
+    "WHERE o.o_orderkey = l.l_orderkey))",
+)
 def q_orders_constraint_audit(sf_dir: str):
     """DATA-QUALITY AUDIT: per-constraint violation counts over the orders
     + lineitem tables — late order dates, prices over cap, discounts and
@@ -769,6 +875,16 @@ def q_orders_constraint_audit(sf_dir: str):
 TREND_X0 = 19700  # fixed day-epoch offset keeping x (and x²·n) far from int64 caps
 
 
+@query(
+    "type_value_trend",
+    "WITH e AS (SELECT event_type, "
+    f"CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) - {TREND_X0} AS x, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS y FROM events) "
+    "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
+    "CAST(COUNT(*)*SUM(x*y) - SUM(x)*SUM(y) AS BIGINT) AS slope_num, "
+    "CAST(COUNT(*)*SUM(x*x) - SUM(x)*SUM(x) AS BIGINT) AS slope_den "
+    "FROM e GROUP BY 1",
+)
 def q_type_value_trend(sf_dir: str):
     """PER-GROUP REGRESSION: the OLS slope of event value (cents) against
     time (days) for every event type, carried as INTEGER sufficient
@@ -844,6 +960,18 @@ def q_type_value_trend(sf_dir: str):
 Z_BITS = 4  # low bits per dimension → 2^(2·Z_BITS) = 256 Z-order buckets
 
 
+@query(
+    "user_day_zorder_profile",
+    "WITH e AS (SELECT user_id, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
+    "zt AS (SELECT user_id, "
+    "(((user_id >> 0) & 1) << 0) | (((day >> 0) & 1) << 1) | "
+    "(((user_id >> 1) & 1) << 2) | (((day >> 1) & 1) << 3) | "
+    "(((user_id >> 2) & 1) << 4) | (((day >> 2) & 1) << 5) | "
+    "(((user_id >> 3) & 1) << 6) | (((day >> 3) & 1) << 7) AS z FROM e) "
+    "SELECT CAST(z AS BIGINT) AS z, CAST(COUNT(*) AS BIGINT) AS n_events, "
+    "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users FROM zt GROUP BY 1",
+)
 def q_user_day_zorder_profile(sf_dir: str):
     """Z-ORDER PARTITIONING PROFILE: every event mapped to the Morton
     (bit-interleaved) bucket of its (user_id, day) pair — the
@@ -906,6 +1034,19 @@ def q_user_day_zorder_profile(sf_dir: str):
 
 
 
+@query(
+    "nation_region_share",
+    "WITH rev AS (SELECT c_nationkey AS nk, "
+    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
+    "AS rev_cents FROM orders JOIN customer ON o_custkey = c_custkey "
+    "GROUP BY 1), "
+    "j AS (SELECT r_name, n_name, rev_cents, n_regionkey AS rk FROM rev "
+    "JOIN nation ON n_nationkey = nk "
+    "JOIN region ON r_regionkey = n_regionkey) "
+    "SELECT r_name, n_name, rev_cents, "
+    "CAST(rev_cents * 1000000 // "
+    "(SUM(rev_cents) OVER (PARTITION BY rk)) AS BIGINT) AS share_ppm FROM j",
+)
 def q_nation_region_share(sf_dir: str):
     """HIERARCHICAL PERCENT-OF-PARENT: order revenue rolled up to nations,
     each nation's share of its REGION's revenue in integer ppm — the
@@ -1047,6 +1188,15 @@ def q_nation_region_share(sf_dir: str):
 DELTA_MOD = 10  # event_id % 10 == 0 rows form the 'delta' partition
 
 
+@query(
+    "event_counts_incremental",
+    "SELECT event_type, "
+    f"CAST(SUM(CASE WHEN event_id % {DELTA_MOD} != 0 THEN 1 ELSE 0 END) "
+    "AS BIGINT) AS n_base, "
+    f"CAST(SUM(CASE WHEN event_id % {DELTA_MOD} = 0 THEN 1 ELSE 0 END) "
+    "AS BIGINT) AS n_delta, "
+    "CAST(COUNT(*) AS BIGINT) AS n_total FROM events GROUP BY 1",
+)
 def q_event_counts_incremental(sf_dir: str):
     """INCREMENTAL-VIEW-MAINTENANCE SHAPE: the event stream split into a
     'base' partition and a 'delta' partition (event_id mod 10), each
@@ -1103,6 +1253,17 @@ def q_event_counts_incremental(sf_dir: str):
 ARRIVAL_MULT = 2654435761  # deterministic pseudo-arrival shuffle, SQL-replayable
 
 
+@query(
+    "user_late_events",
+    "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms, "
+    f"(event_id * {ARRIVAL_MULT}) % {1 << 32} AS arr FROM events), "
+    "w AS (SELECT user_id, ms, "
+    "MAX(ms) OVER (PARTITION BY user_id ORDER BY arr ASC, event_id ASC "
+    "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS wm FROM e) "
+    "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_events, "
+    "CAST(SUM(CASE WHEN wm IS NOT NULL AND ms < wm THEN 1 ELSE 0 END) "
+    "AS BIGINT) AS n_late FROM w GROUP BY 1",
+)
 def q_user_late_events(sf_dir: str):
     """WATERMARK / OUT-OF-ORDER DETECTION: per user, how many events
     arrive with an event time EARLIER than the high-watermark (running max
@@ -1180,6 +1341,15 @@ def q_user_late_events(sf_dir: str):
 WAU_WINDOW_DAYS = 7
 
 
+@query(
+    "wau_by_day",
+    "WITH d AS (SELECT DISTINCT user_id, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
+    "spine AS (SELECT DISTINCT day FROM d) "
+    "SELECT s.day AS day, CAST(COUNT(DISTINCT d.user_id) AS BIGINT) AS wau "
+    "FROM spine s JOIN d ON d.day BETWEEN s.day - "
+    f"{WAU_WINDOW_DAYS - 1} AND s.day GROUP BY 1",
+)
 def q_wau_by_day(sf_dir: str):
     """SLIDING-WINDOW DISTINCT: for every active day, the count of
     DISTINCT users seen in the trailing 7-day window — the WAU/MAU curve.
@@ -1262,6 +1432,29 @@ PQ_NCENTROIDS = 8  # codebook = subvectors of vec_id 0..7 (deterministic)
 PQ_QUANT = 1000  # kilo-quantized components keep distances integer-exact
 
 
+@query(
+    "embedding_pq_codes",
+    "WITH q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
+    "list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
+    "FROM embeddings), "
+    f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
+    f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
+    "d AS (SELECT q.vec_id, sub.s, cb.cid, "
+    "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
+    f"(SELECT UNNEST(q.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS a, "
+    f"UNNEST(cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS b) z) "
+    "AS dist FROM q CROSS JOIN sub CROSS JOIN cb), "
+    "best AS (SELECT vec_id, s, cid FROM d "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id, s "
+    "ORDER BY dist ASC, cid ASC) = 1) "
+    "SELECT vec_id, "
+    "CAST(MAX(CASE WHEN s = 0 THEN cid END) AS BIGINT) AS code0, "
+    "CAST(MAX(CASE WHEN s = 1 THEN cid END) AS BIGINT) AS code1, "
+    "CAST(MAX(CASE WHEN s = 2 THEN cid END) AS BIGINT) AS code2, "
+    "CAST(MAX(CASE WHEN s = 3 THEN cid END) AS BIGINT) AS code3 "
+    "FROM best GROUP BY 1",
+)
 def q_embedding_pq_codes(sf_dir: str):
     """PRODUCT QUANTIZATION: every embedding compressed to 4 sub-space
     codes — each 16-dim sub-vector assigned to the nearest of 8 sub-space
@@ -1319,6 +1512,16 @@ def q_embedding_pq_codes(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "orders_pareto_frontier",
+    "WITH o AS (SELECT o_orderkey, "
+    "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents, "
+    "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day "
+    "FROM orders) "
+    "SELECT o_orderkey, cents, day FROM o a WHERE NOT EXISTS ("
+    "SELECT 1 FROM o b WHERE b.cents >= a.cents AND b.day <= a.day "
+    "AND (b.cents > a.cents OR b.day < a.day))",
+)
 def q_orders_pareto_frontier(sf_dir: str):
     """SKYLINE / PARETO FRONTIER: orders not dominated on (price ↑, date ↓)
     — no other order is at least as expensive AND at least as early with
@@ -1395,6 +1598,17 @@ def q_orders_pareto_frontier(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "user_longest_streak",
+    "WITH d AS (SELECT DISTINCT user_id, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
+    "g AS (SELECT user_id, day, day - ROW_NUMBER() OVER ("
+    "PARTITION BY user_id ORDER BY day) AS grp FROM d), "
+    "r AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS run "
+    "FROM g GROUP BY user_id, grp) "
+    "SELECT user_id, CAST(MAX(run) AS BIGINT) AS longest_streak, "
+    "CAST(SUM(run) AS BIGINT) AS n_active_days FROM r GROUP BY 1",
+)
 def q_user_longest_streak(sf_dir: str):
     """GAPS-AND-ISLANDS: each user's longest run of CONSECUTIVE active
     days plus their total active-day count — the retention-streak metric,
@@ -1475,6 +1689,15 @@ def q_user_longest_streak(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "event_type_markov",
+    "WITH e AS (SELECT user_id, event_type, "
+    "LAG(event_type) OVER (PARTITION BY user_id "
+    "ORDER BY epoch_ms(ts), event_id) AS prev_type FROM events) "
+    "SELECT prev_type, event_type AS next_type, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM e "
+    "WHERE prev_type IS NOT NULL GROUP BY 1, 2",
+)
 def q_event_type_markov(sf_dir: str):
     """SEQUENCE TRANSITIONS: the (previous type → next type) count matrix
     over every user's time-ordered event stream — the first-order Markov
@@ -1552,6 +1775,28 @@ MSTEP_K = 8  # same deterministic init as kmeans_assign (vec_id < K)
 MSTEP_QUANT = 1000
 
 
+@query(
+    "kmeans_mstep_centroids",
+    "WITH c AS (SELECT vec_id AS centroid_id, "
+    "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
+    f"FROM embeddings WHERE vec_id < {MSTEP_K}), "
+    "v AS (SELECT vec_id, "
+    "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve, "
+    "list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
+    "FROM embeddings), "
+    "s AS (SELECT v.vec_id, c.centroid_id, "
+    "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) AS BIGINT) "
+    "AS cm FROM v CROSS JOIN c), "
+    "a AS (SELECT vec_id, centroid_id FROM s "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
+    "ORDER BY cm DESC, centroid_id ASC) = 1), "
+    "u AS (SELECT a.centroid_id, UNNEST(v.qe) AS q, "
+    "UNNEST(range(len(v.qe))) AS dim FROM a JOIN v USING (vec_id)) "
+    "SELECT CAST(centroid_id AS BIGINT) AS centroid_id, "
+    "CAST(dim AS BIGINT) AS dim, CAST(SUM(q) AS BIGINT) AS s_kilo, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM u GROUP BY 1, 2",
+)
 def q_kmeans_mstep_centroids(sf_dir: str):
     """K-MEANS M-STEP: per assigned cluster, the component-wise SUM of
     kilo-quantized raw vectors plus the cluster size — the exact integer
@@ -1620,6 +1865,38 @@ RRF_K0 = 60
 FUSE_TOP = 10
 
 
+@query(
+    "ann_rrf_fusion",
+    "WITH qv AS (SELECT list_transform(embedding, x -> CAST(x AS DOUBLE)) "
+    "AS ve, list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
+    "FROM embeddings WHERE vec_id = 0), "
+    "v AS (SELECT vec_id, "
+    "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve, "
+    "list_transform(embedding, "
+    f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
+    "FROM embeddings), "
+    "m AS (SELECT v.vec_id, "
+    "CAST(FLOOR(list_cosine_similarity(qv.ve, v.ve)*1000000 + 0.5) AS BIGINT) "
+    "AS cos_micro, "
+    "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
+    "(SELECT UNNEST(v.qe) AS a, UNNEST(qv.qe) AS b) z) AS l2 "
+    "FROM v CROSS JOIN qv), "
+    "rc AS (SELECT vec_id, ROW_NUMBER() OVER "
+    "(ORDER BY cos_micro DESC, vec_id ASC) AS r FROM m "
+    "QUALIFY ROW_NUMBER() OVER (ORDER BY cos_micro DESC, vec_id ASC) "
+    f"<= {FUSE_POOL}), "
+    "rl AS (SELECT vec_id, ROW_NUMBER() OVER "
+    "(ORDER BY l2 ASC, vec_id ASC) AS r FROM m "
+    "QUALIFY ROW_NUMBER() OVER (ORDER BY l2 ASC, vec_id ASC) "
+    f"<= {FUSE_POOL}), "
+    "f AS (SELECT COALESCE(rc.vec_id, rl.vec_id) AS vec_id, "
+    f"COALESCE(1000000 // ({RRF_K0} + rc.r), 0) + "
+    f"COALESCE(1000000 // ({RRF_K0} + rl.r), 0) AS rrf_micro "
+    "FROM rc FULL OUTER JOIN rl ON rc.vec_id = rl.vec_id) "
+    "SELECT vec_id, CAST(rrf_micro AS BIGINT) AS rrf_micro FROM f "
+    f"ORDER BY rrf_micro DESC, vec_id ASC LIMIT {FUSE_TOP}",
+)
 def q_ann_rrf_fusion(sf_dir: str):
     """RECIPROCAL-RANK FUSION: the standard IR combiner over two retrieval
     lists for query vector 0 — the micro-cosine top-``FUSE_POOL`` and the
@@ -1698,6 +1975,15 @@ def q_ann_rrf_fusion(sf_dir: str):
 BAND_DELTA = 10  # cents
 
 
+@query(
+    "event_value_band_pairs",
+    "WITH e AS (SELECT event_id, event_type, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
+    "SELECT a.event_type AS event_type, CAST(COUNT(*) AS BIGINT) AS n_pairs "
+    "FROM e a JOIN e b ON a.event_type = b.event_type "
+    "AND a.event_id < b.event_id "
+    f"AND ABS(a.cents - b.cents) <= {BAND_DELTA} GROUP BY 1",
+)
 def q_event_value_band_pairs(sf_dir: str):
     """BAND JOIN: the number of event pairs of the same type whose values
     lie within ``BAND_DELTA`` cents of each other — the scalar sibling of
@@ -1773,6 +2059,26 @@ QSK_K = 256  # sample size per group (rank error ~ 1/sqrt(K))
 QSK_MULT = 2654435761
 
 
+@query(
+    "type_value_quantile_sample",
+    "WITH e AS (SELECT event_id, event_type, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents, "
+    f"(event_id * {QSK_MULT}) % {1 << 32} AS h FROM events), "
+    "s AS (SELECT event_type, cents FROM e "
+    "QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type "
+    f"ORDER BY h ASC, event_id ASC) <= {QSK_K}), "
+    "r AS (SELECT event_type, cents, "
+    "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents ASC) AS rk, "
+    "COUNT(*) OVER (PARTITION BY event_type) AS m FROM s) "
+    "SELECT event_type, CAST(MAX(m) AS BIGINT) AS n_sample, "
+    "CAST(MAX(CASE WHEN rk = (m-1)*25//100 + 1 THEN cents END) AS BIGINT) "
+    "AS p25_cents, "
+    "CAST(MAX(CASE WHEN rk = (m-1)*50//100 + 1 THEN cents END) AS BIGINT) "
+    "AS p50_cents, "
+    "CAST(MAX(CASE WHEN rk = (m-1)*75//100 + 1 THEN cents END) AS BIGINT) "
+    "AS p75_cents "
+    "FROM r GROUP BY 1",
+)
 def q_type_value_quantile_sample(sf_dir: str):
     """MERGEABLE QUANTILE SKETCH: per event type, the p25/p50/p75 of a
     deterministic bottom-``QSK_K``-by-hash sample of its events — the
@@ -1860,6 +2166,11 @@ def _derived_source(sf_dir: str, table: str, ext: str, write) -> str:
     )
 
 
+@query(
+    "events_jsonl_counts",
+    "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n "
+    "FROM events GROUP BY 1",
+)
 def q_events_jsonl_counts(sf_dir: str):
     """JSONL SOURCE: the event stream re-materialized as JSON-lines (the
     reference's native wire format — JSON strings over Redis pub/sub,
@@ -1909,6 +2220,12 @@ def q_events_jsonl_counts(sf_dir: str):
     )
 
 
+@query(
+    "customer_csv_segments",
+    "SELECT c_mktsegment, CAST(COUNT(*) AS BIGINT) AS n_customers, "
+    "CAST(SUM(CAST(FLOOR(c_acctbal*100 + 0.5) AS BIGINT)) AS BIGINT) "
+    "AS bal_cents FROM customer GROUP BY 1",
+)
 def q_customer_csv_segments(sf_dir: str):
     """CSV SOURCE: the customer dimension re-materialized as CSV and read
     back through ``ray.data.read_csv`` into per-market-segment counts and
@@ -1961,6 +2278,15 @@ def q_customer_csv_segments(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "order_size_histogram",
+    "WITH c AS (SELECT o.o_orderkey, "
+    "CAST(COUNT(l.l_orderkey) AS BIGINT) AS n_lines "
+    "FROM orders o LEFT JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
+    "GROUP BY 1) "
+    "SELECT n_lines, CAST(COUNT(*) AS BIGINT) AS n_orders "
+    "FROM c GROUP BY 1",
+)
 def q_order_size_histogram(sf_dir: str):
     """LEFT OUTER JOIN with zero preservation: the distribution of
     lineitems-per-order INCLUDING the zero bucket (orders with no
@@ -2049,6 +2375,24 @@ def q_order_size_histogram(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "value_daily_ohlc",
+    "WITH e AS (SELECT "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day, "
+    "epoch_ms(ts) AS ms, event_id, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
+    "r AS (SELECT day, cents, "
+    "ROW_NUMBER() OVER (PARTITION BY day ORDER BY ms ASC, event_id ASC) "
+    "AS rf, "
+    "ROW_NUMBER() OVER (PARTITION BY day ORDER BY ms DESC, event_id DESC) "
+    "AS rl FROM e) "
+    "SELECT day, "
+    "CAST(MAX(CASE WHEN rf = 1 THEN cents END) AS BIGINT) AS open_cents, "
+    "CAST(MAX(cents) AS BIGINT) AS high_cents, "
+    "CAST(MIN(cents) AS BIGINT) AS low_cents, "
+    "CAST(MAX(CASE WHEN rl = 1 THEN cents END) AS BIGINT) AS close_cents "
+    "FROM r GROUP BY 1",
+)
 def q_value_daily_ohlc(sf_dir: str):
     """OHLC DOWNSAMPLING: the event value stream resampled to daily
     open/high/low/close bars (cents) — the canonical time-series
@@ -2119,6 +2463,17 @@ def q_value_daily_ohlc(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "activity_union_daily",
+    "SELECT * FROM ("
+    "SELECT 'events' AS src, "
+    "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1, 2 "
+    "UNION ALL "
+    "SELECT 'orders' AS src, "
+    "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
+    "CAST(COUNT(*) AS BIGINT) AS n FROM orders GROUP BY 1, 2)",
+)
 def q_activity_union_daily(sf_dir: str):
     """HETEROGENEOUS UNION: two differently-shaped tables — the event
     stream and the order stream — aligned to one (src, day) activity
@@ -2177,6 +2532,12 @@ def q_activity_union_daily(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "custs_all_priorities",
+    "SELECT o_custkey FROM orders GROUP BY 1 "
+    "HAVING COUNT(DISTINCT o_orderpriority) = "
+    "(SELECT COUNT(DISTINCT o_orderpriority) FROM orders)",
+)
 def q_custs_all_priorities(sf_dir: str):
     """RELATIONAL DIVISION (the FOR-ALL join): customers whose orders
     cover EVERY priority class in the table — division of the
@@ -2252,6 +2613,19 @@ def q_custs_all_priorities(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "event_value_mad_by_type",
+    "WITH e AS (SELECT event_type, "
+    "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
+    "m AS (SELECT event_type, "
+    "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY cents) AS BIGINT) "
+    "AS med FROM e GROUP BY 1), "
+    "r AS (SELECT e.event_type, m.med, ABS(e.cents - m.med) AS resid "
+    "FROM e JOIN m USING (event_type)) "
+    "SELECT event_type, CAST(MAX(med) AS BIGINT) AS median_cents, "
+    "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY resid) AS BIGINT) "
+    "AS mad_cents FROM r GROUP BY 1",
+)
 def q_event_value_mad_by_type(sf_dir: str):
     """ROBUST DISPERSION: per event type the exact median AND the exact
     median absolute deviation (percentile_disc 0.5 of |x − median|) —
@@ -2315,6 +2689,16 @@ def q_event_value_mad_by_type(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "revenue_daily_delta",
+    "WITH d AS (SELECT "
+    "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
+    "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
+    "AS revenue_cents FROM orders GROUP BY 1) "
+    "SELECT day, revenue_cents, "
+    "CAST(COALESCE(revenue_cents - LAG(revenue_cents) OVER (ORDER BY day), "
+    "0) AS BIGINT) AS delta_cents FROM d",
+)
 def q_revenue_daily_delta(sf_dir: str):
     """PERIOD-OVER-PERIOD DELTA: daily order revenue with the change vs
     the previous ACTIVE day (LAG over the aggregate series; first day's
@@ -2380,6 +2764,16 @@ def q_revenue_daily_delta(sf_dir: str):
 NTILE_K = 10
 
 
+@query(
+    "order_price_decile_profile",
+    "WITH e AS (SELECT CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) "
+    "AS cents FROM orders), "
+    f"t AS (SELECT cents, NTILE({NTILE_K}) OVER (ORDER BY cents) AS tile "
+    "FROM e) "
+    "SELECT CAST(tile AS BIGINT) AS tile, "
+    "CAST(COUNT(*) AS BIGINT) AS n_orders, "
+    "CAST(SUM(cents) AS BIGINT) AS sum_cents FROM t GROUP BY 1",
+)
 def q_order_price_decile_profile(sf_dir: str):
     """NTILE PROFILE: order prices split into 10 equal-row deciles with
     each decile's row count and cent sum — computed WITHOUT sorting or
@@ -2563,6 +2957,15 @@ def _mined_pairs_ds(dedup_ds, nb: int, min_support: int):
     return cogroup(pairs, "pair", _pair_count_filter_fn(min_support), nb)
 
 
+@query(
+    "part_pair_support",
+    "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem) "
+    "SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
+    "CAST(COUNT(*) AS BIGINT) AS n_orders "
+    "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
+    "AND a.l_partkey < b.l_partkey "
+    f"GROUP BY 1, 2 HAVING COUNT(*) >= {BASKET_MIN_SUPPORT}",
+)
 def q_part_pair_support(sf_dir: str):
     """FREQUENT-ITEMSET MINING: part pairs co-occurring in at least
     ``BASKET_MIN_SUPPORT`` distinct orders — the market-basket / Apriori
@@ -2589,6 +2992,23 @@ def q_part_pair_support(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query(
+    "part_pair_lift",
+    "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem), "
+    "s AS (SELECT l_partkey, CAST(COUNT(*) AS BIGINT) AS n FROM p "
+    "GROUP BY 1), "
+    "t AS (SELECT CAST(COUNT(DISTINCT l_orderkey) AS BIGINT) AS nb FROM p), "
+    "pr AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
+    "CAST(COUNT(*) AS BIGINT) AS n_orders "
+    "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
+    "AND a.l_partkey < b.l_partkey "
+    f"GROUP BY 1, 2 HAVING COUNT(*) >= {BASKET_MIN_SUPPORT}) "
+    "SELECT part_a, part_b, n_orders, "
+    "n_orders * 1000000 // sa.n AS conf_ppm, "
+    "n_orders * t.nb * 1000000 // (sa.n * sb.n) AS lift_micro "
+    "FROM pr JOIN s sa ON sa.l_partkey = pr.part_a "
+    "JOIN s sb ON sb.l_partkey = pr.part_b CROSS JOIN t",
+)
 def q_part_pair_lift(sf_dir: str):
     """ASSOCIATION RULES (Apriori step 2): every mined 2-itemset joined
     with its item supports to produce integer confidence and lift —
@@ -2694,6 +3114,17 @@ def _orient_edges(
     return src, dst, ddeg
 
 
+@query(
+    "part_graph_triangles",
+    "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem), "
+    "e AS (SELECT a.l_partkey AS a, b.l_partkey AS b "
+    "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
+    "AND a.l_partkey < b.l_partkey "
+    f"GROUP BY 1, 2 HAVING COUNT(*) >= {TRI_MIN_SUPPORT}) "
+    "SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles "
+    "FROM e e1 JOIN e e2 ON e1.a = e2.a AND e1.b < e2.b "
+    "JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b",
+)
 def q_part_graph_triangles(sf_dir: str):
     """TRIANGLE COUNTING: the number of triangles in the part
     co-occurrence graph (edges = pairs sharing ≥ 2 orders) — the graph-
@@ -2861,440 +3292,3 @@ def q_part_graph_triangles(sf_dir: str):
 
 
 SHUFFLE_BLOCKS_TRI = 16
-
-
-ML3_QUERIES = {
-    "part_name_typo_pairs": q_part_name_typo_pairs,
-    "doc_split_assign": q_doc_split_assign,
-    "postings_and_query": q_postings_and_query,
-    "contrastive_negatives": q_contrastive_negatives,
-    "key_skew_profile": q_key_skew_profile,
-    "chunk_dedup_groups": q_chunk_dedup_groups,
-    "bloom_semijoin_lines": q_bloom_semijoin_lines,
-    "user_event_ordinals": q_user_event_ordinals,
-    "lang_source_chi2": q_lang_source_chi2,
-    "orders_constraint_audit": q_orders_constraint_audit,
-    "type_value_trend": q_type_value_trend,
-    "user_day_zorder_profile": q_user_day_zorder_profile,
-    "nation_region_share": q_nation_region_share,
-    "event_counts_incremental": q_event_counts_incremental,
-    "user_late_events": q_user_late_events,
-    "wau_by_day": q_wau_by_day,
-    "embedding_pq_codes": q_embedding_pq_codes,
-    "orders_pareto_frontier": q_orders_pareto_frontier,
-    "user_longest_streak": q_user_longest_streak,
-    "event_type_markov": q_event_type_markov,
-    "kmeans_mstep_centroids": q_kmeans_mstep_centroids,
-    "ann_rrf_fusion": q_ann_rrf_fusion,
-    "event_value_band_pairs": q_event_value_band_pairs,
-    "type_value_quantile_sample": q_type_value_quantile_sample,
-    "events_jsonl_counts": q_events_jsonl_counts,
-    "customer_csv_segments": q_customer_csv_segments,
-    "order_size_histogram": q_order_size_histogram,
-    "value_daily_ohlc": q_value_daily_ohlc,
-    "activity_union_daily": q_activity_union_daily,
-    "custs_all_priorities": q_custs_all_priorities,
-    "event_value_mad_by_type": q_event_value_mad_by_type,
-    "revenue_daily_delta": q_revenue_daily_delta,
-    "order_price_decile_profile": q_order_price_decile_profile,
-    "part_pair_support": q_part_pair_support,
-    "part_pair_lift": q_part_pair_lift,
-    "part_graph_triangles": q_part_graph_triangles,
-}
-
-_TOK3_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-
-ML3_ORACLE_SQL = {
-    "part_name_typo_pairs": (
-        "WITH n AS (SELECT DISTINCT p_name AS nm FROM part) "
-        "SELECT a.nm AS name_a, b.nm AS name_b FROM n a JOIN n b "
-        "ON a.nm < b.nm AND levenshtein(a.nm, b.nm) = 1"
-    ),
-    "doc_split_assign": (
-        "WITH a AS (SELECT lang, CASE "
-        f"WHEN (doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_TRAIN_PCT} "
-        "THEN 'train' "
-        f"WHEN (doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_VAL_PCT} "
-        "THEN 'val' ELSE 'test' END AS split FROM documents) "
-        "SELECT lang, split, CAST(COUNT(*) AS BIGINT) AS n_docs "
-        "FROM a GROUP BY 1, 2"
-    ),
-    "postings_and_query": (
-        f"WITH uni AS (SELECT doc_id, UNNEST({_TOK3_SQL}) AS token "
-        "FROM documents), "
-        "c AS (SELECT token, COUNT(*) AS n FROM uni GROUP BY 1), "
-        "t2 AS (SELECT token FROM c ORDER BY n ASC, token ASC LIMIT 2) "
-        "SELECT doc_id FROM documents d WHERE NOT EXISTS ("
-        "SELECT 1 FROM t2 WHERE NOT list_contains("
-        f"{_TOK3_SQL}, t2.token))"
-    ),
-    "contrastive_negatives": (
-        "WITH t AS (SELECT CAST(COUNT(*) AS BIGINT) AS n FROM embeddings), "
-        f"g AS (SELECT UNNEST(range(1, {NEG_K + 1})) AS j) "
-        "SELECT CAST(vec_id AS BIGINT) AS vec_id, CAST(g.j AS BIGINT) AS j, "
-        f"(vec_id * {NEG_MULT} + g.j) % t.n AS neg_id "
-        "FROM embeddings CROSS JOIN t CROSS JOIN g "
-        f"WHERE (vec_id * {NEG_MULT} + g.j) % t.n != vec_id"
-    ),
-    "key_skew_profile": (
-        "WITH c AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM events GROUP BY 1), "
-        "t AS (SELECT CAST(SUM(n) AS BIGINT) AS total FROM c) "
-        "SELECT event_type, n, n * 1000000 // total AS share_ppm, "
-        "ROW_NUMBER() OVER (ORDER BY n DESC, event_type ASC) AS rnk, "
-        "CAST(SUM(n * 1000000 // total) OVER (ORDER BY n DESC, event_type ASC "
-        "ROWS UNBOUNDED PRECEDING) AS BIGINT) AS cum_ppm "
-        "FROM c CROSS JOIN t"
-    ),
-    "chunk_dedup_groups": (
-        f"WITH t AS (SELECT doc_id, {_TOK3_SQL} AS tok FROM documents), "
-        "c AS (SELECT doc_id, array_to_string("
-        "tok[gs.ci*32+1 : gs.ci*32+32], ' ') AS chunk "
-        "FROM t, (SELECT UNNEST(range(1024)) AS ci) gs "
-        "WHERE gs.ci*32 < len(tok)) "
-        "SELECT chunk, CAST(COUNT(*) AS BIGINT) AS n_occ, "
-        "CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS n_docs "
-        "FROM c GROUP BY 1 HAVING COUNT(*) > 1"
-    ),
-    "bloom_semijoin_lines": (
-        "SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n_lines, "
-        "CAST(SUM(CAST(FLOOR(l_quantity + 0.5) AS BIGINT)) AS BIGINT) AS sum_qty "
-        "FROM lineitem l WHERE EXISTS (SELECT 1 FROM orders o "
-        "WHERE o.o_orderkey = l.l_orderkey AND o.o_orderpriority = "
-        f"'{BLOOM_PRIORITY}') GROUP BY 1"
-    ),
-    "user_event_ordinals": (
-        "WITH e AS (SELECT user_id % 64 AS bucket, event_id, "
-        "ROW_NUMBER() OVER (PARTITION BY user_id % 64 "
-        "ORDER BY ts ASC, event_id ASC) AS o FROM events) "
-        "SELECT CAST(bucket AS BIGINT) AS bucket, "
-        "CAST(COUNT(*) AS BIGINT) AS n_rows, "
-        "CAST(SUM(o * event_id) AS BIGINT) AS ord_checksum "
-        "FROM e GROUP BY 1"
-    ),
-    "lang_source_chi2": (
-        "WITH c AS (SELECT lang, source, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM documents GROUP BY 1, 2), "
-        "w AS (SELECT lang, source, n, "
-        "CAST(SUM(n) OVER (PARTITION BY lang) AS BIGINT) AS row_n, "
-        "CAST(SUM(n) OVER (PARTITION BY source) AS BIGINT) AS col_n, "
-        "CAST(SUM(n) OVER () AS BIGINT) AS total FROM c) "
-        "SELECT lang, source, n, "
-        "(n * total - row_n * col_n) * (n * total - row_n * col_n) "
-        "// (row_n * col_n) * 1000000 // total AS contrib_micro FROM w"
-    ),
-    "orders_constraint_audit": (
-        "SELECT * FROM ("
-        "SELECT 'late_order_date' AS check_name, CAST(COUNT(*) AS BIGINT) "
-        "AS n_violations FROM orders "
-        "WHERE o_orderdate >= TIMESTAMP '2001-01-01' "
-        "UNION ALL SELECT 'price_above_cap', CAST(COUNT(*) AS BIGINT) "
-        f"FROM orders WHERE o_totalprice > {AUDIT_PRICE_CAP} "
-        "UNION ALL SELECT 'discount_above_cap', CAST(COUNT(*) AS BIGINT) "
-        f"FROM lineitem WHERE l_discount > {AUDIT_DISCOUNT_CAP} "
-        "UNION ALL SELECT 'quantity_above_cap', CAST(COUNT(*) AS BIGINT) "
-        f"FROM lineitem WHERE l_quantity > {AUDIT_QTY_CAP} "
-        "UNION ALL SELECT 'orphan_lineitem', CAST(COUNT(*) AS BIGINT) "
-        "FROM lineitem l WHERE NOT EXISTS (SELECT 1 FROM orders o "
-        "WHERE o.o_orderkey = l.l_orderkey))"
-    ),
-    "type_value_trend": (
-        "WITH e AS (SELECT event_type, "
-        f"CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) - {TREND_X0} AS x, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS y FROM events) "
-        "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(COUNT(*)*SUM(x*y) - SUM(x)*SUM(y) AS BIGINT) AS slope_num, "
-        "CAST(COUNT(*)*SUM(x*x) - SUM(x)*SUM(x) AS BIGINT) AS slope_den "
-        "FROM e GROUP BY 1"
-    ),
-    "user_day_zorder_profile": (
-        "WITH e AS (SELECT user_id, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
-        "zt AS (SELECT user_id, "
-        "(((user_id >> 0) & 1) << 0) | (((day >> 0) & 1) << 1) | "
-        "(((user_id >> 1) & 1) << 2) | (((day >> 1) & 1) << 3) | "
-        "(((user_id >> 2) & 1) << 4) | (((day >> 2) & 1) << 5) | "
-        "(((user_id >> 3) & 1) << 6) | (((day >> 3) & 1) << 7) AS z FROM e) "
-        "SELECT CAST(z AS BIGINT) AS z, CAST(COUNT(*) AS BIGINT) AS n_events, "
-        "CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users FROM zt GROUP BY 1"
-    ),
-    "nation_region_share": (
-        "WITH rev AS (SELECT c_nationkey AS nk, "
-        "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
-        "AS rev_cents FROM orders JOIN customer ON o_custkey = c_custkey "
-        "GROUP BY 1), "
-        "j AS (SELECT r_name, n_name, rev_cents, n_regionkey AS rk FROM rev "
-        "JOIN nation ON n_nationkey = nk "
-        "JOIN region ON r_regionkey = n_regionkey) "
-        "SELECT r_name, n_name, rev_cents, "
-        "CAST(rev_cents * 1000000 // "
-        "(SUM(rev_cents) OVER (PARTITION BY rk)) AS BIGINT) AS share_ppm FROM j"
-    ),
-    "event_counts_incremental": (
-        "SELECT event_type, "
-        f"CAST(SUM(CASE WHEN event_id % {DELTA_MOD} != 0 THEN 1 ELSE 0 END) "
-        "AS BIGINT) AS n_base, "
-        f"CAST(SUM(CASE WHEN event_id % {DELTA_MOD} = 0 THEN 1 ELSE 0 END) "
-        "AS BIGINT) AS n_delta, "
-        "CAST(COUNT(*) AS BIGINT) AS n_total FROM events GROUP BY 1"
-    ),
-    "user_late_events": (
-        "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms, "
-        f"(event_id * {ARRIVAL_MULT}) % {1 << 32} AS arr FROM events), "
-        "w AS (SELECT user_id, ms, "
-        "MAX(ms) OVER (PARTITION BY user_id ORDER BY arr ASC, event_id ASC "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS wm FROM e) "
-        "SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n_events, "
-        "CAST(SUM(CASE WHEN wm IS NOT NULL AND ms < wm THEN 1 ELSE 0 END) "
-        "AS BIGINT) AS n_late FROM w GROUP BY 1"
-    ),
-    "wau_by_day": (
-        "WITH d AS (SELECT DISTINCT user_id, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
-        "spine AS (SELECT DISTINCT day FROM d) "
-        "SELECT s.day AS day, CAST(COUNT(DISTINCT d.user_id) AS BIGINT) AS wau "
-        "FROM spine s JOIN d ON d.day BETWEEN s.day - "
-        f"{WAU_WINDOW_DAYS - 1} AND s.day GROUP BY 1"
-    ),
-    "embedding_pq_codes": (
-        "WITH q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
-        "FROM embeddings), "
-        f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
-        f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
-        "d AS (SELECT q.vec_id, sub.s, cb.cid, "
-        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
-        f"(SELECT UNNEST(q.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS a, "
-        f"UNNEST(cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS b) z) "
-        "AS dist FROM q CROSS JOIN sub CROSS JOIN cb), "
-        "best AS (SELECT vec_id, s, cid FROM d "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id, s "
-        "ORDER BY dist ASC, cid ASC) = 1) "
-        "SELECT vec_id, "
-        "CAST(MAX(CASE WHEN s = 0 THEN cid END) AS BIGINT) AS code0, "
-        "CAST(MAX(CASE WHEN s = 1 THEN cid END) AS BIGINT) AS code1, "
-        "CAST(MAX(CASE WHEN s = 2 THEN cid END) AS BIGINT) AS code2, "
-        "CAST(MAX(CASE WHEN s = 3 THEN cid END) AS BIGINT) AS code3 "
-        "FROM best GROUP BY 1"
-    ),
-    "orders_pareto_frontier": (
-        "WITH o AS (SELECT o_orderkey, "
-        "CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) AS cents, "
-        "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day "
-        "FROM orders) "
-        "SELECT o_orderkey, cents, day FROM o a WHERE NOT EXISTS ("
-        "SELECT 1 FROM o b WHERE b.cents >= a.cents AND b.day <= a.day "
-        "AND (b.cents > a.cents OR b.day < a.day))"
-    ),
-    "user_longest_streak": (
-        "WITH d AS (SELECT DISTINCT user_id, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day FROM events), "
-        "g AS (SELECT user_id, day, day - ROW_NUMBER() OVER ("
-        "PARTITION BY user_id ORDER BY day) AS grp FROM d), "
-        "r AS (SELECT user_id, CAST(COUNT(*) AS BIGINT) AS run "
-        "FROM g GROUP BY user_id, grp) "
-        "SELECT user_id, CAST(MAX(run) AS BIGINT) AS longest_streak, "
-        "CAST(SUM(run) AS BIGINT) AS n_active_days FROM r GROUP BY 1"
-    ),
-    "event_type_markov": (
-        "WITH e AS (SELECT user_id, event_type, "
-        "LAG(event_type) OVER (PARTITION BY user_id "
-        "ORDER BY epoch_ms(ts), event_id) AS prev_type FROM events) "
-        "SELECT prev_type, event_type AS next_type, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM e "
-        "WHERE prev_type IS NOT NULL GROUP BY 1, 2"
-    ),
-    "kmeans_mstep_centroids": (
-        "WITH c AS (SELECT vec_id AS centroid_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
-        f"FROM embeddings WHERE vec_id < {MSTEP_K}), "
-        "v AS (SELECT vec_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
-        "FROM embeddings), "
-        "s AS (SELECT v.vec_id, c.centroid_id, "
-        "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) AS BIGINT) "
-        "AS cm FROM v CROSS JOIN c), "
-        "a AS (SELECT vec_id, centroid_id FROM s "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
-        "ORDER BY cm DESC, centroid_id ASC) = 1), "
-        "u AS (SELECT a.centroid_id, UNNEST(v.qe) AS q, "
-        "UNNEST(range(len(v.qe))) AS dim FROM a JOIN v USING (vec_id)) "
-        "SELECT CAST(centroid_id AS BIGINT) AS centroid_id, "
-        "CAST(dim AS BIGINT) AS dim, CAST(SUM(q) AS BIGINT) AS s_kilo, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM u GROUP BY 1, 2"
-    ),
-    "ann_rrf_fusion": (
-        "WITH qv AS (SELECT list_transform(embedding, x -> CAST(x AS DOUBLE)) "
-        "AS ve, list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
-        "FROM embeddings WHERE vec_id = 0), "
-        "v AS (SELECT vec_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{MSTEP_QUANT} + 0.5) AS BIGINT)) AS qe "
-        "FROM embeddings), "
-        "m AS (SELECT v.vec_id, "
-        "CAST(FLOOR(list_cosine_similarity(qv.ve, v.ve)*1000000 + 0.5) AS BIGINT) "
-        "AS cos_micro, "
-        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
-        "(SELECT UNNEST(v.qe) AS a, UNNEST(qv.qe) AS b) z) AS l2 "
-        "FROM v CROSS JOIN qv), "
-        "rc AS (SELECT vec_id, ROW_NUMBER() OVER "
-        "(ORDER BY cos_micro DESC, vec_id ASC) AS r FROM m "
-        "QUALIFY ROW_NUMBER() OVER (ORDER BY cos_micro DESC, vec_id ASC) "
-        f"<= {FUSE_POOL}), "
-        "rl AS (SELECT vec_id, ROW_NUMBER() OVER "
-        "(ORDER BY l2 ASC, vec_id ASC) AS r FROM m "
-        "QUALIFY ROW_NUMBER() OVER (ORDER BY l2 ASC, vec_id ASC) "
-        f"<= {FUSE_POOL}), "
-        "f AS (SELECT COALESCE(rc.vec_id, rl.vec_id) AS vec_id, "
-        f"COALESCE(1000000 // ({RRF_K0} + rc.r), 0) + "
-        f"COALESCE(1000000 // ({RRF_K0} + rl.r), 0) AS rrf_micro "
-        "FROM rc FULL OUTER JOIN rl ON rc.vec_id = rl.vec_id) "
-        "SELECT vec_id, CAST(rrf_micro AS BIGINT) AS rrf_micro FROM f "
-        f"ORDER BY rrf_micro DESC, vec_id ASC LIMIT {FUSE_TOP}"
-    ),
-    "event_value_band_pairs": (
-        "WITH e AS (SELECT event_id, event_type, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events) "
-        "SELECT a.event_type AS event_type, CAST(COUNT(*) AS BIGINT) AS n_pairs "
-        "FROM e a JOIN e b ON a.event_type = b.event_type "
-        "AND a.event_id < b.event_id "
-        f"AND ABS(a.cents - b.cents) <= {BAND_DELTA} GROUP BY 1"
-    ),
-    "type_value_quantile_sample": (
-        "WITH e AS (SELECT event_id, event_type, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents, "
-        f"(event_id * {QSK_MULT}) % {1 << 32} AS h FROM events), "
-        "s AS (SELECT event_type, cents FROM e "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type "
-        f"ORDER BY h ASC, event_id ASC) <= {QSK_K}), "
-        "r AS (SELECT event_type, cents, "
-        "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents ASC) AS rk, "
-        "COUNT(*) OVER (PARTITION BY event_type) AS m FROM s) "
-        "SELECT event_type, CAST(MAX(m) AS BIGINT) AS n_sample, "
-        "CAST(MAX(CASE WHEN rk = (m-1)*25//100 + 1 THEN cents END) AS BIGINT) "
-        "AS p25_cents, "
-        "CAST(MAX(CASE WHEN rk = (m-1)*50//100 + 1 THEN cents END) AS BIGINT) "
-        "AS p50_cents, "
-        "CAST(MAX(CASE WHEN rk = (m-1)*75//100 + 1 THEN cents END) AS BIGINT) "
-        "AS p75_cents "
-        "FROM r GROUP BY 1"
-    ),
-    "events_jsonl_counts": (
-        "SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM events GROUP BY 1"
-    ),
-    "customer_csv_segments": (
-        "SELECT c_mktsegment, CAST(COUNT(*) AS BIGINT) AS n_customers, "
-        "CAST(SUM(CAST(FLOOR(c_acctbal*100 + 0.5) AS BIGINT)) AS BIGINT) "
-        "AS bal_cents FROM customer GROUP BY 1"
-    ),
-    "order_size_histogram": (
-        "WITH c AS (SELECT o.o_orderkey, "
-        "CAST(COUNT(l.l_orderkey) AS BIGINT) AS n_lines "
-        "FROM orders o LEFT JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
-        "GROUP BY 1) "
-        "SELECT n_lines, CAST(COUNT(*) AS BIGINT) AS n_orders "
-        "FROM c GROUP BY 1"
-    ),
-    "value_daily_ohlc": (
-        "WITH e AS (SELECT "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day, "
-        "epoch_ms(ts) AS ms, event_id, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
-        "r AS (SELECT day, cents, "
-        "ROW_NUMBER() OVER (PARTITION BY day ORDER BY ms ASC, event_id ASC) "
-        "AS rf, "
-        "ROW_NUMBER() OVER (PARTITION BY day ORDER BY ms DESC, event_id DESC) "
-        "AS rl FROM e) "
-        "SELECT day, "
-        "CAST(MAX(CASE WHEN rf = 1 THEN cents END) AS BIGINT) AS open_cents, "
-        "CAST(MAX(cents) AS BIGINT) AS high_cents, "
-        "CAST(MIN(cents) AS BIGINT) AS low_cents, "
-        "CAST(MAX(CASE WHEN rl = 1 THEN cents END) AS BIGINT) AS close_cents "
-        "FROM r GROUP BY 1"
-    ),
-    "activity_union_daily": (
-        "SELECT * FROM ("
-        "SELECT 'events' AS src, "
-        "CAST(FLOOR(epoch_us(ts)/86400000000.0) AS BIGINT) AS day, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1, 2 "
-        "UNION ALL "
-        "SELECT 'orders' AS src, "
-        "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM orders GROUP BY 1, 2)"
-    ),
-    "custs_all_priorities": (
-        "SELECT o_custkey FROM orders GROUP BY 1 "
-        "HAVING COUNT(DISTINCT o_orderpriority) = "
-        "(SELECT COUNT(DISTINCT o_orderpriority) FROM orders)"
-    ),
-    "event_value_mad_by_type": (
-        "WITH e AS (SELECT event_type, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
-        "m AS (SELECT event_type, "
-        "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY cents) AS BIGINT) "
-        "AS med FROM e GROUP BY 1), "
-        "r AS (SELECT e.event_type, m.med, ABS(e.cents - m.med) AS resid "
-        "FROM e JOIN m USING (event_type)) "
-        "SELECT event_type, CAST(MAX(med) AS BIGINT) AS median_cents, "
-        "CAST(percentile_disc(0.5) WITHIN GROUP (ORDER BY resid) AS BIGINT) "
-        "AS mad_cents FROM r GROUP BY 1"
-    ),
-    "revenue_daily_delta": (
-        "WITH d AS (SELECT "
-        "CAST(FLOOR(epoch_us(o_orderdate)/86400000000.0) AS BIGINT) AS day, "
-        "CAST(SUM(CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) "
-        "AS revenue_cents FROM orders GROUP BY 1) "
-        "SELECT day, revenue_cents, "
-        "CAST(COALESCE(revenue_cents - LAG(revenue_cents) OVER (ORDER BY day), "
-        "0) AS BIGINT) AS delta_cents FROM d"
-    ),
-    "order_price_decile_profile": (
-        "WITH e AS (SELECT CAST(FLOOR(o_totalprice*100 + 0.5) AS BIGINT) "
-        "AS cents FROM orders), "
-        f"t AS (SELECT cents, NTILE({NTILE_K}) OVER (ORDER BY cents) AS tile "
-        "FROM e) "
-        "SELECT CAST(tile AS BIGINT) AS tile, "
-        "CAST(COUNT(*) AS BIGINT) AS n_orders, "
-        "CAST(SUM(cents) AS BIGINT) AS sum_cents FROM t GROUP BY 1"
-    ),
-    "part_pair_support": (
-        "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem) "
-        "SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-        "CAST(COUNT(*) AS BIGINT) AS n_orders "
-        "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
-        "AND a.l_partkey < b.l_partkey "
-        f"GROUP BY 1, 2 HAVING COUNT(*) >= {BASKET_MIN_SUPPORT}"
-    ),
-    "part_pair_lift": (
-        "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem), "
-        "s AS (SELECT l_partkey, CAST(COUNT(*) AS BIGINT) AS n FROM p "
-        "GROUP BY 1), "
-        "t AS (SELECT CAST(COUNT(DISTINCT l_orderkey) AS BIGINT) AS nb FROM p), "
-        "pr AS (SELECT a.l_partkey AS part_a, b.l_partkey AS part_b, "
-        "CAST(COUNT(*) AS BIGINT) AS n_orders "
-        "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
-        "AND a.l_partkey < b.l_partkey "
-        f"GROUP BY 1, 2 HAVING COUNT(*) >= {BASKET_MIN_SUPPORT}) "
-        "SELECT part_a, part_b, n_orders, "
-        "n_orders * 1000000 // sa.n AS conf_ppm, "
-        "n_orders * t.nb * 1000000 // (sa.n * sb.n) AS lift_micro "
-        "FROM pr JOIN s sa ON sa.l_partkey = pr.part_a "
-        "JOIN s sb ON sb.l_partkey = pr.part_b CROSS JOIN t"
-    ),
-    "part_graph_triangles": (
-        "WITH p AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem), "
-        "e AS (SELECT a.l_partkey AS a, b.l_partkey AS b "
-        "FROM p a JOIN p b ON a.l_orderkey = b.l_orderkey "
-        "AND a.l_partkey < b.l_partkey "
-        f"GROUP BY 1, 2 HAVING COUNT(*) >= {TRI_MIN_SUPPORT}) "
-        "SELECT CAST(COUNT(*) AS BIGINT) AS n_triangles "
-        "FROM e e1 JOIN e e2 ON e1.a = e2.a AND e1.b < e2.b "
-        "JOIN e e3 ON e3.a = e1.b AND e3.b = e2.b"
-    ),
-}

@@ -13,10 +13,14 @@ DuckDB replays every placement / every redaction count bit-for-bit.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
+from . import oracles_ext
 from .queries_ml2 import _p
+from .registry import query
 
 # --------------------------------------------------------------------------
 # sequence packing (doc_chunks → fixed context windows)
@@ -58,6 +62,37 @@ def _pack_next_fit(n_tokens: np.ndarray, context_len: int):
     return seq, off
 
 
+def _pack_sql() -> str:
+    from .queries import CHUNK_W, ORACLE_SQL
+
+    chunks = ORACLE_SQL["doc_chunks"]
+    # doc_chunks SQL is "WITH toks AS (...), c AS (...) SELECT ..." — splice
+    # it as a sub-select inside the recursive scope
+    L = PACK_CONTEXT_LEN
+    return (
+        "WITH RECURSIVE base AS ("
+        "SELECT part, doc_id, chunk_idx, n_chunk_tokens, "
+        "ROW_NUMBER() OVER (PARTITION BY part ORDER BY doc_id, chunk_idx) AS rn "
+        f"FROM (SELECT doc_id, chunk_idx, n_chunk_tokens, "
+        f"CAST((doc_id * {PACK_MULT}) % 4294967296 % {PACK_PARTS} AS BIGINT) AS part "
+        f"FROM ({chunks}))), "
+        "packed AS ("
+        "SELECT part, rn, doc_id, chunk_idx, n_chunk_tokens, "
+        "CAST(0 AS BIGINT) AS seq_id, CAST(0 AS BIGINT) AS off_tokens, "
+        "n_chunk_tokens AS used FROM base WHERE rn = 1 "
+        "UNION ALL "
+        "SELECT b.part, b.rn, b.doc_id, b.chunk_idx, b.n_chunk_tokens, "
+        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN p.seq_id + 1 ELSE p.seq_id END, "
+        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN 0 ELSE p.used END, "
+        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN b.n_chunk_tokens "
+        "ELSE p.used + b.n_chunk_tokens END "
+        "FROM base b JOIN packed p ON b.part = p.part AND b.rn = p.rn + 1) "
+        "SELECT part, doc_id, chunk_idx, n_chunk_tokens, seq_id, off_tokens "
+        "FROM packed"
+    )
+
+
+@query("doc_pack_sequences", _pack_sql)
 def q_doc_pack_sequences(sf_dir: str):
     """SEQUENCE PACKING: the final curation-chain step — every doc_chunks
     window is placed into a fixed ``PACK_CONTEXT_LEN``-token training
@@ -117,6 +152,17 @@ def q_doc_pack_sequences(sf_dir: str):
     )
 
 
+def _pack_stats_sql() -> str:
+    return (
+        f"WITH p AS ({_pack_sql()}) "
+        "SELECT part, seq_id, COUNT(*) AS n_chunks, "
+        "CAST(SUM(n_chunk_tokens) AS BIGINT) AS n_tokens, "
+        f"CAST(SUM(n_chunk_tokens) AS BIGINT) * 1000000 // {PACK_CONTEXT_LEN} "
+        "AS fill_ppm FROM p GROUP BY 1, 2"
+    )
+
+
+@query("doc_pack_stats", _pack_stats_sql)
 def q_doc_pack_stats(sf_dir: str):
     """PACKING EFFICIENCY: per packed sequence, its chunk count, token
     fill and fill ratio (ppm) — THE metric a packing job reports (wasted
@@ -164,16 +210,6 @@ def q_doc_pack_stats(sf_dir: str):
         q_doc_pack_sequences(sf_dir)
         .groupby("part")
         .map_groups(roll, batch_format="pandas")
-    )
-
-
-def _pack_stats_sql() -> str:
-    return (
-        f"WITH p AS ({_pack_sql()}) "
-        "SELECT part, seq_id, COUNT(*) AS n_chunks, "
-        "CAST(SUM(n_chunk_tokens) AS BIGINT) AS n_tokens, "
-        f"CAST(SUM(n_chunk_tokens) AS BIGINT) * 1000000 // {PACK_CONTEXT_LEN} "
-        "AS fill_ppm FROM p GROUP BY 1, 2"
     )
 
 
@@ -234,6 +270,27 @@ def _pii_scrub_arrays(did: np.ndarray, t: pa.Array):
     )
 
 
+def _pii_sql() -> str:
+    e, p, n = PII_EMAIL_PAT, PII_PHONE_PAT, PII_NUM_PAT
+    return (
+        "WITH aug AS (SELECT doc_id, text "
+        f"|| CASE WHEN doc_id % {PII_EMAIL_MOD} = 0 THEN ' contact user' || doc_id || '@example.com' ELSE '' END "
+        f"|| CASE WHEN doc_id % {PII_PHONE_MOD} = 0 THEN ' call +15550' || doc_id ELSE '' END "
+        f"|| CASE WHEN doc_id % {PII_IDNUM_MOD} = 0 THEN ' ref 900' || doc_id || '001122' ELSE '' END "
+        "AS t FROM documents), "
+        f"s1 AS (SELECT doc_id, CAST(len(regexp_extract_all(t, '{e}')) AS BIGINT) AS n_emails, "
+        f"regexp_replace(t, '{e}', '<EMAIL>', 'g') AS t FROM aug), "
+        f"s2 AS (SELECT doc_id, n_emails, CAST(len(regexp_extract_all(t, '{p}')) AS BIGINT) AS n_phones, "
+        f"regexp_replace(t, '{p}', '<PHONE>', 'g') AS t FROM s1), "
+        f"s3 AS (SELECT doc_id, n_emails, n_phones, CAST(len(regexp_extract_all(t, '{n}')) AS BIGINT) AS n_idnums, "
+        f"regexp_replace(t, '{n}', '<NUM>', 'g') AS t FROM s2) "
+        "SELECT doc_id, n_emails, n_phones, n_idnums, "
+        "n_emails + n_phones + n_idnums AS n_redactions, "
+        "CAST(length(t) AS BIGINT) AS clean_len FROM s3"
+    )
+
+
+@query("doc_pii_scrub", _pii_sql)
 def q_doc_pii_scrub(sf_dir: str):
     """PII SCRUB: three-stage vectorized redaction — emails →
     ``<EMAIL>``, then international phone numbers → ``<PHONE>`` on the
@@ -271,61 +328,6 @@ def q_doc_pii_scrub(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# oracles
-# --------------------------------------------------------------------------
-
-
-def _pack_sql() -> str:
-    from .queries import CHUNK_W, ORACLE_SQL
-
-    chunks = ORACLE_SQL["doc_chunks"]
-    # doc_chunks SQL is "WITH toks AS (...), c AS (...) SELECT ..." — splice
-    # it as a sub-select inside the recursive scope
-    L = PACK_CONTEXT_LEN
-    return (
-        "WITH RECURSIVE base AS ("
-        "SELECT part, doc_id, chunk_idx, n_chunk_tokens, "
-        "ROW_NUMBER() OVER (PARTITION BY part ORDER BY doc_id, chunk_idx) AS rn "
-        f"FROM (SELECT doc_id, chunk_idx, n_chunk_tokens, "
-        f"CAST((doc_id * {PACK_MULT}) % 4294967296 % {PACK_PARTS} AS BIGINT) AS part "
-        f"FROM ({chunks}))), "
-        "packed AS ("
-        "SELECT part, rn, doc_id, chunk_idx, n_chunk_tokens, "
-        "CAST(0 AS BIGINT) AS seq_id, CAST(0 AS BIGINT) AS off_tokens, "
-        "n_chunk_tokens AS used FROM base WHERE rn = 1 "
-        "UNION ALL "
-        "SELECT b.part, b.rn, b.doc_id, b.chunk_idx, b.n_chunk_tokens, "
-        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN p.seq_id + 1 ELSE p.seq_id END, "
-        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN 0 ELSE p.used END, "
-        f"CASE WHEN p.used + b.n_chunk_tokens > {L} THEN b.n_chunk_tokens "
-        "ELSE p.used + b.n_chunk_tokens END "
-        "FROM base b JOIN packed p ON b.part = p.part AND b.rn = p.rn + 1) "
-        "SELECT part, doc_id, chunk_idx, n_chunk_tokens, seq_id, off_tokens "
-        "FROM packed"
-    )
-
-
-def _pii_sql() -> str:
-    e, p, n = PII_EMAIL_PAT, PII_PHONE_PAT, PII_NUM_PAT
-    return (
-        "WITH aug AS (SELECT doc_id, text "
-        f"|| CASE WHEN doc_id % {PII_EMAIL_MOD} = 0 THEN ' contact user' || doc_id || '@example.com' ELSE '' END "
-        f"|| CASE WHEN doc_id % {PII_PHONE_MOD} = 0 THEN ' call +15550' || doc_id ELSE '' END "
-        f"|| CASE WHEN doc_id % {PII_IDNUM_MOD} = 0 THEN ' ref 900' || doc_id || '001122' ELSE '' END "
-        "AS t FROM documents), "
-        f"s1 AS (SELECT doc_id, CAST(len(regexp_extract_all(t, '{e}')) AS BIGINT) AS n_emails, "
-        f"regexp_replace(t, '{e}', '<EMAIL>', 'g') AS t FROM aug), "
-        f"s2 AS (SELECT doc_id, n_emails, CAST(len(regexp_extract_all(t, '{p}')) AS BIGINT) AS n_phones, "
-        f"regexp_replace(t, '{p}', '<PHONE>', 'g') AS t FROM s1), "
-        f"s3 AS (SELECT doc_id, n_emails, n_phones, CAST(len(regexp_extract_all(t, '{n}')) AS BIGINT) AS n_idnums, "
-        f"regexp_replace(t, '{n}', '<NUM>', 'g') AS t FROM s2) "
-        "SELECT doc_id, n_emails, n_phones, n_idnums, "
-        "n_emails + n_phones + n_idnums AS n_redactions, "
-        "CAST(length(t) AS BIGINT) AS clean_len FROM s3"
-    )
-
-
-# --------------------------------------------------------------------------
 # boilerplate phrase detection (cross-doc repeated n-grams)
 # --------------------------------------------------------------------------
 
@@ -335,6 +337,23 @@ BOILER_MIN_DOCS = 2  # a gram in >= this many distinct docs is boilerplate
 # a real corpus uses a much higher bar — the set stays threshold-bounded)
 
 
+def _boiler_sql() -> str:
+    w = BOILER_W
+    return (
+        "WITH toks AS (SELECT doc_id, "
+        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
+        "g AS (SELECT doc_id, array_to_string("
+        f"tk[CAST(i+1 AS INT):CAST(i+{w} AS INT)], ' ') AS gram "
+        f"FROM toks, unnest(range(0, len(tk)-{w-1})) AS t(i) WHERE len(tk) >= {w}), "
+        "boiler AS (SELECT gram FROM (SELECT gram, COUNT(DISTINCT doc_id) AS nd "
+        f"FROM g GROUP BY 1) WHERE nd >= {BOILER_MIN_DOCS}) "
+        "SELECT g.doc_id, CAST(COUNT(DISTINCT g.gram) AS BIGINT) AS n_boiler_grams, "
+        "CAST(COUNT(*) AS BIGINT) AS n_gram_hits "
+        "FROM g JOIN boiler USING (gram) GROUP BY 1"
+    )
+
+
+@query("boilerplate_gram_docs", _boiler_sql)
 def q_boilerplate_gram_docs(sf_dir: str):
     """BOILERPLATE PHRASE DETECTION (C4/RefinedWeb-style curation): find
     ``BOILER_W``-gram phrases appearing in ≥ ``BOILER_MIN_DOCS`` distinct
@@ -414,22 +433,6 @@ def q_boilerplate_gram_docs(sf_dir: str):
     return docs.map_batches(hits, batch_format="pyarrow")
 
 
-def _boiler_sql() -> str:
-    w = BOILER_W
-    return (
-        "WITH toks AS (SELECT doc_id, "
-        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
-        "g AS (SELECT doc_id, array_to_string("
-        f"tk[CAST(i+1 AS INT):CAST(i+{w} AS INT)], ' ') AS gram "
-        f"FROM toks, unnest(range(0, len(tk)-{w-1})) AS t(i) WHERE len(tk) >= {w}), "
-        "boiler AS (SELECT gram FROM (SELECT gram, COUNT(DISTINCT doc_id) AS nd "
-        f"FROM g GROUP BY 1) WHERE nd >= {BOILER_MIN_DOCS}) "
-        "SELECT g.doc_id, CAST(COUNT(DISTINCT g.gram) AS BIGINT) AS n_boiler_grams, "
-        "CAST(COUNT(*) AS BIGINT) AS n_gram_hits "
-        "FROM g JOIN boiler USING (gram) GROUP BY 1"
-    )
-
-
 # --------------------------------------------------------------------------
 # incremental (delta-vs-base) dedup — continuous-ingestion curation
 # --------------------------------------------------------------------------
@@ -437,6 +440,21 @@ def _boiler_sql() -> str:
 DELTA_MOD = 5  # doc_id % 5 == 0 simulates the newly-ingested delta batch
 
 
+def _delta_sql() -> str:
+    return (
+        "WITH d AS (SELECT doc_id, array_to_string(list_sort(list_distinct("
+        "regexp_extract_all(lower(text), '[a-z0-9]+'))), ' ') AS ts FROM documents), "
+        f"delta AS (SELECT doc_id, ts FROM d WHERE doc_id % {DELTA_MOD} = 0), "
+        "base AS (SELECT ts, MIN(doc_id) AS dup_of FROM d "
+        f"WHERE doc_id % {DELTA_MOD} <> 0 GROUP BY 1) "
+        "SELECT delta.doc_id, "
+        "CAST(CASE WHEN b.dup_of IS NULL THEN 1 ELSE 0 END AS BIGINT) AS is_new, "
+        "CAST(COALESCE(b.dup_of, -1) AS BIGINT) AS dup_of "
+        "FROM delta LEFT JOIN base b USING (ts)"
+    )
+
+
+@query("delta_tokenset_dedup", _delta_sql)
 def q_delta_tokenset_dedup(sf_dir: str):
     """INCREMENTAL DEDUP: the newly-ingested delta batch (doc_id %
     ``DELTA_MOD`` == 0) checked against the existing corpus (the rest) by
@@ -499,20 +517,6 @@ def q_delta_tokenset_dedup(sf_dir: str):
     )
 
 
-def _delta_sql() -> str:
-    return (
-        "WITH d AS (SELECT doc_id, array_to_string(list_sort(list_distinct("
-        "regexp_extract_all(lower(text), '[a-z0-9]+'))), ' ') AS ts FROM documents), "
-        f"delta AS (SELECT doc_id, ts FROM d WHERE doc_id % {DELTA_MOD} = 0), "
-        "base AS (SELECT ts, MIN(doc_id) AS dup_of FROM d "
-        f"WHERE doc_id % {DELTA_MOD} <> 0 GROUP BY 1) "
-        "SELECT delta.doc_id, "
-        "CAST(CASE WHEN b.dup_of IS NULL THEN 1 ELSE 0 END AS BIGINT) AS is_new, "
-        "CAST(COALESCE(b.dup_of, -1) AS BIGINT) AS dup_of "
-        "FROM delta LEFT JOIN base b USING (ts)"
-    )
-
-
 # --------------------------------------------------------------------------
 # k-NN graph construction (all-nodes top-k neighbors)
 # --------------------------------------------------------------------------
@@ -520,6 +524,21 @@ def _delta_sql() -> str:
 KNN_K = 3  # neighbors per node
 
 
+def _knn_sql() -> str:
+    return (
+        "WITH v AS (SELECT vec_id, "
+        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e FROM embeddings), "
+        "s AS (SELECT a.vec_id, b.vec_id AS nbr_id, "
+        "CAST(FLOOR(list_cosine_similarity(a.e, b.e)*1000000 + 0.5) AS BIGINT) "
+        "AS cos_micro FROM v a JOIN v b ON a.vec_id <> b.vec_id) "
+        "SELECT vec_id, nbr_id, ROW_NUMBER() OVER (PARTITION BY vec_id "
+        "ORDER BY cos_micro DESC, nbr_id ASC) AS knn_rank, cos_micro FROM s "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
+        f"ORDER BY cos_micro DESC, nbr_id ASC) <= {KNN_K}"
+    )
+
+
+@query("knn_graph_edges", _knn_sql)
 def q_knn_graph_edges(sf_dir: str):
     """k-NN GRAPH: every embedding's top-``KNN_K`` cosine neighbors
     (self excluded, ties by neighbor id) — the graph primitive behind
@@ -607,6 +626,7 @@ def knn_graph_edges_auto(sf_dir: str):
     return q_knn_graph_edges_ivf(sf_dir)
 
 
+@query("knn_graph_edges_ivf", _knn_sql)
 def q_knn_graph_edges_ivf(sf_dir: str):
     """k-NN GRAPH, IVF-bucketed scale path (VERDICT r4 'Next round' #1):
     same output contract as :func:`q_knn_graph_edges` — one row per
@@ -628,20 +648,7 @@ def q_knn_graph_edges_ivf(sf_dir: str):
     )
 
 
-def _knn_sql() -> str:
-    return (
-        "WITH v AS (SELECT vec_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e FROM embeddings), "
-        "s AS (SELECT a.vec_id, b.vec_id AS nbr_id, "
-        "CAST(FLOOR(list_cosine_similarity(a.e, b.e)*1000000 + 0.5) AS BIGINT) "
-        "AS cos_micro FROM v a JOIN v b ON a.vec_id <> b.vec_id) "
-        "SELECT vec_id, nbr_id, ROW_NUMBER() OVER (PARTITION BY vec_id "
-        "ORDER BY cos_micro DESC, nbr_id ASC) AS knn_rank, cos_micro FROM s "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
-        f"ORDER BY cos_micro DESC, nbr_id ASC) <= {KNN_K}"
-    )
-
-
+@query("curation_funnel", partial(oracles_ext.extended, "curation_funnel"))
 def q_curation_funnel(sf_dir: str):
     """CURATION FUNNEL: the whole text-curation chain as one audit row —
     how many documents survive each successive gate, and how many tokens
@@ -731,6 +738,20 @@ SEM_THRESH_MICRO = 400_000  # cluster edge gate over the k-NN graph
 # semantic-dup rate)
 
 
+def _knn_clusters_sql() -> str:
+    return (
+        f"WITH RECURSIVE knn AS ({_knn_sql()}), "
+        f"p AS (SELECT vec_id AS a, nbr_id AS b FROM knn "
+        f"WHERE cos_micro >= {SEM_THRESH_MICRO}), "
+        "e AS (SELECT a, b FROM p UNION SELECT b, a FROM p), "
+        "reach AS (SELECT a AS src, b AS dst FROM e "
+        "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
+        "SELECT src AS vec_id, LEAST(src, MIN(dst)) AS cluster_rep "
+        "FROM reach GROUP BY src"
+    )
+
+
+@query("knn_semantic_clusters", _knn_clusters_sql)
 def q_knn_semantic_clusters(sf_dir: str):
     """SEMANTIC CLUSTERING (SemDeDup-style): connected components over the
     k-NN graph's edges with cosine ≥ ``SEM_THRESH_MICRO`` — group
@@ -769,19 +790,7 @@ def q_knn_semantic_clusters(sf_dir: str):
     return pd.DataFrame({"vec_id": nodes, "cluster_rep": rep})
 
 
-def _knn_clusters_sql() -> str:
-    return (
-        f"WITH RECURSIVE knn AS ({_knn_sql()}), "
-        f"p AS (SELECT vec_id AS a, nbr_id AS b FROM knn "
-        f"WHERE cos_micro >= {SEM_THRESH_MICRO}), "
-        "e AS (SELECT a, b FROM p UNION SELECT b, a FROM p), "
-        "reach AS (SELECT a AS src, b AS dst FROM e "
-        "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
-        "SELECT src AS vec_id, LEAST(src, MIN(dst)) AS cluster_rep "
-        "FROM reach GROUP BY src"
-    )
-
-
+@query("curated_pack_manifest", partial(oracles_ext.extended, "curated_pack_manifest"))
 def q_curated_pack_manifest(sf_dir: str):
     """THE END-TO-END TRAINING-DATA BUILD, composed from this engine's own
     operators into one manifest: curation keep decision
@@ -889,6 +898,19 @@ def q_curated_pack_manifest(sf_dir: str):
     )
 
 
+def _knn_hubness_sql() -> str:
+    return (
+        f"WITH knn AS ({_knn_sql()}), "
+        "d AS (SELECT nbr_id, CAST(COUNT(*) AS BIGINT) AS deg "
+        "FROM knn GROUP BY nbr_id), "
+        "dd AS (SELECT e.vec_id, COALESCE(d.deg, 0) AS in_degree "
+        "FROM embeddings e LEFT JOIN d ON d.nbr_id = e.vec_id) "
+        "SELECT in_degree, CAST(COUNT(*) AS BIGINT) AS n_nodes "
+        "FROM dd GROUP BY in_degree"
+    )
+
+
+@query("knn_hubness_hist", _knn_hubness_sql)
 def q_knn_hubness_hist(sf_dir: str):
     """k-NN GRAPH HUBNESS AUDIT: the in-degree histogram of the
     ``KNN_K``-NN graph — (in_degree, n_nodes), 0-in-degree nodes
@@ -952,44 +974,3 @@ def q_knn_hubness_hist(sf_dir: str):
             "n_nodes": pa.array(df["n_nodes"].to_numpy(np.int64), pa.int64()),
         }
     )
-
-
-def _knn_hubness_sql() -> str:
-    return (
-        f"WITH knn AS ({_knn_sql()}), "
-        "d AS (SELECT nbr_id, CAST(COUNT(*) AS BIGINT) AS deg "
-        "FROM knn GROUP BY nbr_id), "
-        "dd AS (SELECT e.vec_id, COALESCE(d.deg, 0) AS in_degree "
-        "FROM embeddings e LEFT JOIN d ON d.nbr_id = e.vec_id) "
-        "SELECT in_degree, CAST(COUNT(*) AS BIGINT) AS n_nodes "
-        "FROM dd GROUP BY in_degree"
-    )
-
-
-ML4_QUERIES = {
-    "knn_hubness_hist": q_knn_hubness_hist,
-    "curated_pack_manifest": q_curated_pack_manifest,
-    "doc_pack_sequences": q_doc_pack_sequences,
-    "doc_pack_stats": q_doc_pack_stats,
-    "doc_pii_scrub": q_doc_pii_scrub,
-    "boilerplate_gram_docs": q_boilerplate_gram_docs,
-    "delta_tokenset_dedup": q_delta_tokenset_dedup,
-    "knn_graph_edges": q_knn_graph_edges,
-    "knn_graph_edges_ivf": q_knn_graph_edges_ivf,
-    "knn_semantic_clusters": q_knn_semantic_clusters,
-    "curation_funnel": q_curation_funnel,
-}
-
-
-def build_ml4_oracles() -> dict[str, str]:
-    return {
-        "doc_pack_sequences": _pack_sql(),
-        "doc_pack_stats": _pack_stats_sql(),
-        "doc_pii_scrub": _pii_sql(),
-        "boilerplate_gram_docs": _boiler_sql(),
-        "delta_tokenset_dedup": _delta_sql(),
-        "knn_graph_edges": _knn_sql(),
-        "knn_graph_edges_ivf": _knn_sql(),
-        "knn_hubness_hist": _knn_hubness_sql(),
-        "knn_semantic_clusters": _knn_clusters_sql(),
-    }

@@ -20,12 +20,15 @@ that DuckDB replays bit-for-bit with window functions.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from .. import cache
+from . import oracles_ext
 from .queries_ml2 import _p
+from .registry import query
 
 # --------------------------------------------------------------------------
 # exact substring-duplication spans (Lee et al. 2022, the marking pass)
@@ -57,6 +60,28 @@ def _doc_grams_u(text: str) -> np.ndarray:
     )
 
 
+def _dupspan_sql() -> str:
+    ll = DUPSPAN_L
+    return (
+        "WITH g0 AS (SELECT doc_id, unnest(list_transform("
+        f"range(0, greatest(length(text)-{ll}+1, 0)), "
+        f"i -> {{'pos': i, 'gram': substr(text, (i+1)::INT, {ll})}})) AS u "
+        "FROM documents), "
+        "g AS (SELECT doc_id, u.pos AS pos, u.gram AS gram FROM g0), "
+        f"c AS (SELECT gram FROM g GROUP BY gram HAVING count(*) >= {DUPSPAN_MIN_OCC}), "
+        "h AS (SELECT g.doc_id, g.pos FROM g JOIN c USING (gram)), "
+        f"m AS (SELECT doc_id, pos, CASE WHEN pos > coalesce(max(pos + {ll}) "
+        "OVER (PARTITION BY doc_id ORDER BY pos "
+        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), -1) "
+        "THEN 1 ELSE 0 END AS st FROM h), "
+        "i AS (SELECT doc_id, pos, sum(st) OVER (PARTITION BY doc_id ORDER BY pos) "
+        "AS isl FROM m) "
+        "SELECT doc_id, min(pos) AS span_start, "
+        f"max(pos) + {ll} - min(pos) AS span_len FROM i GROUP BY doc_id, isl"
+    )
+
+
+@query("substring_dup_spans", _dupspan_sql)
 def q_substring_dup_spans(sf_dir: str):
     """EXACT SUBSTRING DEDUP (marking pass): per document, the merged
     character spans every position of which lies inside some
@@ -144,27 +169,6 @@ def q_substring_dup_spans(sf_dir: str):
         )
 
     return docs.map_batches(spans, batch_format="pyarrow")
-
-
-def _dupspan_sql() -> str:
-    ll = DUPSPAN_L
-    return (
-        "WITH g0 AS (SELECT doc_id, unnest(list_transform("
-        f"range(0, greatest(length(text)-{ll}+1, 0)), "
-        f"i -> {{'pos': i, 'gram': substr(text, (i+1)::INT, {ll})}})) AS u "
-        "FROM documents), "
-        "g AS (SELECT doc_id, u.pos AS pos, u.gram AS gram FROM g0), "
-        f"c AS (SELECT gram FROM g GROUP BY gram HAVING count(*) >= {DUPSPAN_MIN_OCC}), "
-        "h AS (SELECT g.doc_id, g.pos FROM g JOIN c USING (gram)), "
-        f"m AS (SELECT doc_id, pos, CASE WHEN pos > coalesce(max(pos + {ll}) "
-        "OVER (PARTITION BY doc_id ORDER BY pos "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), -1) "
-        "THEN 1 ELSE 0 END AS st FROM h), "
-        "i AS (SELECT doc_id, pos, sum(st) OVER (PARTITION BY doc_id ORDER BY pos) "
-        "AS isl FROM m) "
-        "SELECT doc_id, min(pos) AS span_start, "
-        f"max(pos) + {ll} - min(pos) AS span_len FROM i GROUP BY doc_id, isl"
-    )
 
 
 # --------------------------------------------------------------------------
@@ -300,6 +304,7 @@ def _graph_layout(sf_dir: str) -> tuple[str, int]:
     return out, nb
 
 
+@query("seed_hop_distance", partial(oracles_ext.extended, "seed_hop_distance"), small=True)
 def q_seed_hop_distance(sf_dir: str):
     """CRAWL-DEPTH ANALYSIS: minimum link-hop distance from the seed
     frontier to every reachable page, depth-capped at ``HOP_MAX`` —
@@ -339,6 +344,7 @@ HITS_SCALE = 1_000_000  # micro units; every half-step renormalizes the
 # L1 mass to ~HITS_SCALE so products stay far inside int64
 
 
+@query("hits_top20", partial(oracles_ext.extended, "hits_top20"), small=True)
 def q_hits_top20(sf_dir: str):
     """HITS over the fixture link graph: ``HITS_ITERS`` synchronous
     iterations of authority←Σ-in-hub / hub←Σ-out-authority, each
@@ -392,6 +398,25 @@ def _pair_counts_u16(words_blob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nz, cnt[nz].astype(np.int64)
 
 
+def _bpe_sql() -> str:
+    mark = "chr(1)"
+    return (
+        "WITH w AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
+        "AS word FROM documents), "
+        "p1 AS (SELECT unnest(list_transform(range(1, length(word)), "
+        "i -> substr(word, i::INT, 2))) AS pair FROM w), "
+        "c1 AS (SELECT pair, count(*) AS n FROM p1 GROUP BY pair), "
+        "top1 AS (SELECT pair FROM c1 ORDER BY n DESC, pair ASC LIMIT 1), "
+        f"w2 AS (SELECT replace(word, (SELECT pair FROM top1), {mark}) AS word "
+        "FROM w), "
+        "p2 AS (SELECT unnest(list_transform(range(1, length(word)), "
+        "i -> substr(word, i::INT, 2))) AS pair FROM w2), "
+        "c2 AS (SELECT pair, CAST(count(*) AS BIGINT) AS n FROM p2 GROUP BY pair) "
+        f"SELECT pair, n FROM c2 ORDER BY n DESC, pair ASC LIMIT {BPE_TOP}"
+    )
+
+
+@query("bpe_merge_step", _bpe_sql)
 def q_bpe_merge_step(sf_dir: str):
     """ONE BPE TRAINING STEP over the document corpus: count adjacent
     symbol pairs inside ``[a-z0-9]+`` words (weighted by occurrence),
@@ -455,24 +480,6 @@ def q_bpe_merge_step(sf_dir: str):
     )
 
 
-def _bpe_sql() -> str:
-    mark = "chr(1)"
-    return (
-        "WITH w AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
-        "AS word FROM documents), "
-        "p1 AS (SELECT unnest(list_transform(range(1, length(word)), "
-        "i -> substr(word, i::INT, 2))) AS pair FROM w), "
-        "c1 AS (SELECT pair, count(*) AS n FROM p1 GROUP BY pair), "
-        "top1 AS (SELECT pair FROM c1 ORDER BY n DESC, pair ASC LIMIT 1), "
-        f"w2 AS (SELECT replace(word, (SELECT pair FROM top1), {mark}) AS word "
-        "FROM w), "
-        "p2 AS (SELECT unnest(list_transform(range(1, length(word)), "
-        "i -> substr(word, i::INT, 2))) AS pair FROM w2), "
-        "c2 AS (SELECT pair, CAST(count(*) AS BIGINT) AS n FROM p2 GROUP BY pair) "
-        f"SELECT pair, n FROM c2 ORDER BY n DESC, pair ASC LIMIT {BPE_TOP}"
-    )
-
-
 # --------------------------------------------------------------------------
 # vision-token cost planning (ViT patch accounting per AR bucket)
 # --------------------------------------------------------------------------
@@ -483,6 +490,7 @@ VIT_PATCH = 16  # ViT patch edge; targets below are all patch-divisible
 AR_TARGET_DIMS = [(512, 512), (576, 432), (432, 576), (672, 384), (384, 672)]
 
 
+@query("image_token_cost", partial(oracles_ext.extended, "image_token_cost"), small=True)
 def q_image_token_cost(sf_dir: str):
     """VISION-TOKEN BUDGET PLANNING: assign every image to its aspect-
     ratio bucket (same argmin contract as ``image_ar_buckets``), map the
@@ -564,6 +572,7 @@ def q_image_token_cost(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+@query("curriculum_order", partial(oracles_ext.extended, "curriculum_order"))
 def q_curriculum_order(sf_dir: str):
     """LANGUAGE-INTERLEAVED QUALITY CURRICULUM: a total training order
     over all documents — best documents first, languages round-robin
@@ -687,6 +696,39 @@ def _lpt_assign(weights: np.ndarray, n_shards: int) -> np.ndarray:
     return out
 
 
+def _lpt_sql() -> str:
+    k = LPT_SHARDS
+    loads = ", ".join(f"l{i}" for i in range(k))
+    # pick = index of the minimal load, lowest index on ties
+    def pick_case() -> str:
+        conds = []
+        for i in range(k):
+            c = " AND ".join(f"st.l{i} <= st.l{j}" for j in range(i + 1, k))
+            conds.append(f"WHEN {c} THEN {i}" if c else f"ELSE {i} END")
+        return "CASE " + " ".join(conds[:-1]) + " " + conds[-1]
+
+    pick = pick_case()
+    load_updates = ", ".join(
+        f"st.l{i} + CASE WHEN ({pick}) = {i} THEN o.w ELSE 0 END" for i in range(k)
+    )
+    zeros = ", ".join(f"CAST(0 AS BIGINT) AS l{i}" for i in range(k))
+    return (
+        "WITH RECURSIVE "
+        "s AS (SELECT source, CAST(SUM(n_chars) AS BIGINT) AS w "
+        "FROM documents GROUP BY source), "
+        "o AS (SELECT source, w, ROW_NUMBER() OVER "
+        "(ORDER BY w DESC, source) AS rn FROM s), "
+        f"st(rn, src, shard, w, {loads}) AS ("
+        f"SELECT 0, CAST(NULL AS VARCHAR), 0, CAST(0 AS BIGINT), {zeros} "
+        "UNION ALL "
+        f"SELECT o.rn, o.source, ({pick}), o.w, {load_updates} "
+        "FROM st JOIN o ON o.rn = st.rn + 1) "
+        "SELECT src AS source, CAST(shard AS BIGINT) AS shard, "
+        "w AS w_chars FROM st WHERE rn > 0"
+    )
+
+
+@query("shard_assign_sources", _lpt_sql)
 def q_shard_assign_sources(sf_dir: str):
     """BALANCED OUTPUT SHARDING: assign every document source to one of
     ``LPT_SHARDS`` output shards so shard byte loads balance — greedy
@@ -720,38 +762,6 @@ def q_shard_assign_sources(sf_dir: str):
             "shard": pa.array(shard, pa.int64()),
             "w_chars": pa.array(w["w_chars"].to_numpy(np.int64), pa.int64()),
         }
-    )
-
-
-def _lpt_sql() -> str:
-    k = LPT_SHARDS
-    loads = ", ".join(f"l{i}" for i in range(k))
-    # pick = index of the minimal load, lowest index on ties
-    def pick_case() -> str:
-        conds = []
-        for i in range(k):
-            c = " AND ".join(f"st.l{i} <= st.l{j}" for j in range(i + 1, k))
-            conds.append(f"WHEN {c} THEN {i}" if c else f"ELSE {i} END")
-        return "CASE " + " ".join(conds[:-1]) + " " + conds[-1]
-
-    pick = pick_case()
-    load_updates = ", ".join(
-        f"st.l{i} + CASE WHEN ({pick}) = {i} THEN o.w ELSE 0 END" for i in range(k)
-    )
-    zeros = ", ".join(f"CAST(0 AS BIGINT) AS l{i}" for i in range(k))
-    return (
-        "WITH RECURSIVE "
-        "s AS (SELECT source, CAST(SUM(n_chars) AS BIGINT) AS w "
-        "FROM documents GROUP BY source), "
-        "o AS (SELECT source, w, ROW_NUMBER() OVER "
-        "(ORDER BY w DESC, source) AS rn FROM s), "
-        f"st(rn, src, shard, w, {loads}) AS ("
-        f"SELECT 0, CAST(NULL AS VARCHAR), 0, CAST(0 AS BIGINT), {zeros} "
-        "UNION ALL "
-        f"SELECT o.rn, o.source, ({pick}), o.w, {load_updates} "
-        "FROM st JOIN o ON o.rn = st.rn + 1) "
-        "SELECT src AS source, CAST(shard AS BIGINT) AS shard, "
-        "w AS w_chars FROM st WHERE rn > 0"
     )
 
 
@@ -807,6 +817,21 @@ SRC_BUDGET_CHARS = 4000  # per-source character budget (fixture-scaled:
 _KNUTH_H = 2654435761  # same multiplicative hash as lang_sample_topk
 
 
+def _src_budget_sql() -> str:
+    return (
+        "WITH d AS (SELECT doc_id, source, n_chars, "
+        f"CAST((doc_id * {_KNUTH_H}) % 4294967296 AS BIGINT) AS h "
+        "FROM documents), "
+        "c AS (SELECT doc_id, source, h, "
+        "CAST(COALESCE(SUM(n_chars) OVER (PARTITION BY source ORDER BY h, doc_id "
+        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) "
+        "AS cum_before FROM d) "
+        "SELECT doc_id, source, h, cum_before FROM c "
+        f"WHERE cum_before < {SRC_BUDGET_CHARS}"
+    )
+
+
+@query("source_budget_docs", _src_budget_sql)
 def q_source_budget_docs(sf_dir: str):
     """PER-SOURCE BUDGET SAMPLING — the sampler the mixture allocator
     (``lang_token_budget``) feeds: within each source, documents in
@@ -862,25 +887,24 @@ def q_source_budget_docs(sf_dir: str):
     )
 
 
-def _src_budget_sql() -> str:
-    return (
-        "WITH d AS (SELECT doc_id, source, n_chars, "
-        f"CAST((doc_id * {_KNUTH_H}) % 4294967296 AS BIGINT) AS h "
-        "FROM documents), "
-        "c AS (SELECT doc_id, source, h, "
-        "CAST(COALESCE(SUM(n_chars) OVER (PARTITION BY source ORDER BY h, doc_id "
-        "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) "
-        "AS cum_before FROM d) "
-        "SELECT doc_id, source, h, cum_before FROM c "
-        f"WHERE cum_before < {SRC_BUDGET_CHARS}"
-    )
-
-
 # --------------------------------------------------------------------------
 # substring-dup audit rollup (per-doc coverage of duplicated spans)
 # --------------------------------------------------------------------------
 
 
+def _dupstats_sql() -> str:
+    return (
+        f"WITH sp AS ({_dupspan_sql()}), "
+        "a AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_spans, "
+        "CAST(SUM(span_len) AS BIGINT) AS covered_chars FROM sp GROUP BY 1) "
+        "SELECT d.doc_id, COALESCE(a.n_spans, 0) AS n_spans, "
+        "COALESCE(a.covered_chars, 0) AS covered_chars, "
+        "d.n_chars - COALESCE(a.covered_chars, 0) AS clean_chars "
+        "FROM documents d LEFT JOIN a ON a.doc_id = d.doc_id"
+    )
+
+
+@query("substring_dup_stats", _dupstats_sql)
 def q_substring_dup_stats(sf_dir: str):
     """Audit rollup of ``substring_dup_spans``: one row per DOCUMENT —
     (doc_id, n_spans, covered_chars, clean_chars) where clean_chars is
@@ -943,18 +967,6 @@ def q_substring_dup_stats(sf_dir: str):
     return cogroup(doc_side.union(spans_side).repartition(nb), "doc_id", rollup, nb)
 
 
-def _dupstats_sql() -> str:
-    return (
-        f"WITH sp AS ({_dupspan_sql()}), "
-        "a AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n_spans, "
-        "CAST(SUM(span_len) AS BIGINT) AS covered_chars FROM sp GROUP BY 1) "
-        "SELECT d.doc_id, COALESCE(a.n_spans, 0) AS n_spans, "
-        "COALESCE(a.covered_chars, 0) AS covered_chars, "
-        "d.n_chars - COALESCE(a.covered_chars, 0) AS clean_chars "
-        "FROM documents d LEFT JOIN a ON a.doc_id = d.doc_id"
-    )
-
-
 # --------------------------------------------------------------------------
 # PQ asymmetric-distance (ADC) top-k search
 # --------------------------------------------------------------------------
@@ -963,6 +975,38 @@ PQ_ADC_NQ = 5  # query vectors: vec_id 0..4 (the ann N_QUERIES convention)
 PQ_ADC_K = 10
 
 
+def _adc_sql() -> str:
+    from .queries import ORACLE_SQL
+    from .queries_ml3 import PQ_NCENTROIDS, PQ_QUANT, PQ_SUBDIM, PQ_SUBSPACES
+
+    joins = " ".join(
+        f"JOIN lut l{s} ON l{s}.qid = qq.qid AND l{s}.s = {s} "
+        f"AND l{s}.cid = c.code{s}"
+        for s in range(PQ_SUBSPACES)
+    )
+    dsum = " + ".join(f"l{s}.d" for s in range(PQ_SUBSPACES))
+    return (
+        f"WITH codes AS ({ORACLE_SQL['embedding_pq_codes']}), "
+        "q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
+        "list_transform(embedding, "
+        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
+        "FROM embeddings), "
+        f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
+        f"qq AS (SELECT vec_id AS qid, e FROM q WHERE vec_id < {PQ_ADC_NQ}), "
+        f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
+        "lut AS (SELECT qq.qid, sub.s, cb.cid, "
+        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
+        f"(SELECT UNNEST(qq.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS a, "
+        f"UNNEST(cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS b) z) "
+        "AS d FROM qq CROSS JOIN sub CROSS JOIN cb), "
+        f"ad AS (SELECT qq.qid, c.vec_id, CAST({dsum} AS BIGINT) AS adist "
+        f"FROM qq CROSS JOIN codes c {joins} WHERE c.vec_id <> qq.qid) "
+        "SELECT qid, vec_id, adist FROM ad "
+        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY qid ORDER BY adist, vec_id) <= {PQ_ADC_K}"
+    )
+
+
+@query("ann_pq_adc_topk", _adc_sql)
 def q_ann_pq_adc_topk(sf_dir: str):
     """IVF-PQ's SEARCH half: asymmetric-distance (ADC) top-k over the
     product-quantized corpus — per query, a (subspace × centroid) lookup
@@ -1059,36 +1103,6 @@ def q_ann_pq_adc_topk(sf_dir: str):
     )
 
 
-def _adc_sql() -> str:
-    from .queries_ml3 import ML3_ORACLE_SQL, PQ_NCENTROIDS, PQ_QUANT, PQ_SUBDIM, PQ_SUBSPACES
-
-    joins = " ".join(
-        f"JOIN lut l{s} ON l{s}.qid = qq.qid AND l{s}.s = {s} "
-        f"AND l{s}.cid = c.code{s}"
-        for s in range(PQ_SUBSPACES)
-    )
-    dsum = " + ".join(f"l{s}.d" for s in range(PQ_SUBSPACES))
-    return (
-        f"WITH codes AS ({ML3_ORACLE_SQL['embedding_pq_codes']}), "
-        "q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
-        "FROM embeddings), "
-        f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
-        f"qq AS (SELECT vec_id AS qid, e FROM q WHERE vec_id < {PQ_ADC_NQ}), "
-        f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
-        "lut AS (SELECT qq.qid, sub.s, cb.cid, "
-        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
-        f"(SELECT UNNEST(qq.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS a, "
-        f"UNNEST(cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]) AS b) z) "
-        "AS d FROM qq CROSS JOIN sub CROSS JOIN cb), "
-        f"ad AS (SELECT qq.qid, c.vec_id, CAST({dsum} AS BIGINT) AS adist "
-        f"FROM qq CROSS JOIN codes c {joins} WHERE c.vec_id <> qq.qid) "
-        "SELECT qid, vec_id, adist FROM ad "
-        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY qid ORDER BY adist, vec_id) <= {PQ_ADC_K}"
-    )
-
-
 # --------------------------------------------------------------------------
 # positional winnowing fingerprints (Schleimer et al., MOSS)
 # --------------------------------------------------------------------------
@@ -1120,6 +1134,36 @@ def _rk_hash_array(text: str, k: int) -> np.ndarray:
     return out
 
 
+def _winnow_sql() -> str:
+    from ..functions.text import _RK_MOD
+
+    k, w = WINNOW_K, WINNOW_W
+    fold = (
+        "CAST(list_reduce(list_transform(range(1, length(win) + 1), "
+        "j -> CAST(ascii(substring(win, CAST(j AS INT), 1)) AS HUGEINT)), "
+        f"(acc, x) -> (acc * 257 + x) % {_RK_MOD}) AS BIGINT)"
+    )
+    return (
+        "WITH g AS (SELECT doc_id, unnest(list_transform("
+        f"range(0, greatest(length(text) - {k} + 1, 0)), "
+        f"i -> {{'pos': i, 'win': substr(text, (i+1)::INT, {k})}})) AS u "
+        "FROM documents), "
+        f"h AS (SELECT doc_id, u.pos AS pos, {fold.replace('win', 'u.win')} AS fp "
+        "FROM g), "
+        "n AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS nh FROM h GROUP BY 1), "
+        # windows: start s in [0, max(nh - W, 0)]; tiny docs get one window
+        "s AS (SELECT doc_id, unnest(range(0, greatest(nh - "
+        f"{w} + 1, 1))) AS ws FROM n), "
+        "x AS (SELECT s.doc_id, s.ws, h.pos, h.fp FROM s JOIN h "
+        f"ON h.doc_id = s.doc_id AND h.pos >= s.ws AND h.pos < s.ws + {w}), "
+        "pick AS (SELECT doc_id, pos, fp FROM x "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY doc_id, ws "
+        "ORDER BY fp ASC, pos DESC) = 1) "
+        "SELECT DISTINCT doc_id, pos, fp FROM pick"
+    )
+
+
+@query("doc_winnow_fingerprints", _winnow_sql)
 def q_doc_winnow_fingerprints(sf_dir: str):
     """POSITIONAL WINNOWING (Schleimer/Wilkerson/Aiken, the MOSS
     algorithm): per document, slide a ``WINNOW_W``-wide window over the
@@ -1168,35 +1212,6 @@ def q_doc_winnow_fingerprints(sf_dir: str):
     ).map_batches(winnow, batch_format="pyarrow")
 
 
-def _winnow_sql() -> str:
-    from ..functions.text import _RK_MOD
-
-    k, w = WINNOW_K, WINNOW_W
-    fold = (
-        "CAST(list_reduce(list_transform(range(1, length(win) + 1), "
-        "j -> CAST(ascii(substring(win, CAST(j AS INT), 1)) AS HUGEINT)), "
-        f"(acc, x) -> (acc * 257 + x) % {_RK_MOD}) AS BIGINT)"
-    )
-    return (
-        "WITH g AS (SELECT doc_id, unnest(list_transform("
-        f"range(0, greatest(length(text) - {k} + 1, 0)), "
-        f"i -> {{'pos': i, 'win': substr(text, (i+1)::INT, {k})}})) AS u "
-        "FROM documents), "
-        f"h AS (SELECT doc_id, u.pos AS pos, {fold.replace('win', 'u.win')} AS fp "
-        "FROM g), "
-        "n AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS nh FROM h GROUP BY 1), "
-        # windows: start s in [0, max(nh - W, 0)]; tiny docs get one window
-        "s AS (SELECT doc_id, unnest(range(0, greatest(nh - "
-        f"{w} + 1, 1))) AS ws FROM n), "
-        "x AS (SELECT s.doc_id, s.ws, h.pos, h.fp FROM s JOIN h "
-        f"ON h.doc_id = s.doc_id AND h.pos >= s.ws AND h.pos < s.ws + {w}), "
-        "pick AS (SELECT doc_id, pos, fp FROM x "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY doc_id, ws "
-        "ORDER BY fp ASC, pos DESC) = 1) "
-        "SELECT DISTINCT doc_id, pos, fp FROM pick"
-    )
-
-
 # --------------------------------------------------------------------------
 # IVF-PQ composed search (coarse probe gate + ADC scoring)
 # --------------------------------------------------------------------------
@@ -1205,6 +1220,76 @@ IVFPQ_NLIST = 16  # coarse centroids: kilo-quantized vectors 0..15
 IVFPQ_NPROBE = 4
 
 
+def _ivfpq_sql() -> str:
+    from .queries_ml3 import PQ_NCENTROIDS, PQ_QUANT, PQ_SUBDIM, PQ_SUBSPACES
+
+    l2 = (
+        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
+        "(SELECT UNNEST({x}) AS a, UNNEST({y}) AS b) z)"
+    )
+    joins = " ".join(
+        f"JOIN lut l{s} ON l{s}.qid = qq.qid AND l{s}.s = {s} "
+        f"AND l{s}.cid = cd.code{s}"
+        for s in range(PQ_SUBSPACES)
+    )
+    dsum = " + ".join(f"l{s}.d" for s in range(PQ_SUBSPACES))
+    return (
+        "WITH q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
+        "list_transform(embedding, "
+        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
+        "FROM embeddings), "
+        f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
+        f"co AS (SELECT vec_id AS ccid, e AS ge FROM q WHERE vec_id < {IVFPQ_NLIST}), "
+        f"qq AS (SELECT vec_id AS qid, e FROM q WHERE vec_id < {PQ_ADC_NQ}), "
+        f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
+        # PQ code per vector (subspace argmin, ties → lowest centroid)
+        "pd AS (SELECT q.vec_id, sub.s, cb.cid, "
+        + l2.format(
+            x=f"q.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
+            y=f"cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
+        )
+        + " AS dist FROM q CROSS JOIN sub CROSS JOIN cb), "
+        "best AS (SELECT vec_id, s, cid FROM pd "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id, s "
+        "ORDER BY dist ASC, cid ASC) = 1), "
+        "cd AS (SELECT vec_id, "
+        + ", ".join(
+            f"CAST(MAX(CASE WHEN s = {s} THEN cid END) AS BIGINT) AS code{s}"
+            for s in range(PQ_SUBSPACES)
+        )
+        + " FROM best GROUP BY 1), "
+        # coarse cell per vector (full-dim integer L2 argmin)
+        "gd AS (SELECT q.vec_id, co.ccid, "
+        + l2.format(x="q.e", y="co.ge")
+        + " AS dist FROM q CROSS JOIN co), "
+        "cell AS (SELECT vec_id, ccid FROM gd "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
+        "ORDER BY dist ASC, ccid ASC) = 1), "
+        # per-query probe set
+        "qd AS (SELECT qq.qid, co.ccid, "
+        + l2.format(x="qq.e", y="co.ge")
+        + " AS dist FROM qq CROSS JOIN co), "
+        "probes AS (SELECT qid, ccid FROM qd "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY qid "
+        f"ORDER BY dist ASC, ccid ASC) <= {IVFPQ_NPROBE}), "
+        # ADC lut per (query, subspace, centroid)
+        "lut AS (SELECT qq.qid, sub.s, cb.cid, "
+        + l2.format(
+            x=f"qq.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
+            y=f"cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
+        )
+        + " AS d FROM qq CROSS JOIN sub CROSS JOIN cb), "
+        f"ad AS (SELECT qq.qid, cd.vec_id, CAST({dsum} AS BIGINT) AS adist "
+        f"FROM qq CROSS JOIN cd {joins} "
+        "JOIN cell ON cell.vec_id = cd.vec_id "
+        "JOIN probes p ON p.qid = qq.qid AND p.ccid = cell.ccid "
+        "WHERE cd.vec_id <> qq.qid) "
+        "SELECT qid, vec_id, adist FROM ad "
+        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY qid ORDER BY adist, vec_id) <= {PQ_ADC_K}"
+    )
+
+
+@query("ann_ivfpq_topk", _ivfpq_sql)
 def q_ann_ivfpq_topk(sf_dir: str):
     """THE 100-TB ANN INDEX, end to end: IVF coarse routing composed
     with PQ asymmetric-distance scoring. Every vector belongs to the
@@ -1313,75 +1398,6 @@ def q_ann_ivfpq_topk(sf_dir: str):
     )
 
 
-def _ivfpq_sql() -> str:
-    from .queries_ml3 import PQ_NCENTROIDS, PQ_QUANT, PQ_SUBDIM, PQ_SUBSPACES
-
-    l2 = (
-        "(SELECT CAST(SUM((z.a - z.b) * (z.a - z.b)) AS BIGINT) FROM "
-        "(SELECT UNNEST({x}) AS a, UNNEST({y}) AS b) z)"
-    )
-    joins = " ".join(
-        f"JOIN lut l{s} ON l{s}.qid = qq.qid AND l{s}.s = {s} "
-        f"AND l{s}.cid = cd.code{s}"
-        for s in range(PQ_SUBSPACES)
-    )
-    dsum = " + ".join(f"l{s}.d" for s in range(PQ_SUBSPACES))
-    return (
-        "WITH q AS (SELECT CAST(vec_id AS BIGINT) AS vec_id, "
-        "list_transform(embedding, "
-        f"x -> CAST(FLOOR(CAST(x AS DOUBLE)*{PQ_QUANT} + 0.5) AS BIGINT)) AS e "
-        "FROM embeddings), "
-        f"cb AS (SELECT vec_id AS cid, e AS ce FROM q WHERE vec_id < {PQ_NCENTROIDS}), "
-        f"co AS (SELECT vec_id AS ccid, e AS ge FROM q WHERE vec_id < {IVFPQ_NLIST}), "
-        f"qq AS (SELECT vec_id AS qid, e FROM q WHERE vec_id < {PQ_ADC_NQ}), "
-        f"sub AS (SELECT UNNEST(range({PQ_SUBSPACES})) AS s), "
-        # PQ code per vector (subspace argmin, ties → lowest centroid)
-        "pd AS (SELECT q.vec_id, sub.s, cb.cid, "
-        + l2.format(
-            x=f"q.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
-            y=f"cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
-        )
-        + " AS dist FROM q CROSS JOIN sub CROSS JOIN cb), "
-        "best AS (SELECT vec_id, s, cid FROM pd "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id, s "
-        "ORDER BY dist ASC, cid ASC) = 1), "
-        "cd AS (SELECT vec_id, "
-        + ", ".join(
-            f"CAST(MAX(CASE WHEN s = {s} THEN cid END) AS BIGINT) AS code{s}"
-            for s in range(PQ_SUBSPACES)
-        )
-        + " FROM best GROUP BY 1), "
-        # coarse cell per vector (full-dim integer L2 argmin)
-        "gd AS (SELECT q.vec_id, co.ccid, "
-        + l2.format(x="q.e", y="co.ge")
-        + " AS dist FROM q CROSS JOIN co), "
-        "cell AS (SELECT vec_id, ccid FROM gd "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
-        "ORDER BY dist ASC, ccid ASC) = 1), "
-        # per-query probe set
-        "qd AS (SELECT qq.qid, co.ccid, "
-        + l2.format(x="qq.e", y="co.ge")
-        + " AS dist FROM qq CROSS JOIN co), "
-        "probes AS (SELECT qid, ccid FROM qd "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY qid "
-        f"ORDER BY dist ASC, ccid ASC) <= {IVFPQ_NPROBE}), "
-        # ADC lut per (query, subspace, centroid)
-        "lut AS (SELECT qq.qid, sub.s, cb.cid, "
-        + l2.format(
-            x=f"qq.e[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
-            y=f"cb.ce[sub.s*{PQ_SUBDIM}+1 : sub.s*{PQ_SUBDIM}+{PQ_SUBDIM}]",
-        )
-        + " AS d FROM qq CROSS JOIN sub CROSS JOIN cb), "
-        f"ad AS (SELECT qq.qid, cd.vec_id, CAST({dsum} AS BIGINT) AS adist "
-        f"FROM qq CROSS JOIN cd {joins} "
-        "JOIN cell ON cell.vec_id = cd.vec_id "
-        "JOIN probes p ON p.qid = qq.qid AND p.ccid = cell.ccid "
-        "WHERE cd.vec_id <> qq.qid) "
-        "SELECT qid, vec_id, adist FROM ad "
-        f"QUALIFY ROW_NUMBER() OVER (PARTITION BY qid ORDER BY adist, vec_id) <= {PQ_ADC_K}"
-    )
-
-
 # --------------------------------------------------------------------------
 # multimodal sequence packing (images + captions into context windows)
 # --------------------------------------------------------------------------
@@ -1393,6 +1409,7 @@ MM_PACK_SHARDS = 8  # id-hash sub-shards per AR bucket: the SEMANTIC
 # recursion depth stays bounded by the shard size
 
 
+@query("image_pack_batches", partial(oracles_ext.extended, "image_pack_batches"), small=True)
 def q_image_pack_batches(sf_dir: str):
     """MULTIMODAL BATCH BUILDING: pack images into fixed training
     context windows within their (aspect-ratio bucket × id-hash shard)
@@ -1483,35 +1500,3 @@ def _pack_next_fit_tokens(n_tokens: np.ndarray, context_len: int):
     from .queries_ml4 import _pack_next_fit
 
     return _pack_next_fit(n_tokens, context_len)
-
-
-ML5_QUERIES = {
-    "substring_dup_spans": q_substring_dup_spans,
-    "substring_dup_stats": q_substring_dup_stats,
-    "seed_hop_distance": q_seed_hop_distance,
-    "hits_top20": q_hits_top20,
-    "bpe_merge_step": q_bpe_merge_step,
-    "image_token_cost": q_image_token_cost,
-    "curriculum_order": q_curriculum_order,
-    "shard_assign_sources": q_shard_assign_sources,
-    "source_budget_docs": q_source_budget_docs,
-    "ann_pq_adc_topk": q_ann_pq_adc_topk,
-    "ann_ivfpq_topk": q_ann_ivfpq_topk,
-    "image_pack_batches": q_image_pack_batches,
-    "doc_winnow_fingerprints": q_doc_winnow_fingerprints,
-}
-
-
-def build_ml5_oracles() -> dict[str, str]:
-    # seed_hop_distance is fixture-backed; its SQL is built with absolute
-    # fixture paths in oracles_ext.build_extended_oracles
-    return {
-        "substring_dup_spans": _dupspan_sql(),
-        "bpe_merge_step": _bpe_sql(),
-        "shard_assign_sources": _lpt_sql(),
-        "source_budget_docs": _src_budget_sql(),
-        "substring_dup_stats": _dupstats_sql(),
-        "ann_pq_adc_topk": _adc_sql(),
-        "ann_ivfpq_topk": _ivfpq_sql(),
-        "doc_winnow_fingerprints": _winnow_sql(),
-    }

@@ -23,11 +23,15 @@ integers end-to-end — Python ints engine-side, HUGEINT oracle-side).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
 from ..scale import cogroup, derive_buckets
+from . import oracles_ext
 from .queries_ml2 import _p
+from .registry import query
 
 # --------------------------------------------------------------------------
 # BM25 top-k retrieval
@@ -46,6 +50,36 @@ def _bm25_idf_micro(n_docs: int, df: int) -> int:
     return (_BM25_MICRO * (2 * (n_docs - df) + 1)) // (2 * df + 1)
 
 
+def _bm25_sql() -> str:
+    vals = ", ".join(f"('{t}')" for t in BM25_TERMS)
+    m = _BM25_MICRO
+    return (
+        "WITH toks AS (SELECT doc_id, "
+        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
+        "consts AS (SELECT CAST(COUNT(*) AS HUGEINT) AS n, "
+        "CAST(SUM(len(tk)) AS HUGEINT) AS t FROM toks), "
+        "dl AS (SELECT doc_id, CAST(len(tk) AS HUGEINT) AS dl FROM toks), "
+        f"terms(term) AS (VALUES {vals}), "
+        "tok AS (SELECT doc_id, unnest(tk) AS term FROM toks), "
+        "tf AS (SELECT doc_id, term, CAST(COUNT(*) AS HUGEINT) AS tf "
+        "FROM tok JOIN terms USING (term) GROUP BY 1, 2), "
+        "df AS (SELECT term, CAST(COUNT(DISTINCT doc_id) AS HUGEINT) AS df "
+        "FROM tf GROUP BY 1), "
+        "idf AS (SELECT t.term, "
+        f"(CAST({m} AS HUGEINT) * (2*(c.n - COALESCE(d.df, 0)) + 1)) "
+        "// (2*COALESCE(d.df, 0) + 1) AS idf_micro "
+        "FROM terms t LEFT JOIN df d USING (term) CROSS JOIN consts c), "
+        "scored AS (SELECT tf.doc_id, SUM("
+        "(i.idf_micro * tf.tf * 22 * c.t) "
+        "// (10*c.t*tf.tf + 3*c.t + 9*dl.dl*c.n)) AS s "
+        "FROM tf JOIN idf i USING (term) JOIN dl USING (doc_id) "
+        "CROSS JOIN consts c GROUP BY 1) "
+        "SELECT doc_id, CAST(s AS BIGINT) AS score_micro FROM scored "
+        f"WHERE s > 0 ORDER BY s DESC, doc_id LIMIT {BM25_TOPK}"
+    )
+
+
+@query("bm25_topk", _bm25_sql)
 def q_bm25_topk(sf_dir: str):
     """BM25 TOP-K RETRIEVAL: score every document against the fixed query
     ``BM25_TERMS`` with BM25 (k1=6/5, b=3/4, log-free RSJ idf) and return
@@ -137,35 +171,6 @@ def q_bm25_topk(sf_dir: str):
     )
 
 
-def _bm25_sql() -> str:
-    vals = ", ".join(f"('{t}')" for t in BM25_TERMS)
-    m = _BM25_MICRO
-    return (
-        "WITH toks AS (SELECT doc_id, "
-        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
-        "consts AS (SELECT CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(len(tk)) AS HUGEINT) AS t FROM toks), "
-        "dl AS (SELECT doc_id, CAST(len(tk) AS HUGEINT) AS dl FROM toks), "
-        f"terms(term) AS (VALUES {vals}), "
-        "tok AS (SELECT doc_id, unnest(tk) AS term FROM toks), "
-        "tf AS (SELECT doc_id, term, CAST(COUNT(*) AS HUGEINT) AS tf "
-        "FROM tok JOIN terms USING (term) GROUP BY 1, 2), "
-        "df AS (SELECT term, CAST(COUNT(DISTINCT doc_id) AS HUGEINT) AS df "
-        "FROM tf GROUP BY 1), "
-        "idf AS (SELECT t.term, "
-        f"(CAST({m} AS HUGEINT) * (2*(c.n - COALESCE(d.df, 0)) + 1)) "
-        "// (2*COALESCE(d.df, 0) + 1) AS idf_micro "
-        "FROM terms t LEFT JOIN df d USING (term) CROSS JOIN consts c), "
-        "scored AS (SELECT tf.doc_id, SUM("
-        "(i.idf_micro * tf.tf * 22 * c.t) "
-        "// (10*c.t*tf.tf + 3*c.t + 9*dl.dl*c.n)) AS s "
-        "FROM tf JOIN idf i USING (term) JOIN dl USING (doc_id) "
-        "CROSS JOIN consts c GROUP BY 1) "
-        "SELECT doc_id, CAST(s AS BIGINT) AS score_micro FROM scored "
-        f"WHERE s > 0 ORDER BY s DESC, doc_id LIMIT {BM25_TOPK}"
-    )
-
-
 # --------------------------------------------------------------------------
 # out-of-vocabulary rate vs the corpus top-V vocabulary
 # --------------------------------------------------------------------------
@@ -175,6 +180,27 @@ OOV_VOCAB_V = 16  # top-V tokens by (count desc, token asc); the fixture
 # every tier. Part of the output contract.
 
 
+def _oov_sql() -> str:
+    v = OOV_VOCAB_V
+    return (
+        "WITH toks AS (SELECT doc_id, "
+        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
+        "tok AS (SELECT doc_id, unnest(tk) AS token FROM toks), "
+        "vocab AS (SELECT token FROM ("
+        "SELECT token, COUNT(*) AS c FROM tok GROUP BY 1) "
+        f"QUALIFY ROW_NUMBER() OVER (ORDER BY c DESC, token) <= {v}), "
+        "per AS (SELECT t.doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens, "
+        "CAST(COUNT(*) FILTER (WHERE v.token IS NULL) AS BIGINT) AS n_oov "
+        "FROM tok t LEFT JOIN vocab v USING (token) GROUP BY 1) "
+        "SELECT d.doc_id, COALESCE(p.n_tokens, 0) AS n_tokens, "
+        "COALESCE(p.n_oov, 0) AS n_oov, "
+        "CAST(CASE WHEN COALESCE(p.n_tokens, 0) = 0 THEN 0 "
+        "ELSE (p.n_oov * 1000000) // p.n_tokens END AS BIGINT) AS oov_ppm "
+        "FROM documents d LEFT JOIN per p USING (doc_id)"
+    )
+
+
+@query("doc_oov_rate", _oov_sql)
 def q_doc_oov_rate(sf_dir: str):
     """OOV RATE (tokenizer/vocabulary audit): build the corpus top-``V``
     vocabulary by token frequency (ties broken by token asc), then report
@@ -250,31 +276,30 @@ def q_doc_oov_rate(sf_dir: str):
     return docs.map_batches(rate, batch_format="pyarrow")
 
 
-def _oov_sql() -> str:
-    v = OOV_VOCAB_V
-    return (
-        "WITH toks AS (SELECT doc_id, "
-        "regexp_extract_all(lower(text), '[a-z0-9]+') AS tk FROM documents), "
-        "tok AS (SELECT doc_id, unnest(tk) AS token FROM toks), "
-        "vocab AS (SELECT token FROM ("
-        "SELECT token, COUNT(*) AS c FROM tok GROUP BY 1) "
-        f"QUALIFY ROW_NUMBER() OVER (ORDER BY c DESC, token) <= {v}), "
-        "per AS (SELECT t.doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens, "
-        "CAST(COUNT(*) FILTER (WHERE v.token IS NULL) AS BIGINT) AS n_oov "
-        "FROM tok t LEFT JOIN vocab v USING (token) GROUP BY 1) "
-        "SELECT d.doc_id, COALESCE(p.n_tokens, 0) AS n_tokens, "
-        "COALESCE(p.n_oov, 0) AS n_oov, "
-        "CAST(CASE WHEN COALESCE(p.n_tokens, 0) = 0 THEN 0 "
-        "ELSE (p.n_oov * 1000000) // p.n_tokens END AS BIGINT) AS oov_ppm "
-        "FROM documents d LEFT JOIN per p USING (doc_id)"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-source vocabulary overlap (cross-source contamination audit)
 # --------------------------------------------------------------------------
 
 
+def _overlap_sql() -> str:
+    return (
+        "WITH st AS (SELECT DISTINCT source, token FROM ("
+        "SELECT source, unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
+        "AS token FROM documents)), "
+        "sz AS (SELECT source, COUNT(*) AS n FROM st GROUP BY 1), "
+        "inter AS (SELECT a.source AS src_a, b.source AS src_b, "
+        "CAST(COUNT(*) AS BIGINT) AS n_inter FROM st a "
+        "JOIN st b ON a.token = b.token AND a.source < b.source GROUP BY 1, 2) "
+        "SELECT i.src_a, i.src_b, i.n_inter, "
+        "CAST(za.n + zb.n - i.n_inter AS BIGINT) AS n_union, "
+        "CAST((i.n_inter * 1000000) // (za.n + zb.n - i.n_inter) AS BIGINT) "
+        "AS jaccard_ppm "
+        "FROM inter i JOIN sz za ON za.source = i.src_a "
+        "JOIN sz zb ON zb.source = i.src_b"
+    )
+
+
+@query("source_vocab_overlap", _overlap_sql)
 def q_source_vocab_overlap(sf_dir: str):
     """SOURCE VOCABULARY OVERLAP: pairwise Jaccard similarity between the
     distinct-token vocabularies of every pair of sources — the
@@ -367,29 +392,32 @@ def q_source_vocab_overlap(sf_dir: str):
     )
 
 
-def _overlap_sql() -> str:
-    return (
-        "WITH st AS (SELECT DISTINCT source, token FROM ("
-        "SELECT source, unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
-        "AS token FROM documents)), "
-        "sz AS (SELECT source, COUNT(*) AS n FROM st GROUP BY 1), "
-        "inter AS (SELECT a.source AS src_a, b.source AS src_b, "
-        "CAST(COUNT(*) AS BIGINT) AS n_inter FROM st a "
-        "JOIN st b ON a.token = b.token AND a.source < b.source GROUP BY 1, 2) "
-        "SELECT i.src_a, i.src_b, i.n_inter, "
-        "CAST(za.n + zb.n - i.n_inter AS BIGINT) AS n_union, "
-        "CAST((i.n_inter * 1000000) // (za.n + zb.n - i.n_inter) AS BIGINT) "
-        "AS jaccard_ppm "
-        "FROM inter i JOIN sz za ON za.source = i.src_a "
-        "JOIN sz zb ON zb.source = i.src_b"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-language tokenizer fertility (bytes per token)
 # --------------------------------------------------------------------------
 
 
+def _fertility_sql() -> str:
+    from ..functions.text import _NONWS_RUN_RE2
+
+    ws = _NONWS_RUN_RE2
+    return (
+        "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
+        "CAST(SUM(strlen(text)) AS BIGINT) AS total_bytes, "
+        "CAST(SUM(len(regexp_extract_all(lower(text), '[a-z0-9]+'))) AS BIGINT) "
+        "AS total_words, "
+        f"CAST(SUM(len(regexp_extract_all(text, '{ws}'))) AS BIGINT) "
+        "AS total_ws_tokens, "
+        "CAST(CASE WHEN "
+        f"SUM(len(regexp_extract_all(text, '{ws}'))) = 0 THEN 0 "
+        "ELSE (SUM(strlen(text)) * 1000000) "
+        f"// SUM(len(regexp_extract_all(text, '{ws}'))) END AS BIGINT) "
+        "AS bytes_per_token_ppm "
+        "FROM documents GROUP BY 1"
+    )
+
+
+@query("lang_token_fertility", _fertility_sql)
 def q_lang_token_fertility(sf_dir: str):
     """TOKENIZER FERTILITY per language: (lang, n_docs, total_bytes,
     total_words, total_ws_tokens, bytes_per_token_ppm) where
@@ -458,26 +486,6 @@ def q_lang_token_fertility(sf_dir: str):
     )
 
 
-def _fertility_sql() -> str:
-    from ..functions.text import _NONWS_RUN_RE2
-
-    ws = _NONWS_RUN_RE2
-    return (
-        "SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(strlen(text)) AS BIGINT) AS total_bytes, "
-        "CAST(SUM(len(regexp_extract_all(lower(text), '[a-z0-9]+'))) AS BIGINT) "
-        "AS total_words, "
-        f"CAST(SUM(len(regexp_extract_all(text, '{ws}'))) AS BIGINT) "
-        "AS total_ws_tokens, "
-        "CAST(CASE WHEN "
-        f"SUM(len(regexp_extract_all(text, '{ws}'))) = 0 THEN 0 "
-        "ELSE (SUM(strlen(text)) * 1000000) "
-        f"// SUM(len(regexp_extract_all(text, '{ws}'))) END AS BIGINT) "
-        "AS bytes_per_token_ppm "
-        "FROM documents GROUP BY 1"
-    )
-
-
 # --------------------------------------------------------------------------
 # DSIR-style importance weights (hashed-n-gram importance resampling,
 # rational-arithmetic variant)
@@ -487,6 +495,25 @@ DSIR_TARGET_SOURCE = "src0"  # the exemplar target domain — part of the
 # output contract (in production the target is the curated seed corpus)
 
 
+def _dsir_sql() -> str:
+    s = DSIR_TARGET_SOURCE
+    return (
+        "WITH tok AS (SELECT doc_id, source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "cnt AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c_all, "
+        f"CAST(COUNT(*) FILTER (WHERE source = '{s}') AS BIGINT) AS c_tgt "
+        "FROM tok GROUP BY 1), "
+        "per AS (SELECT t.doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens, "
+        "CAST(SUM(((c.c_tgt + 1) * 1000000) // (c.c_all + 1)) AS BIGINT) AS imp "
+        "FROM tok t JOIN cnt c USING (token) GROUP BY 1) "
+        "SELECT d.doc_id, COALESCE(p.n_tokens, 0) AS n_tokens, "
+        "COALESCE(p.imp, 0) AS imp_micro "
+        "FROM documents d LEFT JOIN per p USING (doc_id)"
+    )
+
+
+@query("dsir_importance_docs", _dsir_sql)
 def q_dsir_importance_docs(sf_dir: str):
     """IMPORTANCE WEIGHTS for domain-targeted data selection (the shape of
     Xie et al. 2023, "Data Selection for Language Models via Importance
@@ -589,29 +616,12 @@ def q_dsir_importance_docs(sf_dir: str):
     return docs.map_batches(score, batch_format="pyarrow")
 
 
-def _dsir_sql() -> str:
-    s = DSIR_TARGET_SOURCE
-    return (
-        "WITH tok AS (SELECT doc_id, source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "cnt AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c_all, "
-        f"CAST(COUNT(*) FILTER (WHERE source = '{s}') AS BIGINT) AS c_tgt "
-        "FROM tok GROUP BY 1), "
-        "per AS (SELECT t.doc_id, CAST(COUNT(*) AS BIGINT) AS n_tokens, "
-        "CAST(SUM(((c.c_tgt + 1) * 1000000) // (c.c_all + 1)) AS BIGINT) AS imp "
-        "FROM tok t JOIN cnt c USING (token) GROUP BY 1) "
-        "SELECT d.doc_id, COALESCE(p.n_tokens, 0) AS n_tokens, "
-        "COALESCE(p.imp, 0) AS imp_micro "
-        "FROM documents d LEFT JOIN per p USING (doc_id)"
-    )
-
-
 # --------------------------------------------------------------------------
 # language-ID confusion matrix (gold label × prediction)
 # --------------------------------------------------------------------------
 
 
+@query("langid_confusion", partial(oracles_ext.extended, "langid_confusion"))
 def q_langid_confusion(sf_dir: str):
     """LANGUAGE-ID QUALITY AUDIT: the confusion matrix of the stopword-
     profile detector against the fixture's gold ``lang`` labels — one row
@@ -670,6 +680,24 @@ def q_langid_confusion(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+def _centroid_outliers_sql() -> str:
+    return (
+        "WITH m AS (SELECT vec_id, list_transform(embedding, "
+        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS mi "
+        "FROM embeddings), "
+        "pos AS (SELECT vec_id, i, mi[i] AS v FROM m, "
+        "unnest(range(1, len(mi) + 1)) AS t(i)), "
+        "s AS (SELECT i, CAST(SUM(v) AS HUGEINT) AS sd FROM pos GROUP BY 1), "
+        "sc AS (SELECT p.vec_id, SUM(CAST(p.v AS HUGEINT) * s.sd) AS dot "
+        "FROM pos p JOIN s USING (i) GROUP BY 1), "
+        "n AS (SELECT COUNT(*) AS n FROM m) "
+        "SELECT vec_id, CAST(dot AS BIGINT) AS dot_sum FROM sc, n "
+        "QUALIFY ROW_NUMBER() OVER (ORDER BY dot ASC, vec_id ASC) "
+        "<= (n.n + 99) // 100"
+    )
+
+
+@query("embedding_centroid_outliers", _centroid_outliers_sql)
 def q_embedding_centroid_outliers(sf_dir: str):
     """EMBEDDING OUTLIER FILTER: the bottom-1% of vectors by alignment
     with the corpus centroid direction — the cheap first-pass anomaly
@@ -745,28 +773,34 @@ def q_embedding_centroid_outliers(sf_dir: str):
     )
 
 
-def _centroid_outliers_sql() -> str:
-    return (
-        "WITH m AS (SELECT vec_id, list_transform(embedding, "
-        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS mi "
-        "FROM embeddings), "
-        "pos AS (SELECT vec_id, i, mi[i] AS v FROM m, "
-        "unnest(range(1, len(mi) + 1)) AS t(i)), "
-        "s AS (SELECT i, CAST(SUM(v) AS HUGEINT) AS sd FROM pos GROUP BY 1), "
-        "sc AS (SELECT p.vec_id, SUM(CAST(p.v AS HUGEINT) * s.sd) AS dot "
-        "FROM pos p JOIN s USING (i) GROUP BY 1), "
-        "n AS (SELECT COUNT(*) AS n FROM m) "
-        "SELECT vec_id, CAST(dot AS BIGINT) AS dot_sum FROM sc, n "
-        "QUALIFY ROW_NUMBER() OVER (ORDER BY dot ASC, vec_id ASC) "
-        "<= (n.n + 99) // 100"
-    )
-
-
 # --------------------------------------------------------------------------
 # bigram language-model document scoring (CCNet-style perplexity proxy)
 # --------------------------------------------------------------------------
 
 
+def _bigram_lp_sql() -> str:
+    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
+    return (
+        f"WITH tok AS (SELECT doc_id, {tok} AS l FROM documents), "
+        "bg AS (SELECT doc_id, unnest(list_transform(range(1, len(l)), "
+        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1])) AS bigram "
+        "FROM tok WHERE len(l) >= 2), "
+        "cb AS (SELECT bigram, COUNT(*) AS c FROM bg GROUP BY 1), "
+        "ctx AS (SELECT split_part(bigram, ' ', 1) AS a, "
+        "CAST(SUM(c) AS BIGINT) AS ca FROM cb GROUP BY 1), "
+        "vocab AS (SELECT COUNT(DISTINCT t) AS v FROM "
+        "(SELECT unnest(l) AS t FROM tok)), "
+        "lp AS (SELECT bigram, CAST(FLOOR(LOG10((cb.c + 1.0) / "
+        "(ctx.ca + vocab.v)) * 1000000 + 0.5) AS BIGINT) AS lp "
+        "FROM cb JOIN ctx ON ctx.a = split_part(cb.bigram, ' ', 1) "
+        "CROSS JOIN vocab) "
+        "SELECT doc_id, COUNT(*) AS n_bigrams, "
+        "CAST(SUM(lp.lp) AS BIGINT) AS logprob_micro "
+        "FROM bg JOIN lp USING (bigram) GROUP BY doc_id"
+    )
+
+
+@query("doc_bigram_logprob", _bigram_lp_sql)
 def q_doc_bigram_logprob(sf_dir: str):
     """Bigram language-model scoring with add-one (Laplace) smoothing: per
     document, the summed log10 P(b|a) over its consecutive token pairs,
@@ -900,28 +934,6 @@ def q_doc_bigram_logprob(sf_dir: str):
     )
 
 
-def _bigram_lp_sql() -> str:
-    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-    return (
-        f"WITH tok AS (SELECT doc_id, {tok} AS l FROM documents), "
-        "bg AS (SELECT doc_id, unnest(list_transform(range(1, len(l)), "
-        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1])) AS bigram "
-        "FROM tok WHERE len(l) >= 2), "
-        "cb AS (SELECT bigram, COUNT(*) AS c FROM bg GROUP BY 1), "
-        "ctx AS (SELECT split_part(bigram, ' ', 1) AS a, "
-        "CAST(SUM(c) AS BIGINT) AS ca FROM cb GROUP BY 1), "
-        "vocab AS (SELECT COUNT(DISTINCT t) AS v FROM "
-        "(SELECT unnest(l) AS t FROM tok)), "
-        "lp AS (SELECT bigram, CAST(FLOOR(LOG10((cb.c + 1.0) / "
-        "(ctx.ca + vocab.v)) * 1000000 + 0.5) AS BIGINT) AS lp "
-        "FROM cb JOIN ctx ON ctx.a = split_part(cb.bigram, ' ', 1) "
-        "CROSS JOIN vocab) "
-        "SELECT doc_id, COUNT(*) AS n_bigrams, "
-        "CAST(SUM(lp.lp) AS BIGINT) AS logprob_micro "
-        "FROM bg JOIN lp USING (bigram) GROUP BY doc_id"
-    )
-
-
 # --------------------------------------------------------------------------
 # novel n-gram fraction (first-occurrence novelty)
 # --------------------------------------------------------------------------
@@ -929,6 +941,23 @@ def _bigram_lp_sql() -> str:
 NOVEL_W = 8  # word-gram width — same as the decontamination standard
 
 
+def _novel_grams_sql() -> str:
+    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
+    return (
+        f"WITH tok AS (SELECT doc_id, {tok} AS l FROM documents), "
+        f"g AS (SELECT DISTINCT doc_id, unnest(list_transform(range(1, len(l) - {NOVEL_W - 2}), "
+        f"i -> array_to_string(l[CAST(i AS INT):CAST(i AS INT)+{NOVEL_W - 1}], ' '))) AS gram "
+        f"FROM tok WHERE len(l) >= {NOVEL_W}), "
+        "own AS (SELECT gram, MIN(doc_id) AS owner FROM g GROUP BY 1) "
+        "SELECT doc_id, COUNT(*) AS n_grams, "
+        "CAST(SUM(CASE WHEN own.owner = g.doc_id THEN 1 ELSE 0 END) AS BIGINT) AS n_novel, "
+        "CAST(SUM(CASE WHEN own.owner = g.doc_id THEN 1 ELSE 0 END) * 1000000 "
+        "// COUNT(*) AS BIGINT) AS novel_ppm "
+        "FROM g JOIN own USING (gram) GROUP BY doc_id"
+    )
+
+
+@query("doc_novel_grams", _novel_grams_sql)
 def q_doc_novel_grams(sf_dir: str):
     """FIRST-OCCURRENCE NOVELTY: for each document, the fraction of its
     distinct word-8-grams whose corpus-wide first occurrence (minimum
@@ -1020,22 +1049,6 @@ def q_doc_novel_grams(sf_dir: str):
     )
 
 
-def _novel_grams_sql() -> str:
-    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-    return (
-        f"WITH tok AS (SELECT doc_id, {tok} AS l FROM documents), "
-        f"g AS (SELECT DISTINCT doc_id, unnest(list_transform(range(1, len(l) - {NOVEL_W - 2}), "
-        f"i -> array_to_string(l[CAST(i AS INT):CAST(i AS INT)+{NOVEL_W - 1}], ' '))) AS gram "
-        f"FROM tok WHERE len(l) >= {NOVEL_W}), "
-        "own AS (SELECT gram, MIN(doc_id) AS owner FROM g GROUP BY 1) "
-        "SELECT doc_id, COUNT(*) AS n_grams, "
-        "CAST(SUM(CASE WHEN own.owner = g.doc_id THEN 1 ELSE 0 END) AS BIGINT) AS n_novel, "
-        "CAST(SUM(CASE WHEN own.owner = g.doc_id THEN 1 ELSE 0 END) * 1000000 "
-        "// COUNT(*) AS BIGINT) AS novel_ppm "
-        "FROM g JOIN own USING (gram) GROUP BY doc_id"
-    )
-
-
 # --------------------------------------------------------------------------
 # directed Jaccard-containment near-dup pairs (Broder containment)
 # --------------------------------------------------------------------------
@@ -1043,6 +1056,23 @@ def _novel_grams_sql() -> str:
 CONTAIN_NUM, CONTAIN_DEN = 7, 10  # C(a→b) ≥ 0.7
 
 
+def _containment_sql() -> str:
+    from .oracles_ext import _WORD3_CTE
+
+    return (
+        f"WITH {_WORD3_CTE}, "
+        "d AS (SELECT DISTINCT doc_id, s FROM sh), "
+        "sz AS (SELECT doc_id, COUNT(*) AS n FROM d GROUP BY doc_id), "
+        "inter AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i "
+        "FROM d a JOIN d b ON a.s = b.s AND a.doc_id <> b.doc_id GROUP BY 1, 2) "
+        "SELECT doc_a, doc_b, "
+        "CAST(FLOOR(CAST(i AS DOUBLE)/sa.n*1000000 + 0.5) AS BIGINT) AS containment_ppm "
+        "FROM inter JOIN sz sa ON sa.doc_id = doc_a "
+        f"WHERE i * {CONTAIN_DEN} >= {CONTAIN_NUM} * sa.n"
+    )
+
+
+@query("containment_dup_pairs", _containment_sql)
 def q_containment_dup_pairs(sf_dir: str):
     """DIRECTED CONTAINMENT self-join (Broder 1997's second resemblance
     measure): pairs (doc_a, doc_b) where C(a→b) = |A∩B| / |A| ≥ 0.7 over
@@ -1205,22 +1235,6 @@ def q_containment_dup_pairs(sf_dir: str):
     )
 
 
-def _containment_sql() -> str:
-    from .oracles_ext import _WORD3_CTE
-
-    return (
-        f"WITH {_WORD3_CTE}, "
-        "d AS (SELECT DISTINCT doc_id, s FROM sh), "
-        "sz AS (SELECT doc_id, COUNT(*) AS n FROM d GROUP BY doc_id), "
-        "inter AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS i "
-        "FROM d a JOIN d b ON a.s = b.s AND a.doc_id <> b.doc_id GROUP BY 1, 2) "
-        "SELECT doc_a, doc_b, "
-        "CAST(FLOOR(CAST(i AS DOUBLE)/sa.n*1000000 + 0.5) AS BIGINT) AS containment_ppm "
-        "FROM inter JOIN sz sa ON sa.doc_id = doc_a "
-        f"WHERE i * {CONTAIN_DEN} >= {CONTAIN_NUM} * sa.n"
-    )
-
-
 # --------------------------------------------------------------------------
 # weighted reservoir sampling (Efraimidis–Spirakis exponential keys)
 # --------------------------------------------------------------------------
@@ -1229,6 +1243,21 @@ WS_K = 32  # sample size per source
 _WS_KNUTH = 2654435761  # the multiplicative hash lang_sample_topk pins
 
 
+def _weighted_sample_sql() -> str:
+    return (
+        "WITH k AS (SELECT source, doc_id, "
+        f"CAST(FLOOR(-LN((((doc_id * {_WS_KNUTH}) % 4294967296) + 1.0) "
+        "/ 4294967296) * 1000000) AS BIGINT) * 1000000 // n_chars AS wkey "
+        "FROM documents WHERE n_chars > 0) "
+        "SELECT source, doc_id, wkey, "
+        "CAST(ROW_NUMBER() OVER (PARTITION BY source ORDER BY wkey, doc_id) "
+        "- 1 AS BIGINT) AS sample_rank FROM k "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY source ORDER BY wkey, doc_id) "
+        f"<= {WS_K}"
+    )
+
+
+@query("source_weighted_sample", _weighted_sample_sql)
 def q_source_weighted_sample(sf_dir: str):
     """WEIGHTED sampling without replacement (Efraimidis–Spirakis A-ES,
     IPL 2006): per source, keep the ``WS_K`` docs with the smallest
@@ -1292,25 +1321,31 @@ def q_source_weighted_sample(sf_dir: str):
     )
 
 
-def _weighted_sample_sql() -> str:
-    return (
-        "WITH k AS (SELECT source, doc_id, "
-        f"CAST(FLOOR(-LN((((doc_id * {_WS_KNUTH}) % 4294967296) + 1.0) "
-        "/ 4294967296) * 1000000) AS BIGINT) * 1000000 // n_chars AS wkey "
-        "FROM documents WHERE n_chars > 0) "
-        "SELECT source, doc_id, wkey, "
-        "CAST(ROW_NUMBER() OVER (PARTITION BY source ORDER BY wkey, doc_id) "
-        "- 1 AS BIGINT) AS sample_rank FROM k "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY source ORDER BY wkey, doc_id) "
-        f"<= {WS_K}"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-source token-distribution entropy (corpus diversity audit)
 # --------------------------------------------------------------------------
 
 
+def _entropy_sql() -> str:
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1, 2), "
+        "tot AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t, "
+        "CAST(COUNT(*) AS BIGINT) AS n_types FROM uc GROUP BY 1), "
+        "lp AS (SELECT uc.source, uc.c, "
+        "CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/tot.t)*1000000 + 0.5) AS BIGINT) AS lp "
+        "FROM uc JOIN tot USING (source)) "
+        "SELECT lp.source, tot.t AS n_tokens, tot.n_types, "
+        "CAST(SUM(CAST(lp.c AS HUGEINT) * -lp.lp) // tot.t AS BIGINT) AS entropy_micro "
+        "FROM lp JOIN tot ON tot.source = lp.source "
+        "GROUP BY lp.source, tot.t, tot.n_types"
+    )
+
+
+@query("source_token_entropy", _entropy_sql)
 def q_source_token_entropy(sf_dir: str):
     """SHANNON ENTROPY of each source's token distribution (micro-nats in
     log10 — i.e. Hartleys×10⁶): H_s = −Σ_t (c_t/T_s)·log10(c_t/T_s),
@@ -1379,30 +1414,30 @@ def q_source_token_entropy(sf_dir: str):
     )
 
 
-def _entropy_sql() -> str:
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1, 2), "
-        "tot AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t, "
-        "CAST(COUNT(*) AS BIGINT) AS n_types FROM uc GROUP BY 1), "
-        "lp AS (SELECT uc.source, uc.c, "
-        "CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/tot.t)*1000000 + 0.5) AS BIGINT) AS lp "
-        "FROM uc JOIN tot USING (source)) "
-        "SELECT lp.source, tot.t AS n_tokens, tot.n_types, "
-        "CAST(SUM(CAST(lp.c AS HUGEINT) * -lp.lp) // tot.t AS BIGINT) AS entropy_micro "
-        "FROM lp JOIN tot ON tot.source = lp.source "
-        "GROUP BY lp.source, tot.t, tot.n_types"
-    )
-
-
 # --------------------------------------------------------------------------
 # split-leakage audit (near-dup pairs crossing the train/val/test boundary)
 # --------------------------------------------------------------------------
 
 
+def _split_leakage_sql() -> str:
+    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
+    from .queries_ml3 import SPLIT_MULT, SPLIT_TRAIN_PCT, SPLIT_VAL_PCT
+
+    case = (
+        f"CASE WHEN ({{c}} * {SPLIT_MULT}) % 4294967296 % 100 "
+        f"< {SPLIT_TRAIN_PCT} THEN 'train' "
+        f"WHEN ({{c}} * {SPLIT_MULT}) % 4294967296 % 100 "
+        f"< {SPLIT_VAL_PCT} THEN 'val' ELSE 'test' END"
+    )
+    return (
+        f"WITH pairs AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
+        f"SELECT doc_a, doc_b, {case.format(c='doc_a')} AS split_a, "
+        f"{case.format(c='doc_b')} AS split_b, jaccard_micro FROM pairs "
+        f"WHERE {case.format(c='doc_a')} <> {case.format(c='doc_b')}"
+    )
+
+
+@query("split_leakage_pairs", _split_leakage_sql)
 def q_split_leakage_pairs(sf_dir: str):
     """EVAL-HYGIENE AUDIT: near-duplicate document pairs whose members
     land in DIFFERENT train/val/test splits — the leakage a random split
@@ -1455,29 +1490,21 @@ def q_split_leakage_pairs(sf_dir: str):
     )
 
 
-def _split_leakage_sql() -> str:
-    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
-    from .queries_ml3 import SPLIT_MULT, SPLIT_TRAIN_PCT, SPLIT_VAL_PCT
-
-    case = (
-        f"CASE WHEN ({{c}} * {SPLIT_MULT}) % 4294967296 % 100 "
-        f"< {SPLIT_TRAIN_PCT} THEN 'train' "
-        f"WHEN ({{c}} * {SPLIT_MULT}) % 4294967296 % 100 "
-        f"< {SPLIT_VAL_PCT} THEN 'val' ELSE 'test' END"
-    )
-    return (
-        f"WITH pairs AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
-        f"SELECT doc_a, doc_b, {case.format(c='doc_a')} AS split_a, "
-        f"{case.format(c='doc_b')} AS split_b, jaccard_micro FROM pairs "
-        f"WHERE {case.format(c='doc_a')} <> {case.format(c='doc_b')}"
-    )
-
-
 # --------------------------------------------------------------------------
 # upsert-sink round-trip (keyed_merge_write → read_upserted == argmax SQL)
 # --------------------------------------------------------------------------
 
 
+def _upsert_roundtrip_sql() -> str:
+    return (
+        "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events) "
+        "SELECT user_id, event_id, ms FROM e "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
+        "ORDER BY ms DESC, event_id DESC) = 1"
+    )
+
+
+@query("events_upsert_roundtrip", _upsert_roundtrip_sql)
 def q_events_upsert_roundtrip(sf_dir: str):
     """UPSERT SINK ROUND-TRIP: the WebPagesUpdaterBolt/MediaUpdaterBolt
     keyed-merge semantics (stages/sink.py — last-write-wins per key,
@@ -1551,15 +1578,6 @@ def q_events_upsert_roundtrip(sf_dir: str):
     )
 
 
-def _upsert_roundtrip_sql() -> str:
-    return (
-        "WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ms FROM events) "
-        "SELECT user_id, event_id, ms FROM e "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id "
-        "ORDER BY ms DESC, event_id DESC) = 1"
-    )
-
-
 # --------------------------------------------------------------------------
 # Count-Min Sketch (mergeable counter grid, fully SQL-replayable)
 # --------------------------------------------------------------------------
@@ -1579,6 +1597,38 @@ def _cms_hash(token: str, mult: int) -> int:
     return h
 
 
+def _cms_sql() -> str:
+    def hsql(mult: int) -> str:
+        return (
+            "list_reduce(list_prepend(CAST(0 AS BIGINT), "
+            "list_transform(range(1, length(token)+1), "
+            "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
+            f"(a, b) -> (a * {mult} + b) % {_CMS_MOD}) % {CMS_W}"
+        )
+
+    cnts = ", ".join(
+        f"cnt{r} AS (SELECT b{r} AS j, CAST(SUM(true_count) AS BIGINT) AS c "
+        "FROM tb GROUP BY 1)"
+        for r in range(CMS_D)
+    )
+    joins = " ".join(f"JOIN cnt{r} c{r} ON c{r}.j = p.b{r}" for r in range(CMS_D))
+    least = "least(" + ", ".join(f"c{r}.c" for r in range(CMS_D)) + ")"
+    bcols = ", ".join(f"{hsql(m)} AS b{r}" for r, m in enumerate(CMS_MULTS))
+    return (
+        "WITH tok AS (SELECT unnest(regexp_extract_all(lower(text), "
+        "'[a-z0-9]+')) AS token FROM documents), "
+        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS true_count "
+        "FROM tok GROUP BY 1), "
+        f"tb AS (SELECT token, true_count, {bcols} FROM tc), "
+        f"{cnts}, "
+        "probes AS (SELECT * FROM tb "
+        "ORDER BY true_count DESC, token LIMIT 20) "
+        f"SELECT p.token, p.true_count, CAST({least} AS BIGINT) AS cms_estimate "
+        f"FROM probes p {joins}"
+    )
+
+
+@query("token_cms_estimates", _cms_sql)
 def q_token_cms_estimates(sf_dir: str):
     """COUNT-MIN SKETCH (Cormode & Muthukrishnan 2005): a ``CMS_D``דCMS_W``
     counter grid over the corpus token stream, probed at the top-20 true
@@ -1660,72 +1710,3 @@ def q_token_cms_estimates(sf_dir: str):
             "cms_estimate": pa.array(np.asarray(est, np.int64), pa.int64()),
         }
     )
-
-
-def _cms_sql() -> str:
-    def hsql(mult: int) -> str:
-        return (
-            "list_reduce(list_prepend(CAST(0 AS BIGINT), "
-            "list_transform(range(1, length(token)+1), "
-            "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
-            f"(a, b) -> (a * {mult} + b) % {_CMS_MOD}) % {CMS_W}"
-        )
-
-    cnts = ", ".join(
-        f"cnt{r} AS (SELECT b{r} AS j, CAST(SUM(true_count) AS BIGINT) AS c "
-        "FROM tb GROUP BY 1)"
-        for r in range(CMS_D)
-    )
-    joins = " ".join(f"JOIN cnt{r} c{r} ON c{r}.j = p.b{r}" for r in range(CMS_D))
-    least = "least(" + ", ".join(f"c{r}.c" for r in range(CMS_D)) + ")"
-    bcols = ", ".join(f"{hsql(m)} AS b{r}" for r, m in enumerate(CMS_MULTS))
-    return (
-        "WITH tok AS (SELECT unnest(regexp_extract_all(lower(text), "
-        "'[a-z0-9]+')) AS token FROM documents), "
-        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS true_count "
-        "FROM tok GROUP BY 1), "
-        f"tb AS (SELECT token, true_count, {bcols} FROM tc), "
-        f"{cnts}, "
-        "probes AS (SELECT * FROM tb "
-        "ORDER BY true_count DESC, token LIMIT 20) "
-        f"SELECT p.token, p.true_count, CAST({least} AS BIGINT) AS cms_estimate "
-        f"FROM probes p {joins}"
-    )
-
-
-ML6_QUERIES = {
-    "bm25_topk": q_bm25_topk,
-    "doc_oov_rate": q_doc_oov_rate,
-    "source_vocab_overlap": q_source_vocab_overlap,
-    "lang_token_fertility": q_lang_token_fertility,
-    "dsir_importance_docs": q_dsir_importance_docs,
-    "embedding_centroid_outliers": q_embedding_centroid_outliers,
-    "langid_confusion": q_langid_confusion,
-    "doc_bigram_logprob": q_doc_bigram_logprob,
-    "doc_novel_grams": q_doc_novel_grams,
-    "containment_dup_pairs": q_containment_dup_pairs,
-    "source_weighted_sample": q_source_weighted_sample,
-    "source_token_entropy": q_source_token_entropy,
-    "split_leakage_pairs": q_split_leakage_pairs,
-    "events_upsert_roundtrip": q_events_upsert_roundtrip,
-    "token_cms_estimates": q_token_cms_estimates,
-}
-
-
-def build_ml6_oracles() -> dict[str, str]:
-    return {
-        "bm25_topk": _bm25_sql(),
-        "doc_bigram_logprob": _bigram_lp_sql(),
-        "doc_novel_grams": _novel_grams_sql(),
-        "containment_dup_pairs": _containment_sql(),
-        "source_weighted_sample": _weighted_sample_sql(),
-        "source_token_entropy": _entropy_sql(),
-        "split_leakage_pairs": _split_leakage_sql(),
-        "events_upsert_roundtrip": _upsert_roundtrip_sql(),
-        "token_cms_estimates": _cms_sql(),
-        "doc_oov_rate": _oov_sql(),
-        "source_vocab_overlap": _overlap_sql(),
-        "lang_token_fertility": _fertility_sql(),
-        "dsir_importance_docs": _dsir_sql(),
-        "embedding_centroid_outliers": _centroid_outliers_sql(),
-    }

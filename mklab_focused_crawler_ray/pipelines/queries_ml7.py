@@ -42,6 +42,7 @@ import pyarrow as pa
 
 from .queries_ml2 import _p
 from .queries_ml6 import _CMS_MOD, _cms_hash
+from .registry import query
 
 # --------------------------------------------------------------------------
 # vocabulary coverage curve
@@ -51,6 +52,28 @@ from .queries_ml6 import _CMS_MOD, _cms_hash
 COVERAGE_CUTOFFS = (10, 100, 1000, 10000)
 
 
+def _coverage_sql() -> str:
+    cuts = ", ".join(f"({c})" for c in COVERAGE_CUTOFFS)
+    return (
+        "WITH tok AS (SELECT unnest(regexp_extract_all(lower(text), "
+        "'[a-z0-9]+')) AS token FROM documents), "
+        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1), "
+        "tot AS (SELECT CAST(SUM(c) AS BIGINT) AS t, "
+        "CAST(COUNT(*) AS BIGINT) AS nt FROM tc), "
+        "ranked AS (SELECT c, ROW_NUMBER() OVER "
+        "(ORDER BY c DESC, token ASC) AS rk FROM tc) "
+        "SELECT CAST(v.cut AS BIGINT) AS rank_cutoff, "
+        "CAST(LEAST(v.cut, tot.nt) AS BIGINT) AS covered_types, "
+        "CAST(SUM(r.c) AS BIGINT) AS covered_tokens, tot.t AS total_tokens, "
+        "CAST(CAST(SUM(r.c) AS HUGEINT) * 1000000 // tot.t AS BIGINT) "
+        "AS coverage_ppm "
+        f"FROM ranked r CROSS JOIN (VALUES {cuts}) v(cut) CROSS JOIN tot "
+        "WHERE r.rk <= v.cut GROUP BY v.cut, tot.t, tot.nt"
+    )
+
+
+@query("vocab_coverage_curve", _coverage_sql)
 def q_vocab_coverage_curve(sf_dir: str):
     """VOCABULARY COVERAGE CURVE: for each rank cutoff R in
     ``COVERAGE_CUTOFFS``, the fraction of the corpus token stream covered
@@ -153,27 +176,6 @@ def q_vocab_coverage_curve(sf_dir: str):
     )
 
 
-def _coverage_sql() -> str:
-    cuts = ", ".join(f"({c})" for c in COVERAGE_CUTOFFS)
-    return (
-        "WITH tok AS (SELECT unnest(regexp_extract_all(lower(text), "
-        "'[a-z0-9]+')) AS token FROM documents), "
-        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1), "
-        "tot AS (SELECT CAST(SUM(c) AS BIGINT) AS t, "
-        "CAST(COUNT(*) AS BIGINT) AS nt FROM tc), "
-        "ranked AS (SELECT c, ROW_NUMBER() OVER "
-        "(ORDER BY c DESC, token ASC) AS rk FROM tc) "
-        "SELECT CAST(v.cut AS BIGINT) AS rank_cutoff, "
-        "CAST(LEAST(v.cut, tot.nt) AS BIGINT) AS covered_types, "
-        "CAST(SUM(r.c) AS BIGINT) AS covered_tokens, tot.t AS total_tokens, "
-        "CAST(CAST(SUM(r.c) AS HUGEINT) * 1000000 // tot.t AS BIGINT) "
-        "AS coverage_ppm "
-        f"FROM ranked r CROSS JOIN (VALUES {cuts}) v(cut) CROSS JOIN tot "
-        "WHERE r.rk <= v.cut GROUP BY v.cut, tot.t, tot.nt"
-    )
-
-
 # --------------------------------------------------------------------------
 # SRP (signed random projection) embedding near-dup pairs — [sql]
 # --------------------------------------------------------------------------
@@ -206,6 +208,40 @@ def _srp_signs(dim: int) -> np.ndarray:
     )
 
 
+def _srp_sql() -> str:
+    return (
+        "WITH q AS (SELECT vec_id, list_transform(embedding, "
+        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS qe "
+        "FROM embeddings), "
+        "bits AS (SELECT vec_id, k, CASE WHEN "
+        "list_sum(list_transform(range(0, len(qe)), d -> "
+        "qe[CAST(d AS INT)+1] * (CASE WHEN "
+        f"(CAST(k*len(qe)+d+1 AS HUGEINT)*{SRP_MULT}) % {_SRP_M64} "
+        f"< {1 << 63} THEN 1 ELSE -1 END))) > 0 THEN 1 ELSE 0 END AS bit "
+        f"FROM q, (SELECT unnest(range(0, {SRP_BITS})) AS k)), "
+        f"bands AS (SELECT vec_id, k // {SRP_BAND_BITS} AS band, "
+        f"CAST(SUM(bit << (k % {SRP_BAND_BITS})) AS BIGINT) AS key "
+        "FROM bits GROUP BY 1, 2), "
+        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
+        "FROM bands a JOIN bands b ON a.band = b.band AND a.key = b.key "
+        "AND a.vec_id < b.vec_id), "
+        "v AS (SELECT c.va, c.vb, "
+        "CAST(list_sum(list_transform(range(0, len(qa.qe)), i -> "
+        "CAST(qa.qe[CAST(i AS INT)+1] AS HUGEINT)*qb.qe[CAST(i AS INT)+1])) "
+        "AS HUGEINT) AS dot, "
+        "CAST(list_sum(list_transform(qa.qe, x -> CAST(x AS HUGEINT)*x)) "
+        "AS HUGEINT) AS na2, "
+        "CAST(list_sum(list_transform(qb.qe, x -> CAST(x AS HUGEINT)*x)) "
+        "AS HUGEINT) AS nb2 "
+        "FROM cand c JOIN q qa ON qa.vec_id = c.va "
+        "JOIN q qb ON qb.vec_id = c.vb) "
+        "SELECT va AS doc_a, vb AS doc_b, "
+        "CAST(dot*dot*1000000 // (na2*nb2) AS BIGINT) AS cos2_ppm "
+        "FROM v WHERE dot > 0 AND 25*dot*dot >= 4*na2*nb2"
+    )
+
+
+@query("embedding_srp_pairs", _srp_sql)
 def q_embedding_srp_pairs(sf_dir: str):
     """EMBEDDING NEAR-DUP PAIRS via SRP-LSH, fully SQL-replayable: each
     vector is micro-quantized (qe = floor(e·10⁶ + 0.5), so the signature
@@ -327,44 +363,37 @@ def q_embedding_srp_pairs(sf_dir: str):
     )
 
 
-def _srp_sql() -> str:
-    return (
-        "WITH q AS (SELECT vec_id, list_transform(embedding, "
-        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS qe "
-        "FROM embeddings), "
-        "bits AS (SELECT vec_id, k, CASE WHEN "
-        "list_sum(list_transform(range(0, len(qe)), d -> "
-        "qe[CAST(d AS INT)+1] * (CASE WHEN "
-        f"(CAST(k*len(qe)+d+1 AS HUGEINT)*{SRP_MULT}) % {_SRP_M64} "
-        f"< {1 << 63} THEN 1 ELSE -1 END))) > 0 THEN 1 ELSE 0 END AS bit "
-        f"FROM q, (SELECT unnest(range(0, {SRP_BITS})) AS k)), "
-        f"bands AS (SELECT vec_id, k // {SRP_BAND_BITS} AS band, "
-        f"CAST(SUM(bit << (k % {SRP_BAND_BITS})) AS BIGINT) AS key "
-        "FROM bits GROUP BY 1, 2), "
-        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
-        "FROM bands a JOIN bands b ON a.band = b.band AND a.key = b.key "
-        "AND a.vec_id < b.vec_id), "
-        "v AS (SELECT c.va, c.vb, "
-        "CAST(list_sum(list_transform(range(0, len(qa.qe)), i -> "
-        "CAST(qa.qe[CAST(i AS INT)+1] AS HUGEINT)*qb.qe[CAST(i AS INT)+1])) "
-        "AS HUGEINT) AS dot, "
-        "CAST(list_sum(list_transform(qa.qe, x -> CAST(x AS HUGEINT)*x)) "
-        "AS HUGEINT) AS na2, "
-        "CAST(list_sum(list_transform(qb.qe, x -> CAST(x AS HUGEINT)*x)) "
-        "AS HUGEINT) AS nb2 "
-        "FROM cand c JOIN q qa ON qa.vec_id = c.va "
-        "JOIN q qb ON qb.vec_id = c.vb) "
-        "SELECT va AS doc_a, vb AS doc_b, "
-        "CAST(dot*dot*1000000 // (na2*nb2) AS BIGINT) AS cos2_ppm "
-        "FROM v WHERE dot > 0 AND 25*dot*dot >= 4*na2*nb2"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-source unigram KL divergence vs the corpus distribution
 # --------------------------------------------------------------------------
 
 
+def _kl_sql() -> str:
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1, 2), "
+        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
+        "gt AS (SELECT CAST(SUM(c) AS BIGINT) AS t_all, "
+        "token FROM uc GROUP BY token), "
+        "tt AS (SELECT CAST(SUM(c) AS BIGINT) AS t_corpus FROM uc), "
+        "d AS (SELECT uc.source, uc.c, "
+        "CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/st.t)*1000000 + 0.5) AS BIGINT) "
+        "- CAST(FLOOR(LOG10(CAST(gt.t_all AS DOUBLE)/tt.t_corpus)*1000000 "
+        "+ 0.5) AS BIGINT) AS dlp "
+        "FROM uc JOIN st USING (source) JOIN gt USING (token) CROSS JOIN tt), "
+        "agg AS (SELECT d.source, st.t, "
+        "CAST(SUM(CAST(d.c AS HUGEINT) * d.dlp) AS HUGEINT) AS s "
+        "FROM d JOIN st ON st.source = d.source GROUP BY 1, 2) "
+        "SELECT source, t AS n_tokens, "
+        "CAST(CASE WHEN s >= 0 THEN s // t "
+        "ELSE -((-s + t - 1) // t) END AS BIGINT) AS kl_micro FROM agg"
+    )
+
+
+@query("source_unigram_kl", _kl_sql)
 def q_source_unigram_kl(sf_dir: str):
     """KL DIVERGENCE KL(P_source ‖ P_corpus) in micro-Hartleys: for each
     source, Σ_t c_st·(lp_s(t) − lp_c(t)) // T_s where
@@ -475,31 +504,6 @@ def q_source_unigram_kl(sf_dir: str):
     )
 
 
-def _kl_sql() -> str:
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1, 2), "
-        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
-        "gt AS (SELECT CAST(SUM(c) AS BIGINT) AS t_all, "
-        "token FROM uc GROUP BY token), "
-        "tt AS (SELECT CAST(SUM(c) AS BIGINT) AS t_corpus FROM uc), "
-        "d AS (SELECT uc.source, uc.c, "
-        "CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/st.t)*1000000 + 0.5) AS BIGINT) "
-        "- CAST(FLOOR(LOG10(CAST(gt.t_all AS DOUBLE)/tt.t_corpus)*1000000 "
-        "+ 0.5) AS BIGINT) AS dlp "
-        "FROM uc JOIN st USING (source) JOIN gt USING (token) CROSS JOIN tt), "
-        "agg AS (SELECT d.source, st.t, "
-        "CAST(SUM(CAST(d.c AS HUGEINT) * d.dlp) AS HUGEINT) AS s "
-        "FROM d JOIN st ON st.source = d.source GROUP BY 1, 2) "
-        "SELECT source, t AS n_tokens, "
-        "CAST(CASE WHEN s >= 0 THEN s // t "
-        "ELSE -((-s + t - 1) // t) END AS BIGINT) AS kl_micro FROM agg"
-    )
-
-
 # --------------------------------------------------------------------------
 # KMV (k-minimum-values) distinct estimation per source
 # --------------------------------------------------------------------------
@@ -519,6 +523,36 @@ def _kmv_hash(token: str) -> int:
     return (h * KMV_MULT + KMV_INC) % _CMS_MOD
 
 
+def _kmv_sql() -> str:
+    hsql = (
+        "(list_reduce(list_prepend(CAST(0 AS BIGINT), "
+        "list_transform(range(1, length(token)+1), "
+        "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
+        f"(a, b) -> (a * {KMV_MULT} + b) % {_CMS_MOD}) "
+        f"* {KMV_MULT} + {KMV_INC}) % {_CMS_MOD}"
+    )
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "dd AS (SELECT DISTINCT source, token FROM tok), "
+        f"dh AS (SELECT DISTINCT source, {hsql} AS h FROM dd), "
+        "rk AS (SELECT source, h, ROW_NUMBER() OVER "
+        "(PARTITION BY source ORDER BY h ASC) AS rn FROM dh), "
+        "agg AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS nd, "
+        f"CAST(MAX(CASE WHEN rn = {KMV_K} THEN h END) AS BIGINT) AS hk "
+        "FROM rk GROUP BY 1), "
+        "nt AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS n_types "
+        "FROM dd GROUP BY 1) "
+        "SELECT a.source, nt.n_types, "
+        f"CAST(CASE WHEN a.nd < {KMV_K} THEN a.nd "
+        f"ELSE {(KMV_K - 1) * _CMS_MOD} // GREATEST(a.hk, 1) END AS BIGINT) "
+        "AS kmv_estimate "
+        "FROM agg a JOIN nt ON nt.source = a.source"
+    )
+
+
+@query("source_kmv_distinct", _kmv_sql)
 def q_source_kmv_distinct(sf_dir: str):
     """KMV DISTINCT-COUNT SKETCH (Bar-Yossef et al. 2002): estimate each
     source's distinct-token count from the ``KMV_K`` smallest distinct
@@ -593,40 +627,37 @@ def q_source_kmv_distinct(sf_dir: str):
     )
 
 
-def _kmv_sql() -> str:
-    hsql = (
-        "(list_reduce(list_prepend(CAST(0 AS BIGINT), "
-        "list_transform(range(1, length(token)+1), "
-        "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
-        f"(a, b) -> (a * {KMV_MULT} + b) % {_CMS_MOD}) "
-        f"* {KMV_MULT} + {KMV_INC}) % {_CMS_MOD}"
-    )
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "dd AS (SELECT DISTINCT source, token FROM tok), "
-        f"dh AS (SELECT DISTINCT source, {hsql} AS h FROM dd), "
-        "rk AS (SELECT source, h, ROW_NUMBER() OVER "
-        "(PARTITION BY source ORDER BY h ASC) AS rn FROM dh), "
-        "agg AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS nd, "
-        f"CAST(MAX(CASE WHEN rn = {KMV_K} THEN h END) AS BIGINT) AS hk "
-        "FROM rk GROUP BY 1), "
-        "nt AS (SELECT source, CAST(COUNT(*) AS BIGINT) AS n_types "
-        "FROM dd GROUP BY 1) "
-        "SELECT a.source, nt.n_types, "
-        f"CAST(CASE WHEN a.nd < {KMV_K} THEN a.nd "
-        f"ELSE {(KMV_K - 1) * _CMS_MOD} // GREATEST(a.hk, 1) END AS BIGINT) "
-        "AS kmv_estimate "
-        "FROM agg a JOIN nt ON nt.source = a.source"
-    )
-
-
 # --------------------------------------------------------------------------
 # Zipf-slope fit per source
 # --------------------------------------------------------------------------
 
 
+def _zipf_sql() -> str:
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1, 2), "
+        "rk AS (SELECT source, c, ROW_NUMBER() OVER "
+        "(PARTITION BY source ORDER BY c DESC, token ASC) AS rank FROM uc), "
+        "xy AS (SELECT source, "
+        "CAST(FLOOR(LOG10(CAST(rank AS DOUBLE))*1000000 + 0.5) AS HUGEINT) AS x, "
+        "CAST(FLOOR(LOG10(CAST(c AS DOUBLE))*1000000 + 0.5) AS HUGEINT) AS y "
+        "FROM rk), "
+        "agg AS (SELECT source, CAST(COUNT(*) AS HUGEINT) AS n, "
+        "SUM(x) AS sx, SUM(y) AS sy, SUM(x*y) AS sxy, SUM(x*x) AS sxx "
+        "FROM xy GROUP BY 1), "
+        "fit AS (SELECT source, n, (sx*sy - n*sxy) * 1000000 AS num, "
+        "n*sxx - sx*sx AS den FROM agg WHERE n >= 2) "
+        "SELECT source, CAST(n AS BIGINT) AS n_types, "
+        "CAST(CASE WHEN num >= 0 THEN num // den "
+        "ELSE -((-num + den - 1) // den) END AS BIGINT) AS slope_neg_micro "
+        "FROM fit"
+    )
+
+
+@query("zipf_fit_sources", _zipf_sql)
 def q_zipf_fit_sources(sf_dir: str):
     """ZIPF-LAW FIT per source: ordinary-least-squares slope of
     log10(count) against log10(rank) over the full rank–frequency curve
@@ -710,36 +741,31 @@ def q_zipf_fit_sources(sf_dir: str):
     )
 
 
-def _zipf_sql() -> str:
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1, 2), "
-        "rk AS (SELECT source, c, ROW_NUMBER() OVER "
-        "(PARTITION BY source ORDER BY c DESC, token ASC) AS rank FROM uc), "
-        "xy AS (SELECT source, "
-        "CAST(FLOOR(LOG10(CAST(rank AS DOUBLE))*1000000 + 0.5) AS HUGEINT) AS x, "
-        "CAST(FLOOR(LOG10(CAST(c AS DOUBLE))*1000000 + 0.5) AS HUGEINT) AS y "
-        "FROM rk), "
-        "agg AS (SELECT source, CAST(COUNT(*) AS HUGEINT) AS n, "
-        "SUM(x) AS sx, SUM(y) AS sy, SUM(x*y) AS sxy, SUM(x*x) AS sxx "
-        "FROM xy GROUP BY 1), "
-        "fit AS (SELECT source, n, (sx*sy - n*sxy) * 1000000 AS num, "
-        "n*sxx - sx*sx AS den FROM agg WHERE n >= 2) "
-        "SELECT source, CAST(n AS BIGINT) AS n_types, "
-        "CAST(CASE WHEN num >= 0 THEN num // den "
-        "ELSE -((-num + den - 1) // den) END AS BIGINT) AS slope_neg_micro "
-        "FROM fit"
-    )
-
-
 # --------------------------------------------------------------------------
 # CCNet-style per-language perplexity terciles
 # --------------------------------------------------------------------------
 
 
+def _ccnet_sql() -> str:
+    from .queries_ml6 import _bigram_lp_sql
+
+    return (
+        f"WITH lp AS ({_bigram_lp_sql()}), "
+        "sc AS (SELECT l.doc_id, d.lang, "
+        "CAST(CAST(-l.logprob_micro AS HUGEINT) * 1000000 // l.n_bigrams "
+        "AS BIGINT) AS ppt "
+        "FROM lp l JOIN documents d ON d.doc_id = l.doc_id), "
+        "nt AS (SELECT lang, doc_id, ppt, NTILE(3) OVER "
+        "(PARTITION BY lang ORDER BY ppt ASC, doc_id ASC) AS bucket FROM sc) "
+        "SELECT lang, CAST(bucket AS BIGINT) AS bucket, "
+        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
+        "CAST(MIN(ppt) AS BIGINT) AS ppt_min, "
+        "CAST(MAX(ppt) AS BIGINT) AS ppt_max "
+        "FROM nt GROUP BY 1, 2"
+    )
+
+
+@query("ccnet_perplexity_buckets", _ccnet_sql)
 def q_ccnet_perplexity_buckets(sf_dir: str):
     """CCNet PERPLEXITY BUCKETS (Wenzek et al. 2020): rank each language's
     documents by bigram-LM perplexity and cut into head/middle/tail
@@ -868,49 +894,6 @@ def q_doc_bigram_logprob_shared(sf_dir: str):
     return rd.read_parquet(path)
 
 
-def _ccnet_sql() -> str:
-    from .queries_ml6 import _bigram_lp_sql
-
-    return (
-        f"WITH lp AS ({_bigram_lp_sql()}), "
-        "sc AS (SELECT l.doc_id, d.lang, "
-        "CAST(CAST(-l.logprob_micro AS HUGEINT) * 1000000 // l.n_bigrams "
-        "AS BIGINT) AS ppt "
-        "FROM lp l JOIN documents d ON d.doc_id = l.doc_id), "
-        "nt AS (SELECT lang, doc_id, ppt, NTILE(3) OVER "
-        "(PARTITION BY lang ORDER BY ppt ASC, doc_id ASC) AS bucket FROM sc) "
-        "SELECT lang, CAST(bucket AS BIGINT) AS bucket, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(MIN(ppt) AS BIGINT) AS ppt_min, "
-        "CAST(MAX(ppt) AS BIGINT) AS ppt_max "
-        "FROM nt GROUP BY 1, 2"
-    )
-
-
-ML7_QUERIES = {
-    "vocab_coverage_curve": q_vocab_coverage_curve,
-    "embedding_srp_pairs": q_embedding_srp_pairs,
-    "source_unigram_kl": q_source_unigram_kl,
-    "source_kmv_distinct": q_source_kmv_distinct,
-    "zipf_fit_sources": q_zipf_fit_sources,
-    "ccnet_perplexity_buckets": q_ccnet_perplexity_buckets,
-}
-
-
-def build_ml7_oracles() -> dict[str, str]:
-    out = {
-        "vocab_coverage_curve": _coverage_sql(),
-        "embedding_srp_pairs": _srp_sql(),
-        "source_unigram_kl": _kl_sql(),
-        "source_kmv_distinct": _kmv_sql(),
-        "zipf_fit_sources": _zipf_sql(),
-        "ccnet_perplexity_buckets": _ccnet_sql(),
-    }
-    # wave-4 builders live below this function; resolved at call time
-    out.update({name: fn() for name, fn in _ML7_ORACLES_EXTRA.items()})
-    return out
-
-
 # --------------------------------------------------------------------------
 # MinHash Jaccard estimates vs truth (the similarity-sketch audit)
 # --------------------------------------------------------------------------
@@ -929,6 +912,49 @@ def _minhash_ab(k: int) -> tuple[int, int]:
     return (a if a else 1, ((k + 1) * MINHASH_B_MULT) % MINHASH_P)
 
 
+def _minhash_est_sql() -> str:
+    hsql = (
+        "(list_reduce(list_prepend(CAST(0 AS BIGINT), "
+        "list_transform(range(1, length(token)+1), "
+        "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
+        f"(a, b) -> (a * {KMV_MULT} + b) % {_CMS_MOD}) "
+        f"* {KMV_MULT} + {KMV_INC}) % {_CMS_MOD}"
+    )
+    a_expr = (
+        f"CASE WHEN ((k+1) * {MINHASH_A_MULT}) % {MINHASH_P} = 0 THEN 1 "
+        f"ELSE ((k+1) * {MINHASH_A_MULT}) % {MINHASH_P} END"
+    )
+    return (
+        "WITH tok AS (SELECT doc_id, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        f"FROM documents WHERE doc_id < {MINHASH_PROBE_N}), "
+        f"dh AS (SELECT DISTINCT doc_id, {hsql} AS x FROM tok), "
+        "sig AS (SELECT doc_id, k, "
+        f"MIN((({a_expr}) * x + ((k+1) * {MINHASH_B_MULT}) % {MINHASH_P}) "
+        f"% {MINHASH_P}) AS mh "
+        f"FROM dh, (SELECT unnest(range(0, {MINHASH_EST_K})) AS k) "
+        "GROUP BY 1, 2), "
+        "sz AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM dh GROUP BY 1), "
+        "inter AS (SELECT a.doc_id AS da, b.doc_id AS db, "
+        "CAST(COUNT(*) AS BIGINT) AS i FROM dh a JOIN dh b "
+        "ON a.x = b.x AND a.doc_id < b.doc_id GROUP BY 1, 2), "
+        "pairs AS (SELECT sa.doc_id AS da, sb.doc_id AS db, sa.n AS na, "
+        "sb.n AS nb, COALESCE(i.i, 0) AS i FROM sz sa JOIN sz sb "
+        "ON sa.doc_id < sb.doc_id LEFT JOIN inter i "
+        "ON i.da = sa.doc_id AND i.db = sb.doc_id), "
+        "mm AS (SELECT a.doc_id AS da, b.doc_id AS db, "
+        "CAST(SUM(CASE WHEN a.mh = b.mh THEN 1 ELSE 0 END) AS BIGINT) AS m "
+        "FROM sig a JOIN sig b ON a.k = b.k AND a.doc_id < b.doc_id "
+        "GROUP BY 1, 2) "
+        "SELECT p.da AS doc_a, p.db AS doc_b, "
+        "CAST(p.i * 1000000 // (p.na + p.nb - p.i) AS BIGINT) "
+        "AS true_jaccard_ppm, "
+        f"CAST(mm.m * 1000000 // {MINHASH_EST_K} AS BIGINT) AS minhash_est_ppm "
+        "FROM pairs p JOIN mm ON mm.da = p.da AND mm.db = p.db"
+    )
+
+
+@query("minhash_jaccard_estimates", _minhash_est_sql)
 def q_minhash_jaccard_estimates(sf_dir: str):
     """MINHASH SIMILARITY-SKETCH AUDIT (Broder 1997): for every pair of
     probe documents (doc_id < ``MINHASH_PROBE_N``, both non-empty),
@@ -1011,53 +1037,29 @@ def q_minhash_jaccard_estimates(sf_dir: str):
     )
 
 
-def _minhash_est_sql() -> str:
-    hsql = (
-        "(list_reduce(list_prepend(CAST(0 AS BIGINT), "
-        "list_transform(range(1, length(token)+1), "
-        "i -> CAST(ascii(substring(token, CAST(i AS INT), 1)) AS BIGINT))), "
-        f"(a, b) -> (a * {KMV_MULT} + b) % {_CMS_MOD}) "
-        f"* {KMV_MULT} + {KMV_INC}) % {_CMS_MOD}"
-    )
-    a_expr = (
-        f"CASE WHEN ((k+1) * {MINHASH_A_MULT}) % {MINHASH_P} = 0 THEN 1 "
-        f"ELSE ((k+1) * {MINHASH_A_MULT}) % {MINHASH_P} END"
-    )
-    return (
-        "WITH tok AS (SELECT doc_id, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        f"FROM documents WHERE doc_id < {MINHASH_PROBE_N}), "
-        f"dh AS (SELECT DISTINCT doc_id, {hsql} AS x FROM tok), "
-        "sig AS (SELECT doc_id, k, "
-        f"MIN((({a_expr}) * x + ((k+1) * {MINHASH_B_MULT}) % {MINHASH_P}) "
-        f"% {MINHASH_P}) AS mh "
-        f"FROM dh, (SELECT unnest(range(0, {MINHASH_EST_K})) AS k) "
-        "GROUP BY 1, 2), "
-        "sz AS (SELECT doc_id, CAST(COUNT(*) AS BIGINT) AS n FROM dh GROUP BY 1), "
-        "inter AS (SELECT a.doc_id AS da, b.doc_id AS db, "
-        "CAST(COUNT(*) AS BIGINT) AS i FROM dh a JOIN dh b "
-        "ON a.x = b.x AND a.doc_id < b.doc_id GROUP BY 1, 2), "
-        "pairs AS (SELECT sa.doc_id AS da, sb.doc_id AS db, sa.n AS na, "
-        "sb.n AS nb, COALESCE(i.i, 0) AS i FROM sz sa JOIN sz sb "
-        "ON sa.doc_id < sb.doc_id LEFT JOIN inter i "
-        "ON i.da = sa.doc_id AND i.db = sb.doc_id), "
-        "mm AS (SELECT a.doc_id AS da, b.doc_id AS db, "
-        "CAST(SUM(CASE WHEN a.mh = b.mh THEN 1 ELSE 0 END) AS BIGINT) AS m "
-        "FROM sig a JOIN sig b ON a.k = b.k AND a.doc_id < b.doc_id "
-        "GROUP BY 1, 2) "
-        "SELECT p.da AS doc_a, p.db AS doc_b, "
-        "CAST(p.i * 1000000 // (p.na + p.nb - p.i) AS BIGINT) "
-        "AS true_jaccard_ppm, "
-        f"CAST(mm.m * 1000000 // {MINHASH_EST_K} AS BIGINT) AS minhash_est_ppm "
-        "FROM pairs p JOIN mm ON mm.da = p.da AND mm.db = p.db"
-    )
-
-
 # --------------------------------------------------------------------------
 # event-rate anomaly flags (integer z²-test, no sqrt)
 # --------------------------------------------------------------------------
 
 
+def _anomaly_sql() -> str:
+    return (
+        "WITH d AS (SELECT event_type, "
+        "epoch_ms(ts) // 3600000 AS hour_idx FROM events), "
+        "c AS (SELECT event_type, hour_idx, CAST(COUNT(*) AS BIGINT) AS n_events "
+        "FROM d GROUP BY 1, 2), "
+        "st AS (SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n, "
+        "CAST(SUM(n_events) AS HUGEINT) AS s, "
+        "CAST(SUM(CAST(n_events AS HUGEINT) * n_events) AS HUGEINT) AS q "
+        "FROM c GROUP BY 1) "
+        "SELECT c.event_type, c.hour_idx, c.n_events "
+        "FROM c JOIN st USING (event_type) "
+        "WHERE (st.n * c.n_events - st.s) * (st.n * c.n_events - st.s) "
+        "> 9 * (st.n * st.q - st.s * st.s)"
+    )
+
+
+@query("event_rate_anomalies", _anomaly_sql)
 def q_event_rate_anomalies(sf_dir: str):
     """EVENT-RATE ANOMALIES: flag (event_type, hour) buckets whose event
     count deviates from the type's hourly mean by more than 3σ — computed
@@ -1129,28 +1131,30 @@ def q_event_rate_anomalies(sf_dir: str):
     )
 
 
-def _anomaly_sql() -> str:
-    return (
-        "WITH d AS (SELECT event_type, "
-        "epoch_ms(ts) // 3600000 AS hour_idx FROM events), "
-        "c AS (SELECT event_type, hour_idx, CAST(COUNT(*) AS BIGINT) AS n_events "
-        "FROM d GROUP BY 1, 2), "
-        "st AS (SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(n_events) AS HUGEINT) AS s, "
-        "CAST(SUM(CAST(n_events AS HUGEINT) * n_events) AS HUGEINT) AS q "
-        "FROM c GROUP BY 1) "
-        "SELECT c.event_type, c.hour_idx, c.n_events "
-        "FROM c JOIN st USING (event_type) "
-        "WHERE (st.n * c.n_events - st.s) * (st.n * c.n_events - st.s) "
-        "> 9 * (st.n * st.q - st.s * st.s)"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-event-type user-activity Gini coefficient (skew audit)
 # --------------------------------------------------------------------------
 
 
+def _gini_sql() -> str:
+    return (
+        "WITH uc AS (SELECT event_type, user_id, "
+        "CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
+        "rk AS (SELECT event_type, n, ROW_NUMBER() OVER "
+        "(PARTITION BY event_type ORDER BY n ASC, user_id ASC) AS i FROM uc), "
+        "cnt AS (SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS nu, "
+        "CAST(SUM(n) AS HUGEINT) AS tot FROM uc GROUP BY 1), "
+        "agg AS (SELECT rk.event_type, cnt.nu, cnt.tot, "
+        "SUM((2*CAST(rk.i AS HUGEINT) - cnt.nu - 1) * rk.n) AS num "
+        "FROM rk JOIN cnt USING (event_type) "
+        "GROUP BY 1, 2, 3) "
+        "SELECT event_type, CAST(nu AS BIGINT) AS n_users, "
+        "CAST(tot AS BIGINT) AS n_events, "
+        "CAST(num * 1000000 // (nu * tot) AS BIGINT) AS gini_ppm FROM agg"
+    )
+
+
+@query("user_activity_gini", _gini_sql)
 def q_user_activity_gini(sf_dir: str):
     """USER-ACTIVITY GINI per event type: inequality of the per-user
     event-count distribution, gini_ppm = (Σᵢ (2i − n − 1)·x₍ᵢ₎)·10⁶ //
@@ -1213,44 +1217,37 @@ def q_user_activity_gini(sf_dir: str):
     )
 
 
-def _gini_sql() -> str:
-    return (
-        "WITH uc AS (SELECT event_type, user_id, "
-        "CAST(COUNT(*) AS BIGINT) AS n FROM events GROUP BY 1, 2), "
-        "rk AS (SELECT event_type, n, ROW_NUMBER() OVER "
-        "(PARTITION BY event_type ORDER BY n ASC, user_id ASC) AS i FROM uc), "
-        "cnt AS (SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS nu, "
-        "CAST(SUM(n) AS HUGEINT) AS tot FROM uc GROUP BY 1), "
-        "agg AS (SELECT rk.event_type, cnt.nu, cnt.tot, "
-        "SUM((2*CAST(rk.i AS HUGEINT) - cnt.nu - 1) * rk.n) AS num "
-        "FROM rk JOIN cnt USING (event_type) "
-        "GROUP BY 1, 2, 3) "
-        "SELECT event_type, CAST(nu AS BIGINT) AS n_users, "
-        "CAST(tot AS BIGINT) AS n_events, "
-        "CAST(num * 1000000 // (nu * tot) AS BIGINT) AS gini_ppm FROM agg"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "minhash_jaccard_estimates": q_minhash_jaccard_estimates,
-        "event_rate_anomalies": q_event_rate_anomalies,
-        "user_activity_gini": q_user_activity_gini,
-    }
-)
-
-_ML7_ORACLES_EXTRA = {
-    "minhash_jaccard_estimates": _minhash_est_sql,
-    "event_rate_anomalies": _anomaly_sql,
-    "user_activity_gini": _gini_sql,
-}
-
-
 # --------------------------------------------------------------------------
 # int8 embedding-quantization error audit
 # --------------------------------------------------------------------------
 
 
+def _int8_quant_sql() -> str:
+    return (
+        "WITH v AS (SELECT vec_id, "
+        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e FROM embeddings), "
+        "m AS (SELECT vec_id, e, "
+        "list_max(list_transform(e, x -> abs(x))) AS maxabs FROM v), "
+        "q AS (SELECT vec_id, maxabs, "
+        "list_transform(e, x -> CAST(FLOOR(x*1000000 + 0.5) AS BIGINT)) AS qm, "
+        "list_transform(e, x -> CAST(FLOOR(x*127/maxabs + 0.5) AS BIGINT)) AS q8 "
+        "FROM m WHERE maxabs > 0), "
+        "d AS (SELECT vec_id, maxabs, "
+        "CAST(list_sum(list_transform(range(0, len(qm)), i -> "
+        "CAST(qm[CAST(i AS INT)+1] AS HUGEINT)*q8[CAST(i AS INT)+1])) "
+        "AS HUGEINT) AS dot, "
+        "CAST(list_sum(list_transform(qm, x -> CAST(x AS HUGEINT)*x)) "
+        "AS HUGEINT) AS na2, "
+        "CAST(list_sum(list_transform(q8, x -> CAST(x AS HUGEINT)*x)) "
+        "AS HUGEINT) AS nb2 FROM q) "
+        "SELECT vec_id, "
+        "CAST(FLOOR(maxabs*1000000 + 0.5) AS BIGINT) AS maxabs_micro, "
+        "CAST(dot*dot*1000000 // (na2*nb2) AS BIGINT) AS cos2_ppm "
+        "FROM d WHERE na2 > 0 AND nb2 > 0"
+    )
+
+
+@query("embedding_int8_quant_error", _int8_quant_sql)
 def q_embedding_int8_quant_error(sf_dir: str):
     """INT8 QUANTIZATION-ERROR AUDIT: per vector, how much cosine survives
     symmetric per-vector int8 quantization — q8_d = floor(e_d·127/maxabs
@@ -1313,31 +1310,6 @@ def q_embedding_int8_quant_error(sf_dir: str):
     ).map_batches(audit, batch_format="pyarrow")
 
 
-def _int8_quant_sql() -> str:
-    return (
-        "WITH v AS (SELECT vec_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e FROM embeddings), "
-        "m AS (SELECT vec_id, e, "
-        "list_max(list_transform(e, x -> abs(x))) AS maxabs FROM v), "
-        "q AS (SELECT vec_id, maxabs, "
-        "list_transform(e, x -> CAST(FLOOR(x*1000000 + 0.5) AS BIGINT)) AS qm, "
-        "list_transform(e, x -> CAST(FLOOR(x*127/maxabs + 0.5) AS BIGINT)) AS q8 "
-        "FROM m WHERE maxabs > 0), "
-        "d AS (SELECT vec_id, maxabs, "
-        "CAST(list_sum(list_transform(range(0, len(qm)), i -> "
-        "CAST(qm[CAST(i AS INT)+1] AS HUGEINT)*q8[CAST(i AS INT)+1])) "
-        "AS HUGEINT) AS dot, "
-        "CAST(list_sum(list_transform(qm, x -> CAST(x AS HUGEINT)*x)) "
-        "AS HUGEINT) AS na2, "
-        "CAST(list_sum(list_transform(q8, x -> CAST(x AS HUGEINT)*x)) "
-        "AS HUGEINT) AS nb2 FROM q) "
-        "SELECT vec_id, "
-        "CAST(FLOOR(maxabs*1000000 + 0.5) AS BIGINT) AS maxabs_micro, "
-        "CAST(dot*dot*1000000 // (na2*nb2) AS BIGINT) AS cos2_ppm "
-        "FROM d WHERE na2 > 0 AND nb2 > 0"
-    )
-
-
 # --------------------------------------------------------------------------
 # winsorized robust mean of event values
 # --------------------------------------------------------------------------
@@ -1346,6 +1318,31 @@ WINSOR_LO_PCT = 5
 WINSOR_HI_PCT = 95
 
 
+def _winsorized_sql() -> str:
+    return (
+        "WITH c AS (SELECT event_type, "
+        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
+        "n AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM c GROUP BY 1), "
+        "r AS (SELECT event_type, cents, "
+        "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c), "
+        "cuts AS (SELECT r.event_type, ANY_VALUE(n.n) AS n, "
+        f"MIN(CASE WHEN rk >= ({WINSOR_LO_PCT} * n.n + 99) // 100 "
+        "THEN cents END) AS lo_cents, "
+        f"MIN(CASE WHEN rk >= ({WINSOR_HI_PCT} * n.n + 99) // 100 "
+        "THEN cents END) AS hi_cents "
+        "FROM r JOIN n USING (event_type) GROUP BY 1), "
+        "agg AS (SELECT c.event_type, "
+        "CAST(SUM(CAST(LEAST(GREATEST(c.cents, k.lo_cents), k.hi_cents) "
+        "AS HUGEINT)) AS HUGEINT) AS s "
+        "FROM c JOIN cuts k USING (event_type) GROUP BY 1) "
+        "SELECT k.event_type, k.n, k.lo_cents, k.hi_cents, "
+        "CAST(CASE WHEN a.s >= 0 THEN a.s // k.n "
+        "ELSE -((-a.s + k.n - 1) // k.n) END AS BIGINT) AS wmean_cents "
+        "FROM cuts k JOIN agg a USING (event_type)"
+    )
+
+
+@query("event_value_winsorized", _winsorized_sql)
 def q_event_value_winsorized(sf_dir: str):
     """WINSORIZED MEAN per event type: clamp cents = floor(value·100+0.5)
     to the exact [P5, P95] percentiles (the event_value_quantiles rank
@@ -1410,50 +1407,25 @@ def q_event_value_winsorized(sf_dir: str):
     )
 
 
-def _winsorized_sql() -> str:
-    return (
-        "WITH c AS (SELECT event_type, "
-        "CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events), "
-        "n AS (SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n FROM c GROUP BY 1), "
-        "r AS (SELECT event_type, cents, "
-        "ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY cents) AS rk FROM c), "
-        "cuts AS (SELECT r.event_type, ANY_VALUE(n.n) AS n, "
-        f"MIN(CASE WHEN rk >= ({WINSOR_LO_PCT} * n.n + 99) // 100 "
-        "THEN cents END) AS lo_cents, "
-        f"MIN(CASE WHEN rk >= ({WINSOR_HI_PCT} * n.n + 99) // 100 "
-        "THEN cents END) AS hi_cents "
-        "FROM r JOIN n USING (event_type) GROUP BY 1), "
-        "agg AS (SELECT c.event_type, "
-        "CAST(SUM(CAST(LEAST(GREATEST(c.cents, k.lo_cents), k.hi_cents) "
-        "AS HUGEINT)) AS HUGEINT) AS s "
-        "FROM c JOIN cuts k USING (event_type) GROUP BY 1) "
-        "SELECT k.event_type, k.n, k.lo_cents, k.hi_cents, "
-        "CAST(CASE WHEN a.s >= 0 THEN a.s // k.n "
-        "ELSE -((-a.s + k.n - 1) // k.n) END AS BIGINT) AS wmean_cents "
-        "FROM cuts k JOIN agg a USING (event_type)"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "embedding_int8_quant_error": q_embedding_int8_quant_error,
-        "event_value_winsorized": q_event_value_winsorized,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "embedding_int8_quant_error": _int8_quant_sql,
-        "event_value_winsorized": _winsorized_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # cross-source duplication matrix (provenance audit over the exact join)
 # --------------------------------------------------------------------------
 
 
+def _dup_matrix_sql() -> str:
+    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
+
+    return (
+        f"WITH p AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
+        "SELECT LEAST(da.source, db.source) AS source_a, "
+        "GREATEST(da.source, db.source) AS source_b, "
+        "CAST(COUNT(*) AS BIGINT) AS n_pairs "
+        "FROM p JOIN documents da ON da.doc_id = p.doc_a "
+        "JOIN documents db ON db.doc_id = p.doc_b GROUP BY 1, 2"
+    )
+
+
+@query("cross_source_dup_matrix", _dup_matrix_sql)
 def q_cross_source_dup_matrix(sf_dir: str):
     """CROSS-SOURCE DUPLICATION MATRIX: which sources copy from which —
     the exact AllPairs word-3-gram Jaccard ≥ 0.5 near-dup pairs rolled up
@@ -1531,19 +1503,6 @@ def q_cross_source_dup_matrix(sf_dir: str):
     )
 
 
-def _dup_matrix_sql() -> str:
-    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
-
-    return (
-        f"WITH p AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
-        "SELECT LEAST(da.source, db.source) AS source_a, "
-        "GREATEST(da.source, db.source) AS source_b, "
-        "CAST(COUNT(*) AS BIGINT) AS n_pairs "
-        "FROM p JOIN documents da ON da.doc_id = p.doc_a "
-        "JOIN documents db ON db.doc_id = p.doc_b GROUP BY 1, 2"
-    )
-
-
 # --------------------------------------------------------------------------
 # token burstiness (Church–Gale / Katz): occurrences per containing doc
 # --------------------------------------------------------------------------
@@ -1551,6 +1510,20 @@ def _dup_matrix_sql() -> str:
 BURSTINESS_TOPN = 20
 
 
+def _burstiness_sql() -> str:
+    return (
+        "WITH tok AS (SELECT doc_id, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c, "
+        "CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df FROM tok GROUP BY 1) "
+        "SELECT token, c, df, "
+        "CAST(CAST(c AS HUGEINT) * 1000000 // df AS BIGINT) AS burst_micro "
+        f"FROM tc ORDER BY c DESC, token ASC LIMIT {BURSTINESS_TOPN}"
+    )
+
+
+@query("token_burstiness", _burstiness_sql)
 def q_token_burstiness(sf_dir: str):
     """TOKEN BURSTINESS for the ``BURSTINESS_TOPN`` most frequent tokens:
     burst_micro = c·10⁶ // df — the Church–Gale/Katz statistic (mean
@@ -1639,24 +1612,26 @@ def q_token_burstiness(sf_dir: str):
     )
 
 
-def _burstiness_sql() -> str:
-    return (
-        "WITH tok AS (SELECT doc_id, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "tc AS (SELECT token, CAST(COUNT(*) AS BIGINT) AS c, "
-        "CAST(COUNT(DISTINCT doc_id) AS BIGINT) AS df FROM tok GROUP BY 1) "
-        "SELECT token, c, df, "
-        "CAST(CAST(c AS HUGEINT) * 1000000 // df AS BIGINT) AS burst_micro "
-        f"FROM tc ORDER BY c DESC, token ASC LIMIT {BURSTINESS_TOPN}"
-    )
-
-
 # --------------------------------------------------------------------------
 # dup-cluster size histogram (log2 buckets, exact integer bucketing)
 # --------------------------------------------------------------------------
 
 
+def _cluster_hist_sql() -> str:
+    from .queries import ORACLE_SQL
+
+    return (
+        f"WITH cl AS ({ORACLE_SQL['dup_clusters']}), "
+        "sz AS (SELECT cluster_rep, CAST(COUNT(*) AS BIGINT) AS n "
+        "FROM cl GROUP BY 1) "
+        "SELECT CAST(LENGTH(PRINTF('%b', n)) - 1 AS BIGINT) AS size_log2, "
+        "CAST(COUNT(*) AS BIGINT) AS n_clusters, "
+        "CAST(SUM(n) AS BIGINT) AS n_docs "
+        "FROM sz GROUP BY 1"
+    )
+
+
+@query("dup_cluster_size_hist", _cluster_hist_sql)
 def q_dup_cluster_size_hist(sf_dir: str):
     """NEAR-DUP CLUSTER SIZE HISTOGRAM: how the fuzzy-dedup mass is
     distributed — cluster sizes from ``dup_clusters`` bucketed by
@@ -1691,42 +1666,29 @@ def q_dup_cluster_size_hist(sf_dir: str):
     )
 
 
-def _cluster_hist_sql() -> str:
-    from .queries import ORACLE_SQL
-
-    return (
-        f"WITH cl AS ({ORACLE_SQL['dup_clusters']}), "
-        "sz AS (SELECT cluster_rep, CAST(COUNT(*) AS BIGINT) AS n "
-        "FROM cl GROUP BY 1) "
-        "SELECT CAST(LENGTH(PRINTF('%b', n)) - 1 AS BIGINT) AS size_log2, "
-        "CAST(COUNT(*) AS BIGINT) AS n_clusters, "
-        "CAST(SUM(n) AS BIGINT) AS n_docs "
-        "FROM sz GROUP BY 1"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "cross_source_dup_matrix": q_cross_source_dup_matrix,
-        "token_burstiness": q_token_burstiness,
-        "dup_cluster_size_hist": q_dup_cluster_size_hist,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "cross_source_dup_matrix": _dup_matrix_sql,
-        "token_burstiness": _burstiness_sql,
-        "dup_cluster_size_hist": _cluster_hist_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # per-dimension embedding health stats (collapse / dead-dim audit)
 # --------------------------------------------------------------------------
 
 
+def _dim_stats_sql() -> str:
+    return (
+        "WITH q AS (SELECT list_transform(embedding, "
+        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS qm "
+        "FROM embeddings), "
+        "ex AS (SELECT CAST(d AS BIGINT) AS dim, qm[CAST(d AS INT)+1] AS v "
+        "FROM q, (SELECT unnest(range(0, (SELECT len(qm) FROM q LIMIT 1))) AS d)), "
+        "agg AS (SELECT dim, CAST(COUNT(*) AS HUGEINT) AS n, "
+        "CAST(SUM(v) AS HUGEINT) AS s, "
+        "CAST(SUM(CAST(v AS HUGEINT)*v) AS HUGEINT) AS s2 FROM ex GROUP BY 1) "
+        "SELECT dim, CAST(n AS BIGINT) AS n_vecs, "
+        "CAST(CASE WHEN s >= 0 THEN s // n ELSE -((-s + n - 1) // n) END "
+        "AS BIGINT) AS mean_micro, "
+        "CAST((n*s2 - s*s) // (n*n) AS BIGINT) AS var_micro2 FROM agg"
+    )
+
+
+@query("embedding_dim_stats", _dim_stats_sql)
 def q_embedding_dim_stats(sf_dir: str):
     """PER-DIMENSION EMBEDDING STATS: for every coordinate d, the mean and
     population variance of the micro-quantized values — the
@@ -1804,28 +1766,24 @@ def q_embedding_dim_stats(sf_dir: str):
     )
 
 
-def _dim_stats_sql() -> str:
-    return (
-        "WITH q AS (SELECT list_transform(embedding, "
-        "x -> CAST(FLOOR(CAST(x AS DOUBLE)*1000000 + 0.5) AS BIGINT)) AS qm "
-        "FROM embeddings), "
-        "ex AS (SELECT CAST(d AS BIGINT) AS dim, qm[CAST(d AS INT)+1] AS v "
-        "FROM q, (SELECT unnest(range(0, (SELECT len(qm) FROM q LIMIT 1))) AS d)), "
-        "agg AS (SELECT dim, CAST(COUNT(*) AS HUGEINT) AS n, "
-        "CAST(SUM(v) AS HUGEINT) AS s, "
-        "CAST(SUM(CAST(v AS HUGEINT)*v) AS HUGEINT) AS s2 FROM ex GROUP BY 1) "
-        "SELECT dim, CAST(n AS BIGINT) AS n_vecs, "
-        "CAST(CASE WHEN s >= 0 THEN s // n ELSE -((-s + n - 1) // n) END "
-        "AS BIGINT) AS mean_micro, "
-        "CAST((n*s2 - s*s) // (n*n) AS BIGINT) AS var_micro2 FROM agg"
-    )
-
-
 # --------------------------------------------------------------------------
 # per-source document-length histogram (padding / packing planner input)
 # --------------------------------------------------------------------------
 
 
+def _doclen_hist_sql() -> str:
+    return (
+        "WITH t AS (SELECT source, "
+        "len(regexp_extract_all(lower(text), '[a-z0-9]+')) AS n FROM documents) "
+        "SELECT source, "
+        "CAST(LENGTH(PRINTF('%b', n)) - 1 AS BIGINT) AS len_log2, "
+        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
+        "CAST(SUM(n) AS BIGINT) AS n_tokens_total "
+        "FROM t WHERE n > 0 GROUP BY 1, 2"
+    )
+
+
+@query("source_doclen_hist", _doclen_hist_sql)
 def q_source_doclen_hist(sf_dir: str):
     """PER-SOURCE DOCUMENT-LENGTH HISTOGRAM in exact log2 buckets:
     len_log2 = bit_length(n_tokens) − 1 (so bucket b holds docs with
@@ -1882,38 +1840,32 @@ def q_source_doclen_hist(sf_dir: str):
     )
 
 
-def _doclen_hist_sql() -> str:
-    return (
-        "WITH t AS (SELECT source, "
-        "len(regexp_extract_all(lower(text), '[a-z0-9]+')) AS n FROM documents) "
-        "SELECT source, "
-        "CAST(LENGTH(PRINTF('%b', n)) - 1 AS BIGINT) AS len_log2, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(n) AS BIGINT) AS n_tokens_total "
-        "FROM t WHERE n > 0 GROUP BY 1, 2"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "embedding_dim_stats": q_embedding_dim_stats,
-        "source_doclen_hist": q_source_doclen_hist,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "embedding_dim_stats": _dim_stats_sql,
-        "source_doclen_hist": _doclen_hist_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # quality-decile duplication rate (does low quality predict duplication?)
 # --------------------------------------------------------------------------
 
 
+def _quality_dup_sql() -> str:
+    from .oracles_ext import _quality_sql
+    from .queries import ORACLE_SQL
+
+    return (
+        f"WITH q AS ({_quality_sql('documents', 'doc_id', 'text')}), "
+        f"cl AS (SELECT DISTINCT doc_id FROM ({ORACLE_SQL['dup_clusters']})), "
+        "nt AS (SELECT q.doc_id, "
+        "NTILE(10) OVER (ORDER BY q.quality_micro ASC, q.doc_id ASC) AS decile, "
+        "CASE WHEN cl.doc_id IS NULL THEN 0 ELSE 1 END AS is_dup "
+        "FROM q LEFT JOIN cl ON cl.doc_id = q.doc_id) "
+        "SELECT CAST(decile AS BIGINT) AS decile, "
+        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
+        "CAST(SUM(is_dup) AS BIGINT) AS n_dup_docs, "
+        "CAST(CAST(SUM(is_dup) AS HUGEINT) * 1000000 // COUNT(*) AS BIGINT) "
+        "AS dup_rate_ppm "
+        "FROM nt GROUP BY 1"
+    )
+
+
+@query("quality_decile_dup_rate", _quality_dup_sql)
 def q_quality_decile_dup_rate(sf_dir: str):
     """QUALITY×DUPLICATION CALIBRATION: cut the corpus into quality
     deciles (NTILE(10) over (quality_micro asc, doc_id asc) — decile 1 is
@@ -1998,31 +1950,38 @@ def q_quality_decile_dup_rate(sf_dir: str):
     )
 
 
-def _quality_dup_sql() -> str:
-    from .oracles_ext import _quality_sql
-    from .queries import ORACLE_SQL
-
-    return (
-        f"WITH q AS ({_quality_sql('documents', 'doc_id', 'text')}), "
-        f"cl AS (SELECT DISTINCT doc_id FROM ({ORACLE_SQL['dup_clusters']})), "
-        "nt AS (SELECT q.doc_id, "
-        "NTILE(10) OVER (ORDER BY q.quality_micro ASC, q.doc_id ASC) AS decile, "
-        "CASE WHEN cl.doc_id IS NULL THEN 0 ELSE 1 END AS is_dup "
-        "FROM q LEFT JOIN cl ON cl.doc_id = q.doc_id) "
-        "SELECT CAST(decile AS BIGINT) AS decile, "
-        "CAST(COUNT(*) AS BIGINT) AS n_docs, "
-        "CAST(SUM(is_dup) AS BIGINT) AS n_dup_docs, "
-        "CAST(CAST(SUM(is_dup) AS HUGEINT) * 1000000 // COUNT(*) AS BIGINT) "
-        "AS dup_rate_ppm "
-        "FROM nt GROUP BY 1"
-    )
-
-
 # --------------------------------------------------------------------------
 # corpus information gain of the source partition (entropy decomposition)
 # --------------------------------------------------------------------------
 
 
+def _info_gain_sql() -> str:
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1, 2), "
+        "tm AS (SELECT token, CAST(SUM(c) AS BIGINT) AS c FROM uc GROUP BY 1), "
+        "tt AS (SELECT CAST(SUM(c) AS BIGINT) AS t FROM tm), "
+        "hc AS (SELECT CAST(SUM(CAST(tm.c AS HUGEINT) * "
+        "-CAST(FLOOR(LOG10(CAST(tm.c AS DOUBLE)/tt.t)*1000000 + 0.5) AS BIGINT)) "
+        "// ANY_VALUE(tt.t) AS BIGINT) AS h FROM tm CROSS JOIN tt), "
+        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
+        "hs AS (SELECT uc.source, ANY_VALUE(st.t) AS t, "
+        "CAST(SUM(CAST(uc.c AS HUGEINT) * "
+        "-CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/st.t)*1000000 + 0.5) AS BIGINT)) "
+        "// ANY_VALUE(st.t) AS BIGINT) AS h "
+        "FROM uc JOIN st USING (source) GROUP BY 1), "
+        "hw AS (SELECT CAST(SUM(CAST(t AS HUGEINT) * h) "
+        "// (SELECT t FROM tt) AS BIGINT) AS h FROM hs) "
+        "SELECT tt.t AS n_tokens, hc.h AS h_corpus_micro, "
+        "hw.h AS h_within_micro, hc.h - hw.h AS info_gain_micro "
+        "FROM tt CROSS JOIN hc CROSS JOIN hw"
+    )
+
+
+@query("corpus_token_info_gain", _info_gain_sql)
 def q_corpus_token_info_gain(sf_dir: str):
     """INFORMATION GAIN of the source partition over the token
     distribution: IG = H(corpus) − Σ_s (T_s/T)·H(source_s) — how many
@@ -2127,52 +2086,24 @@ def q_corpus_token_info_gain(sf_dir: str):
     )
 
 
-def _info_gain_sql() -> str:
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1, 2), "
-        "tm AS (SELECT token, CAST(SUM(c) AS BIGINT) AS c FROM uc GROUP BY 1), "
-        "tt AS (SELECT CAST(SUM(c) AS BIGINT) AS t FROM tm), "
-        "hc AS (SELECT CAST(SUM(CAST(tm.c AS HUGEINT) * "
-        "-CAST(FLOOR(LOG10(CAST(tm.c AS DOUBLE)/tt.t)*1000000 + 0.5) AS BIGINT)) "
-        "// ANY_VALUE(tt.t) AS BIGINT) AS h FROM tm CROSS JOIN tt), "
-        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
-        "hs AS (SELECT uc.source, ANY_VALUE(st.t) AS t, "
-        "CAST(SUM(CAST(uc.c AS HUGEINT) * "
-        "-CAST(FLOOR(LOG10(CAST(uc.c AS DOUBLE)/st.t)*1000000 + 0.5) AS BIGINT)) "
-        "// ANY_VALUE(st.t) AS BIGINT) AS h "
-        "FROM uc JOIN st USING (source) GROUP BY 1), "
-        "hw AS (SELECT CAST(SUM(CAST(t AS HUGEINT) * h) "
-        "// (SELECT t FROM tt) AS BIGINT) AS h FROM hs) "
-        "SELECT tt.t AS n_tokens, hc.h AS h_corpus_micro, "
-        "hw.h AS h_within_micro, hc.h - hw.h AS info_gain_micro "
-        "FROM tt CROSS JOIN hc CROSS JOIN hw"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "quality_decile_dup_rate": q_quality_decile_dup_rate,
-        "corpus_token_info_gain": q_corpus_token_info_gain,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "quality_decile_dup_rate": _quality_dup_sql,
-        "corpus_token_info_gain": _info_gain_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # SRP semantic clusters (fully-[sql] embedding dedup end-to-end)
 # --------------------------------------------------------------------------
 
 
+def _srp_clusters_sql() -> str:
+    return (
+        f"WITH RECURSIVE p AS ({_srp_sql()}), "
+        "e AS (SELECT doc_a AS a, doc_b AS b FROM p "
+        "UNION SELECT doc_b, doc_a FROM p), "
+        "reach AS (SELECT a AS src, b AS dst FROM e "
+        "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
+        "SELECT src AS vec_id, LEAST(src, MIN(dst)) AS cluster_rep "
+        "FROM reach GROUP BY src"
+    )
+
+
+@query("srp_semantic_clusters", _srp_clusters_sql)
 def q_srp_semantic_clusters(sf_dir: str):
     """SEMANTIC CLUSTERS over the SRP pair graph: connected components of
     ``embedding_srp_pairs`` (cos ≥ 0.4 through 4×8-bit SRP banding), one
@@ -2206,18 +2137,6 @@ def q_srp_semantic_clusters(sf_dir: str):
     return pd.DataFrame({"vec_id": nodes, "cluster_rep": rep})
 
 
-def _srp_clusters_sql() -> str:
-    return (
-        f"WITH RECURSIVE p AS ({_srp_sql()}), "
-        "e AS (SELECT doc_a AS a, doc_b AS b FROM p "
-        "UNION SELECT doc_b, doc_a FROM p), "
-        "reach AS (SELECT a AS src, b AS dst FROM e "
-        "UNION SELECT r.src, e2.b FROM reach r JOIN e e2 ON e2.a = r.dst) "
-        "SELECT src AS vec_id, LEAST(src, MIN(dst)) AS cluster_rep "
-        "FROM reach GROUP BY src"
-    )
-
-
 # --------------------------------------------------------------------------
 # Jaccard threshold curve (dedup-aggressiveness tuning from ONE pair pass)
 # --------------------------------------------------------------------------
@@ -2225,6 +2144,28 @@ def _srp_clusters_sql() -> str:
 JACCARD_CURVE_PPM = (500_000, 600_000, 700_000, 800_000, 900_000)
 
 
+def _jaccard_curve_sql() -> str:
+    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
+
+    cuts = ", ".join(f"({t})" for t in JACCARD_CURVE_PPM)
+    return (
+        f"WITH p AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
+        "SELECT CAST(v.thr AS BIGINT) AS threshold_ppm, "
+        "CAST(COUNT(*) FILTER (WHERE p.jaccard_micro >= v.thr) AS BIGINT) "
+        "AS n_pairs, "
+        "CAST(COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
+        "THEN p.doc_a END) "
+        "+ COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
+        "THEN p.doc_b END) "
+        "- COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
+        "AND p.doc_b IN (SELECT doc_a FROM p p2 "
+        "WHERE p2.jaccard_micro >= v.thr) THEN p.doc_b END) AS BIGINT) "
+        "AS n_docs_involved "
+        f"FROM (VALUES {cuts}) v(thr) LEFT JOIN p ON TRUE GROUP BY v.thr"
+    )
+
+
+@query("jaccard_threshold_curve", _jaccard_curve_sql)
 def q_jaccard_threshold_curve(sf_dir: str):
     """DEDUP THRESHOLD CURVE: how many near-dup pairs survive at each
     Jaccard cutoff in ``JACCARD_CURVE_PPM`` — computed from ONE exact
@@ -2258,47 +2199,31 @@ def q_jaccard_threshold_curve(sf_dir: str):
     )
 
 
-def _jaccard_curve_sql() -> str:
-    from .oracles_ext import _WORD3_CTE, _jaccard_pairs_sql
-
-    cuts = ", ".join(f"({t})" for t in JACCARD_CURVE_PPM)
-    return (
-        f"WITH p AS ({_jaccard_pairs_sql(_WORD3_CTE, 1, 2)}) "
-        "SELECT CAST(v.thr AS BIGINT) AS threshold_ppm, "
-        "CAST(COUNT(*) FILTER (WHERE p.jaccard_micro >= v.thr) AS BIGINT) "
-        "AS n_pairs, "
-        "CAST(COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
-        "THEN p.doc_a END) "
-        "+ COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
-        "THEN p.doc_b END) "
-        "- COUNT(DISTINCT CASE WHEN p.jaccard_micro >= v.thr "
-        "AND p.doc_b IN (SELECT doc_a FROM p p2 "
-        "WHERE p2.jaccard_micro >= v.thr) THEN p.doc_b END) AS BIGINT) "
-        "AS n_docs_involved "
-        f"FROM (VALUES {cuts}) v(thr) LEFT JOIN p ON TRUE GROUP BY v.thr"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "srp_semantic_clusters": q_srp_semantic_clusters,
-        "jaccard_threshold_curve": q_jaccard_threshold_curve,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "srp_semantic_clusters": _srp_clusters_sql,
-        "jaccard_threshold_curve": _jaccard_curve_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # multi-probe SRP pairs (the recall tier above plain banding)
 # --------------------------------------------------------------------------
 
 
+def _srp_multiprobe_sql() -> str:
+    # reuse the single-probe CTE chain up to `bands`, widen the candidate
+    # join to hamming ≤ 1 on the band key
+    base = _srp_sql()
+    cand_old = (
+        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
+        "FROM bands a JOIN bands b ON a.band = b.band AND a.key = b.key "
+        "AND a.vec_id < b.vec_id), "
+    )
+    cand_new = (
+        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
+        "FROM bands a JOIN bands b ON a.band = b.band "
+        "AND bit_count(xor(a.key, b.key)) <= 1 "
+        "AND a.vec_id < b.vec_id), "
+    )
+    assert cand_old in base, "single-probe SQL shape changed"
+    return base.replace(cand_old, cand_new)
+
+
+@query("embedding_srp_multiprobe_pairs", _srp_multiprobe_sql)
 def q_embedding_srp_multiprobe_pairs(sf_dir: str):
     """MULTI-PROBE SRP near-dup pairs: same hyperplanes, banding and
     integer verify as ``embedding_srp_pairs``, but a pair is a candidate
@@ -2436,33 +2361,6 @@ def q_embedding_srp_multiprobe_pairs(sf_dir: str):
     )
 
 
-def _srp_multiprobe_sql() -> str:
-    # reuse the single-probe CTE chain up to `bands`, widen the candidate
-    # join to hamming ≤ 1 on the band key
-    base = _srp_sql()
-    cand_old = (
-        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
-        "FROM bands a JOIN bands b ON a.band = b.band AND a.key = b.key "
-        "AND a.vec_id < b.vec_id), "
-    )
-    cand_new = (
-        "cand AS (SELECT DISTINCT a.vec_id AS va, b.vec_id AS vb "
-        "FROM bands a JOIN bands b ON a.band = b.band "
-        "AND bit_count(xor(a.key, b.key)) <= 1 "
-        "AND a.vec_id < b.vec_id), "
-    )
-    assert cand_old in base, "single-probe SQL shape changed"
-    return base.replace(cand_old, cand_new)
-
-
-ML7_QUERIES.update(
-    {"embedding_srp_multiprobe_pairs": q_embedding_srp_multiprobe_pairs}
-)
-_ML7_ORACLES_EXTRA.update(
-    {"embedding_srp_multiprobe_pairs": _srp_multiprobe_sql}
-)
-
-
 # --------------------------------------------------------------------------
 # k-anonymity small-group audit (privacy-side counterpart of PII scrub)
 # --------------------------------------------------------------------------
@@ -2470,6 +2368,16 @@ _ML7_ORACLES_EXTRA.update(
 KANON_K = 5
 
 
+def _kanon_sql() -> str:
+    return (
+        "SELECT c_mktsegment, CAST(c_nationkey AS BIGINT) AS c_nationkey, "
+        "CAST(COUNT(*) AS BIGINT) AS n, "
+        f"CAST(CASE WHEN COUNT(*) < {KANON_K} THEN 1 ELSE 0 END AS BIGINT) "
+        "AS at_risk FROM customer GROUP BY 1, 2"
+    )
+
+
+@query("kanon_small_groups", _kanon_sql)
 def q_kanon_small_groups(sf_dir: str):
     """K-ANONYMITY AUDIT: every quasi-identifier group (c_mktsegment,
     c_nationkey) with its size and an ``at_risk = n < KANON_K`` flag —
@@ -2519,20 +2427,39 @@ def q_kanon_small_groups(sf_dir: str):
     )
 
 
-def _kanon_sql() -> str:
-    return (
-        "SELECT c_mktsegment, CAST(c_nationkey AS BIGINT) AS c_nationkey, "
-        "CAST(COUNT(*) AS BIGINT) AS n, "
-        f"CAST(CASE WHEN COUNT(*) < {KANON_K} THEN 1 ELSE 0 END AS BIGINT) "
-        "AS at_risk FROM customer GROUP BY 1, 2"
-    )
-
-
 # --------------------------------------------------------------------------
 # corpus datacard (the one-row release summary, one streaming pass)
 # --------------------------------------------------------------------------
 
 
+def _datacard_sql() -> str:
+    from .oracles_ext import _quality_sql
+    from .queries import ORACLE_SQL
+
+    return (
+        f"WITH q AS ({_quality_sql('documents', 'doc_id', 'text')}), "
+        f"cl AS (SELECT DISTINCT doc_id FROM ({ORACLE_SQL['dup_clusters']})), "
+        "tok AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
+        "AS token FROM documents), "
+        "tl AS (SELECT lang, COUNT(*) AS n FROM documents GROUP BY 1) "
+        "SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM documents) AS n_docs, "
+        "(SELECT CAST(COUNT(*) AS BIGINT) FROM tok) AS n_tokens, "
+        "(SELECT CAST(COUNT(DISTINCT token) AS BIGINT) FROM tok) AS n_types, "
+        "(SELECT CAST(COUNT(*) AS BIGINT) FROM tl) AS n_langs, "
+        "(SELECT CAST(COUNT(DISTINCT source) AS BIGINT) FROM documents) "
+        "AS n_sources, "
+        "(SELECT CAST(CAST(MAX(n) AS HUGEINT) * 1000000 "
+        "// (SELECT COUNT(*) FROM documents) AS BIGINT) FROM tl) "
+        "AS top_lang_ppm, "
+        "(SELECT CAST(CAST(SUM(quality_micro) AS HUGEINT) "
+        "// COUNT(*) AS BIGINT) FROM q) AS mean_quality_micro, "
+        "(SELECT CAST(CAST(COUNT(*) AS HUGEINT) * 1000000 "
+        "// (SELECT COUNT(*) FROM documents) AS BIGINT) FROM cl) "
+        "AS dup_doc_ppm"
+    )
+
+
+@query("corpus_datacard", _datacard_sql)
 def q_corpus_datacard(sf_dir: str):
     """CORPUS DATACARD: the one-row summary a dataset release ships —
     n_docs, n_tokens, n_types, n_langs, n_sources, top-language share
@@ -2664,48 +2591,6 @@ def q_corpus_datacard(sf_dir: str):
     )
 
 
-def _datacard_sql() -> str:
-    from .oracles_ext import _quality_sql
-    from .queries import ORACLE_SQL
-
-    return (
-        f"WITH q AS ({_quality_sql('documents', 'doc_id', 'text')}), "
-        f"cl AS (SELECT DISTINCT doc_id FROM ({ORACLE_SQL['dup_clusters']})), "
-        "tok AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
-        "AS token FROM documents), "
-        "tl AS (SELECT lang, COUNT(*) AS n FROM documents GROUP BY 1) "
-        "SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM documents) AS n_docs, "
-        "(SELECT CAST(COUNT(*) AS BIGINT) FROM tok) AS n_tokens, "
-        "(SELECT CAST(COUNT(DISTINCT token) AS BIGINT) FROM tok) AS n_types, "
-        "(SELECT CAST(COUNT(*) AS BIGINT) FROM tl) AS n_langs, "
-        "(SELECT CAST(COUNT(DISTINCT source) AS BIGINT) FROM documents) "
-        "AS n_sources, "
-        "(SELECT CAST(CAST(MAX(n) AS HUGEINT) * 1000000 "
-        "// (SELECT COUNT(*) FROM documents) AS BIGINT) FROM tl) "
-        "AS top_lang_ppm, "
-        "(SELECT CAST(CAST(SUM(quality_micro) AS HUGEINT) "
-        "// COUNT(*) AS BIGINT) FROM q) AS mean_quality_micro, "
-        "(SELECT CAST(CAST(COUNT(*) AS HUGEINT) * 1000000 "
-        "// (SELECT COUNT(*) FROM documents) AS BIGINT) FROM cl) "
-        "AS dup_doc_ppm"
-    )
-
-
-ML7_QUERIES.update(
-    {
-        "kanon_small_groups": q_kanon_small_groups,
-        "corpus_datacard": q_corpus_datacard,
-    }
-)
-
-_ML7_ORACLES_EXTRA.update(
-    {
-        "kanon_small_groups": _kanon_sql,
-        "corpus_datacard": _datacard_sql,
-    }
-)
-
-
 # --------------------------------------------------------------------------
 # power iteration over the distributed second-moment matrix
 # --------------------------------------------------------------------------
@@ -2781,36 +2666,6 @@ def _power_iterate(S: list[list[int]]) -> list[int]:
     return v
 
 
-def q_embedding_power_iteration(sf_dir: str):
-    """TOP PRINCIPAL DIRECTION by integer-exact power iteration: build the
-    (uncentered) second-moment matrix S = Σ_v qm·qmᵀ over the
-    micro-quantized embeddings with ONE dimension²-bounded shuffle, then
-    run ``POWER_ITERS`` rounds of v ← floor(S·v·10⁶ / max|S·v|) from
-    v₀ = 10⁶·1 — every step integer arithmetic (Python big ints
-    engine-side, HUGEINT oracle-side; the renormalizing division is the
-    portable sign-split floor), so DuckDB replays the whole iteration
-    bit-exactly as three chained CTEs. Output: (dim, v_micro) — the
-    dominant direction of the embedding cloud, the first number an
-    embedding-collapse investigation asks for after ``embedding_dim_stats``
-    (one dimension holding most of the energy ⇒ collapsed).
-
-    Scale shape: the corpus-shaped work is the S partials — each batch
-    folds to dim² integers (4,096 at dim 64) regardless of rows, with a
-    loud int64 guard; the iteration itself runs on the collected
-    dim²-bounded matrix (driver math on 64×64, like every
-    output-bounded finisher). Uncentered by design: centering adds a
-    rank-1 update that needs the mean broadcast — documented trade, and
-    ``embedding_dim_stats`` carries the means."""
-    S = _second_moment_matrix(sf_dir)
-    v = _power_iterate(S)
-    return pa.table(
-        {
-            "dim": pa.array(np.arange(len(S), dtype=np.int64), pa.int64()),
-            "v_micro": pa.array(np.asarray(v, np.int64), pa.int64()),
-        }
-    )
-
-
 def _power_iter_sql() -> str:
     # S via an exploded self-join; then POWER_ITERS chained (w, m, v) CTEs
     head = (
@@ -2844,12 +2699,35 @@ def _power_iter_sql() -> str:
     )
 
 
-ML7_QUERIES.update(
-    {"embedding_power_iteration": q_embedding_power_iteration}
-)
-_ML7_ORACLES_EXTRA.update(
-    {"embedding_power_iteration": _power_iter_sql}
-)
+@query("embedding_power_iteration", _power_iter_sql)
+def q_embedding_power_iteration(sf_dir: str):
+    """TOP PRINCIPAL DIRECTION by integer-exact power iteration: build the
+    (uncentered) second-moment matrix S = Σ_v qm·qmᵀ over the
+    micro-quantized embeddings with ONE dimension²-bounded shuffle, then
+    run ``POWER_ITERS`` rounds of v ← floor(S·v·10⁶ / max|S·v|) from
+    v₀ = 10⁶·1 — every step integer arithmetic (Python big ints
+    engine-side, HUGEINT oracle-side; the renormalizing division is the
+    portable sign-split floor), so DuckDB replays the whole iteration
+    bit-exactly as three chained CTEs. Output: (dim, v_micro) — the
+    dominant direction of the embedding cloud, the first number an
+    embedding-collapse investigation asks for after ``embedding_dim_stats``
+    (one dimension holding most of the energy ⇒ collapsed).
+
+    Scale shape: the corpus-shaped work is the S partials — each batch
+    folds to dim² integers (4,096 at dim 64) regardless of rows, with a
+    loud int64 guard; the iteration itself runs on the collected
+    dim²-bounded matrix (driver math on 64×64, like every
+    output-bounded finisher). Uncentered by design: centering adds a
+    rank-1 update that needs the mean broadcast — documented trade, and
+    ``embedding_dim_stats`` carries the means."""
+    S = _second_moment_matrix(sf_dir)
+    v = _power_iterate(S)
+    return pa.table(
+        {
+            "dim": pa.array(np.arange(len(S), dtype=np.int64), pa.int64()),
+            "v_micro": pa.array(np.asarray(v, np.int64), pa.int64()),
+        }
+    )
 
 
 # --------------------------------------------------------------------------
@@ -2857,6 +2735,25 @@ _ML7_ORACLES_EXTRA.update(
 # --------------------------------------------------------------------------
 
 
+def _top1_energy_sql() -> str:
+    base = _power_iter_sql()
+    tail = f" SELECT dim, CAST(v AS BIGINT) AS v_micro FROM v{POWER_ITERS}"
+    assert base.endswith(tail), "power-iteration SQL shape changed"
+    return (
+        base[: -len(tail)]
+        + ", tr AS (SELECT CAST(SUM(s) AS HUGEINT) AS t FROM s WHERE i = j), "
+        + f"vtv AS (SELECT CAST(SUM(v*v) AS HUGEINT) AS q FROM v{POWER_ITERS}), "
+        + "vsv AS (SELECT CAST(SUM(va.v * s.s * vb.v) AS HUGEINT) AS q "
+        + f"FROM s JOIN v{POWER_ITERS} va ON va.dim = s.i "
+        + f"JOIN v{POWER_ITERS} vb ON vb.dim = s.j) "
+        + "SELECT CAST(tr.t AS BIGINT) AS trace, "
+        + "CAST(vsv.q // vtv.q AS BIGINT) AS rayleigh_lambda, "
+        + "CAST(vsv.q * 1000000 // (vtv.q * tr.t) AS BIGINT) "
+        + "AS top1_energy_ppm FROM tr CROSS JOIN vtv CROSS JOIN vsv"
+    )
+
+
+@query("embedding_top1_energy", _top1_energy_sql)
 def q_embedding_top1_energy(sf_dir: str):
     """TOP-1 ENERGY SHARE: the fraction of total embedding energy on the
     power-iteration direction — share_ppm = vᵀSv·10⁶ // (vᵀv·tr(S)) with
@@ -2889,33 +2786,46 @@ def q_embedding_top1_energy(sf_dir: str):
     )
 
 
-def _top1_energy_sql() -> str:
-    base = _power_iter_sql()
-    tail = f" SELECT dim, CAST(v AS BIGINT) AS v_micro FROM v{POWER_ITERS}"
-    assert base.endswith(tail), "power-iteration SQL shape changed"
-    return (
-        base[: -len(tail)]
-        + ", tr AS (SELECT CAST(SUM(s) AS HUGEINT) AS t FROM s WHERE i = j), "
-        + f"vtv AS (SELECT CAST(SUM(v*v) AS HUGEINT) AS q FROM v{POWER_ITERS}), "
-        + "vsv AS (SELECT CAST(SUM(va.v * s.s * vb.v) AS HUGEINT) AS q "
-        + f"FROM s JOIN v{POWER_ITERS} va ON va.dim = s.i "
-        + f"JOIN v{POWER_ITERS} vb ON vb.dim = s.j) "
-        + "SELECT CAST(tr.t AS BIGINT) AS trace, "
-        + "CAST(vsv.q // vtv.q AS BIGINT) AS rayleigh_lambda, "
-        + "CAST(vsv.q * 1000000 // (vtv.q * tr.t) AS BIGINT) "
-        + "AS top1_energy_ppm FROM tr CROSS JOIN vtv CROSS JOIN vsv"
-    )
-
-
-ML7_QUERIES.update({"embedding_top1_energy": q_embedding_top1_energy})
-_ML7_ORACLES_EXTRA.update({"embedding_top1_energy": _top1_energy_sql})
-
-
 # --------------------------------------------------------------------------
 # pairwise Jensen–Shannon divergence between sources
 # --------------------------------------------------------------------------
 
 
+def _js_sql() -> str:
+    return (
+        "WITH tok AS (SELECT source, "
+        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
+        "FROM documents), "
+        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM tok GROUP BY 1, 2), "
+        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
+        # directed contribution rows: every (present token, peer source)
+        "d AS (SELECT a.source AS src, s2.source AS peer, a.c AS cp, "
+        "sa.t AS tp, COALESCE(b.c, 0) AS cq, s2.t AS tq "
+        "FROM uc a JOIN st sa USING (source) "
+        "CROSS JOIN st s2 "
+        "LEFT JOIN uc b ON b.source = s2.source AND b.token = a.token "
+        "WHERE s2.source <> a.source), "
+        "lp AS (SELECT src, peer, cp, tp, "
+        "CAST(FLOOR(LOG10(CAST(cp AS DOUBLE)/tp)*1000000 + 0.5) AS BIGINT) "
+        "- CAST(FLOOR(LOG10(CAST(CAST(cp AS HUGEINT)*tq + CAST(cq AS HUGEINT)*tp "
+        "AS DOUBLE) / CAST(2*CAST(tp AS HUGEINT)*tq AS DOUBLE))*1000000 + 0.5) "
+        "AS BIGINT) AS dlp FROM d), "
+        "kl AS (SELECT src, peer, "
+        "CAST(CASE WHEN SUM(CAST(cp AS HUGEINT)*dlp) >= 0 "
+        "THEN SUM(CAST(cp AS HUGEINT)*dlp) // ANY_VALUE(tp) "
+        "ELSE -((-SUM(CAST(cp AS HUGEINT)*dlp) + ANY_VALUE(tp) - 1) "
+        "// ANY_VALUE(tp)) END AS BIGINT) AS kl "
+        "FROM lp GROUP BY 1, 2) "
+        "SELECT x.src AS source_a, x.peer AS source_b, "
+        "CAST(CASE WHEN x.kl + y.kl >= 0 THEN (x.kl + y.kl) // 2 "
+        "ELSE -((-(x.kl + y.kl) + 1) // 2) END AS BIGINT) AS js_micro "
+        "FROM kl x JOIN kl y ON y.src = x.peer AND y.peer = x.src "
+        "WHERE x.src < x.peer"
+    )
+
+
+@query("source_js_divergence", _js_sql)
 def q_source_js_divergence(sf_dir: str):
     """JENSEN–SHANNON DIVERGENCE between every source pair's unigram
     distribution (micro-Hartleys): JS(P,Q) = (KL(P‖M) + KL(Q‖M)) // 2
@@ -3057,41 +2967,3 @@ def q_source_js_divergence(sf_dir: str):
             ),
         }
     )
-
-
-def _js_sql() -> str:
-    return (
-        "WITH tok AS (SELECT source, "
-        "unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS token "
-        "FROM documents), "
-        "uc AS (SELECT source, token, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM tok GROUP BY 1, 2), "
-        "st AS (SELECT source, CAST(SUM(c) AS BIGINT) AS t FROM uc GROUP BY 1), "
-        # directed contribution rows: every (present token, peer source)
-        "d AS (SELECT a.source AS src, s2.source AS peer, a.c AS cp, "
-        "sa.t AS tp, COALESCE(b.c, 0) AS cq, s2.t AS tq "
-        "FROM uc a JOIN st sa USING (source) "
-        "CROSS JOIN st s2 "
-        "LEFT JOIN uc b ON b.source = s2.source AND b.token = a.token "
-        "WHERE s2.source <> a.source), "
-        "lp AS (SELECT src, peer, cp, tp, "
-        "CAST(FLOOR(LOG10(CAST(cp AS DOUBLE)/tp)*1000000 + 0.5) AS BIGINT) "
-        "- CAST(FLOOR(LOG10(CAST(CAST(cp AS HUGEINT)*tq + CAST(cq AS HUGEINT)*tp "
-        "AS DOUBLE) / CAST(2*CAST(tp AS HUGEINT)*tq AS DOUBLE))*1000000 + 0.5) "
-        "AS BIGINT) AS dlp FROM d), "
-        "kl AS (SELECT src, peer, "
-        "CAST(CASE WHEN SUM(CAST(cp AS HUGEINT)*dlp) >= 0 "
-        "THEN SUM(CAST(cp AS HUGEINT)*dlp) // ANY_VALUE(tp) "
-        "ELSE -((-SUM(CAST(cp AS HUGEINT)*dlp) + ANY_VALUE(tp) - 1) "
-        "// ANY_VALUE(tp)) END AS BIGINT) AS kl "
-        "FROM lp GROUP BY 1, 2) "
-        "SELECT x.src AS source_a, x.peer AS source_b, "
-        "CAST(CASE WHEN x.kl + y.kl >= 0 THEN (x.kl + y.kl) // 2 "
-        "ELSE -((-(x.kl + y.kl) + 1) // 2) END AS BIGINT) AS js_micro "
-        "FROM kl x JOIN kl y ON y.src = x.peer AND y.peer = x.src "
-        "WHERE x.src < x.peer"
-    )
-
-
-ML7_QUERIES.update({"source_js_divergence": q_source_js_divergence})
-_ML7_ORACLES_EXTRA.update({"source_js_divergence": _js_sql})

@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from .queries_ml2 import _p
+from .registry import query
 
 # --------------------------------------------------------------------------
 # multi-step BPE vocabulary training (4 chained merges)
@@ -39,6 +40,33 @@ from .queries_ml2 import _p
 BPE_TRAIN_STEPS = 4  # merge marks chr(1)..chr(4) — outside [a-z0-9 ]
 
 
+def _bpe_train4_sql() -> str:
+    parts = [
+        "WITH w0 AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
+        "AS word FROM documents)"
+    ]
+    for s in range(1, BPE_TRAIN_STEPS + 1):
+        parts.append(
+            f", c{s} AS (SELECT pair, CAST(count(*) AS BIGINT) AS n FROM "
+            f"(SELECT unnest(list_transform(range(1, length(word)), "
+            f"i -> substr(word, i::INT, 2))) AS pair FROM w{s - 1}) GROUP BY pair)"
+        )
+        parts.append(
+            f", t{s} AS (SELECT pair, n FROM c{s} ORDER BY n DESC, pair ASC LIMIT 1)"
+        )
+        if s < BPE_TRAIN_STEPS:
+            parts.append(
+                f", w{s} AS (SELECT replace(word, (SELECT pair FROM t{s}), "
+                f"chr({s})) AS word FROM w{s - 1})"
+            )
+    sel = " UNION ALL ".join(
+        f"SELECT CAST({s} AS BIGINT) AS step, pair, n FROM t{s}"
+        for s in range(1, BPE_TRAIN_STEPS + 1)
+    )
+    return "".join(parts) + " " + sel
+
+
+@query("bpe_train4", _bpe_train4_sql)
 def q_bpe_train4(sf_dir: str):
     """FOUR CHAINED BPE TRAINING STEPS (Sennrich et al. 2016) over the
     document corpus: at each step, count adjacent symbol pairs inside
@@ -113,32 +141,6 @@ def q_bpe_train4(sf_dir: str):
     )
 
 
-def _bpe_train4_sql() -> str:
-    parts = [
-        "WITH w0 AS (SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) "
-        "AS word FROM documents)"
-    ]
-    for s in range(1, BPE_TRAIN_STEPS + 1):
-        parts.append(
-            f", c{s} AS (SELECT pair, CAST(count(*) AS BIGINT) AS n FROM "
-            f"(SELECT unnest(list_transform(range(1, length(word)), "
-            f"i -> substr(word, i::INT, 2))) AS pair FROM w{s - 1}) GROUP BY pair)"
-        )
-        parts.append(
-            f", t{s} AS (SELECT pair, n FROM c{s} ORDER BY n DESC, pair ASC LIMIT 1)"
-        )
-        if s < BPE_TRAIN_STEPS:
-            parts.append(
-                f", w{s} AS (SELECT replace(word, (SELECT pair FROM t{s}), "
-                f"chr({s})) AS word FROM w{s - 1})"
-            )
-    sel = " UNION ALL ".join(
-        f"SELECT CAST({s} AS BIGINT) AS step, pair, n FROM t{s}"
-        for s in range(1, BPE_TRAIN_STEPS + 1)
-    )
-    return "".join(parts) + " " + sel
-
-
 # --------------------------------------------------------------------------
 # two full Lloyd k-means iterations (assign → update → assign), integer-exact
 # --------------------------------------------------------------------------
@@ -153,6 +155,42 @@ def _quant_micro(mat: np.ndarray) -> np.ndarray:
     return np.floor(mat.astype(np.float64) * 1_000_000.0 + 0.5).astype(np.int64)
 
 
+def _kmeans_lloyd2_sql() -> str:
+    # sign-split floor division: DuckDB // truncates toward zero, numpy floors
+    fdiv = (
+        "CASE WHEN s1.s >= 0 THEN CAST(s1.s // n1.n AS BIGINT) "
+        "ELSE CAST(-((-s1.s + n1.n - 1) // n1.n) AS BIGINT) END"
+    )
+    return (
+        "WITH e AS (SELECT vec_id, generate_subscripts(embedding, 1) AS dim, "
+        "CAST(FLOOR(CAST(unnest(embedding) AS DOUBLE)*1000000 + 0.5) AS BIGINT) AS m "
+        "FROM embeddings), "
+        f"c0 AS (SELECT vec_id AS cid, dim, m FROM e WHERE vec_id < {LLOYD_K}), "
+        "d1 AS (SELECT e.vec_id, c.cid, SUM((e.m - c.m)*(e.m - c.m)) AS d2 "
+        "FROM e JOIN c0 c USING (dim) GROUP BY 1, 2), "
+        "a1 AS (SELECT vec_id, cid FROM d1 "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY d2, cid) = 1), "
+        "n1 AS (SELECT cid, CAST(COUNT(*) AS BIGINT) AS n FROM a1 GROUP BY 1), "
+        "s1 AS (SELECT a1.cid, e.dim, SUM(e.m) AS s FROM a1 "
+        "JOIN e USING (vec_id) GROUP BY 1, 2), "
+        "c1 AS (SELECT c0.cid, c0.dim, "
+        f"CASE WHEN n1.n IS NULL THEN c0.m ELSE {fdiv} END AS m "
+        "FROM c0 LEFT JOIN n1 USING (cid) "
+        "LEFT JOIN s1 ON s1.cid = c0.cid AND s1.dim = c0.dim), "
+        "d2_ AS (SELECT e.vec_id, c.cid, SUM((e.m - c.m)*(e.m - c.m)) AS d2 "
+        "FROM e JOIN c1 c USING (dim) GROUP BY 1, 2), "
+        "a2 AS (SELECT vec_id, cid, d2 FROM d2_ "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY d2, cid) = 1), "
+        "f2 AS (SELECT cid, CAST(COUNT(*) AS BIGINT) AS n, "
+        f"CAST(SUM(d2 // {LLOYD_SSE_DIV}) AS BIGINT) AS sse FROM a2 GROUP BY 1) "
+        "SELECT k.cid AS centroid_id, COALESCE(n1.n, 0) AS n1, "
+        "COALESCE(f2.n, 0) AS n2, COALESCE(f2.sse, 0) AS sse_milli "
+        "FROM (SELECT DISTINCT cid FROM c0) k "
+        "LEFT JOIN n1 USING (cid) LEFT JOIN f2 USING (cid)"
+    )
+
+
+@query("kmeans_lloyd2", _kmeans_lloyd2_sql)
 def q_kmeans_lloyd2(sf_dir: str):
     """TWO FULL LLOYD K-MEANS ITERATIONS over the embedding table,
     integer-exact end to end: quantize components to micro ints, assign
@@ -263,41 +301,6 @@ def q_kmeans_lloyd2(sf_dir: str):
     )
 
 
-def _kmeans_lloyd2_sql() -> str:
-    # sign-split floor division: DuckDB // truncates toward zero, numpy floors
-    fdiv = (
-        "CASE WHEN s1.s >= 0 THEN CAST(s1.s // n1.n AS BIGINT) "
-        "ELSE CAST(-((-s1.s + n1.n - 1) // n1.n) AS BIGINT) END"
-    )
-    return (
-        "WITH e AS (SELECT vec_id, generate_subscripts(embedding, 1) AS dim, "
-        "CAST(FLOOR(CAST(unnest(embedding) AS DOUBLE)*1000000 + 0.5) AS BIGINT) AS m "
-        "FROM embeddings), "
-        f"c0 AS (SELECT vec_id AS cid, dim, m FROM e WHERE vec_id < {LLOYD_K}), "
-        "d1 AS (SELECT e.vec_id, c.cid, SUM((e.m - c.m)*(e.m - c.m)) AS d2 "
-        "FROM e JOIN c0 c USING (dim) GROUP BY 1, 2), "
-        "a1 AS (SELECT vec_id, cid FROM d1 "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY d2, cid) = 1), "
-        "n1 AS (SELECT cid, CAST(COUNT(*) AS BIGINT) AS n FROM a1 GROUP BY 1), "
-        "s1 AS (SELECT a1.cid, e.dim, SUM(e.m) AS s FROM a1 "
-        "JOIN e USING (vec_id) GROUP BY 1, 2), "
-        "c1 AS (SELECT c0.cid, c0.dim, "
-        f"CASE WHEN n1.n IS NULL THEN c0.m ELSE {fdiv} END AS m "
-        "FROM c0 LEFT JOIN n1 USING (cid) "
-        "LEFT JOIN s1 ON s1.cid = c0.cid AND s1.dim = c0.dim), "
-        "d2_ AS (SELECT e.vec_id, c.cid, SUM((e.m - c.m)*(e.m - c.m)) AS d2 "
-        "FROM e JOIN c1 c USING (dim) GROUP BY 1, 2), "
-        "a2 AS (SELECT vec_id, cid, d2 FROM d2_ "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id ORDER BY d2, cid) = 1), "
-        "f2 AS (SELECT cid, CAST(COUNT(*) AS BIGINT) AS n, "
-        f"CAST(SUM(d2 // {LLOYD_SSE_DIV}) AS BIGINT) AS sse FROM a2 GROUP BY 1) "
-        "SELECT k.cid AS centroid_id, COALESCE(n1.n, 0) AS n1, "
-        "COALESCE(f2.n, 0) AS n2, COALESCE(f2.sse, 0) AS sse_milli "
-        "FROM (SELECT DISTINCT cid FROM c0) k "
-        "LEFT JOIN n1 USING (cid) LEFT JOIN f2 USING (cid)"
-    )
-
-
 # --------------------------------------------------------------------------
 # deterministic T5-style span-corruption planning
 # --------------------------------------------------------------------------
@@ -308,6 +311,34 @@ _K32 = 2_654_435_761  # Knuth multiplicative constant (lang_sample_topk's)
 _M32 = 1 << 32
 
 
+def _span_mask_sql() -> str:
+    return (
+        "WITH t AS (SELECT doc_id, "
+        "len(regexp_extract_all(lower(text), '[a-z0-9]+')) AS n FROM documents), "
+        f"g AS (SELECT doc_id, n, unnest(range(0, (n + {SPAN_GROUP - 1}) "
+        f"// {SPAN_GROUP})) AS grp FROM t), "
+        "h0 AS (SELECT doc_id, n, grp, "
+        f"(((CAST(doc_id AS HUGEINT) % 4294967296) * {_K32}) % 4294967296 + grp) "
+        "% 4294967296 AS hs FROM g), "
+        "h AS (SELECT doc_id, n, grp, "
+        f"(hs * hs % 4294967296) * {_K32} % 4294967296 AS hv FROM h0), "
+        f"m AS (SELECT doc_id, n, grp, hv < {SPAN_THR} AS masked, "
+        f"CASE WHEN grp = (n + {SPAN_GROUP - 1}) // {SPAN_GROUP} - 1 "
+        f"THEN n - grp*{SPAN_GROUP} ELSE {SPAN_GROUP} END AS gsz FROM h), "
+        "m2 AS (SELECT *, masked AND NOT COALESCE("
+        "LAG(masked) OVER (PARTITION BY doc_id ORDER BY grp), FALSE) "
+        "AS span_start FROM m), "
+        "s AS (SELECT doc_id, "
+        "CAST(COALESCE(SUM(CASE WHEN masked THEN gsz END), 0) AS BIGINT) AS n_masked, "
+        "CAST(COALESCE(SUM(CASE WHEN span_start THEN 1 END), 0) AS BIGINT) AS n_spans "
+        "FROM m2 GROUP BY doc_id) "
+        "SELECT t.doc_id, CAST(t.n AS BIGINT) AS n_tokens, "
+        "COALESCE(s.n_masked, 0) AS n_masked, COALESCE(s.n_spans, 0) AS n_spans "
+        "FROM t LEFT JOIN s USING (doc_id)"
+    )
+
+
+@query("span_mask_plan", _span_mask_sql)
 def q_span_mask_plan(sf_dir: str):
     """T5/UL2-STYLE SPAN-CORRUPTION PLAN, deterministic and seedless:
     tokens (``[a-z0-9]+`` over lower(text)) are grouped into consecutive
@@ -377,49 +408,3 @@ def q_span_mask_plan(sf_dir: str):
     return rd.read_parquet(
         _p(sf_dir, "documents"), columns=["doc_id", "text"]
     ).map_batches(plan, batch_format="pyarrow")
-
-
-def _span_mask_sql() -> str:
-    return (
-        "WITH t AS (SELECT doc_id, "
-        "len(regexp_extract_all(lower(text), '[a-z0-9]+')) AS n FROM documents), "
-        f"g AS (SELECT doc_id, n, unnest(range(0, (n + {SPAN_GROUP - 1}) "
-        f"// {SPAN_GROUP})) AS grp FROM t), "
-        "h0 AS (SELECT doc_id, n, grp, "
-        f"(((CAST(doc_id AS HUGEINT) % 4294967296) * {_K32}) % 4294967296 + grp) "
-        "% 4294967296 AS hs FROM g), "
-        "h AS (SELECT doc_id, n, grp, "
-        f"(hs * hs % 4294967296) * {_K32} % 4294967296 AS hv FROM h0), "
-        f"m AS (SELECT doc_id, n, grp, hv < {SPAN_THR} AS masked, "
-        f"CASE WHEN grp = (n + {SPAN_GROUP - 1}) // {SPAN_GROUP} - 1 "
-        f"THEN n - grp*{SPAN_GROUP} ELSE {SPAN_GROUP} END AS gsz FROM h), "
-        "m2 AS (SELECT *, masked AND NOT COALESCE("
-        "LAG(masked) OVER (PARTITION BY doc_id ORDER BY grp), FALSE) "
-        "AS span_start FROM m), "
-        "s AS (SELECT doc_id, "
-        "CAST(COALESCE(SUM(CASE WHEN masked THEN gsz END), 0) AS BIGINT) AS n_masked, "
-        "CAST(COALESCE(SUM(CASE WHEN span_start THEN 1 END), 0) AS BIGINT) AS n_spans "
-        "FROM m2 GROUP BY doc_id) "
-        "SELECT t.doc_id, CAST(t.n AS BIGINT) AS n_tokens, "
-        "COALESCE(s.n_masked, 0) AS n_masked, COALESCE(s.n_spans, 0) AS n_spans "
-        "FROM t LEFT JOIN s USING (doc_id)"
-    )
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
-ML8_QUERIES = {
-    "bpe_train4": q_bpe_train4,
-    "kmeans_lloyd2": q_kmeans_lloyd2,
-    "span_mask_plan": q_span_mask_plan,
-}
-
-
-def build_ml8_oracles() -> dict[str, str]:
-    return {
-        "bpe_train4": _bpe_train4_sql(),
-        "kmeans_lloyd2": _kmeans_lloyd2_sql(),
-        "span_mask_plan": _span_mask_sql(),
-    }

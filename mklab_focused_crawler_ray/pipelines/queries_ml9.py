@@ -28,13 +28,16 @@ build-brief crawl-scheduler / curation additions.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 
 from ..scale import cogroup, derive_buckets
+from . import oracles_ext
 from .queries_ml2 import _p
 from .queries_ml3 import SPLIT_MULT, SPLIT_TRAIN_PCT
+from .registry import query, small_table
 
 CC_ORACLE_ROUNDS = 10  # pointer-jumped min-label rounds unrolled in SQL
 PPR_ITERS = 5  # same fixed-point count as pagerank_top20 (PR_ITERS)
@@ -47,6 +50,7 @@ GAMMA_TOP = 100  # BoundedPQueue capacity (RankerBolt._queue top-k)
 # --------------------------------------------------------------------------
 
 
+@query("host_components", lambda: _host_cc_sql(small_table("pages")), small=True)
 def q_host_components(sf_dir: str):
     """WEAKLY CONNECTED COMPONENTS of the hostgraph: one row per host
     appearing in any host-level link (``host_link_matrix``'s rollup of
@@ -124,6 +128,11 @@ def _host_cc_sql(pages: str, rounds: int = CC_ORACLE_ROUNDS) -> str:
 # --------------------------------------------------------------------------
 
 
+@query(
+    "pagerank_seeded_top20",
+    lambda: _ppr_sql(small_table("pages"), small_table("frontier_seed"), PPR_ITERS, PPR_TOP),
+    small=True,
+)
 def q_pagerank_seeded_top20(sf_dir: str):
     """PERSONALIZED PageRank: the teleport mass restarts ONLY at the
     frontier-seed urls (rank₀ = 1.0 micro at seeds, 0 elsewhere; update =
@@ -186,6 +195,32 @@ def _ppr_sql(pages: str, seeds: str, iters: int, top: int) -> str:
 # --------------------------------------------------------------------------
 
 
+def _gamma_sql() -> str:
+    from .queries import AVG_TIME_DIFF_MS, NOW_MS
+
+    score = (
+        "(1 - EXP(-0.05*value) + 1)/2 * "
+        f"(EXP(-(({NOW_MS} - epoch_ms(ts))/{AVG_TIME_DIFF_MS})) + 1)/2"
+    )
+    return (
+        "WITH s AS (SELECT event_id, value, epoch_ms(ts) AS ms, "
+        f"CAST(FLOOR(({score})*1000000 + 0.5) AS BIGINT) AS score_micro "
+        "FROM events ORDER BY score_micro DESC, event_id ASC "
+        f"LIMIT {GAMMA_TOP}), "
+        "p AS (SELECT "
+        "CASE WHEN (a.value - b.value)*(a.ms - b.ms) > 0 THEN 1 ELSE 0 END AS c, "
+        "CASE WHEN (a.value - b.value)*(a.ms - b.ms) < 0 THEN 1 ELSE 0 END AS d "
+        "FROM s a JOIN s b ON a.event_id < b.event_id) "
+        "SELECT CAST((SELECT COUNT(*) FROM s) AS BIGINT) AS n_top, "
+        "CAST(COALESCE(SUM(c), 0) AS BIGINT) AS concordant, "
+        "CAST(COALESCE(SUM(d), 0) AS BIGINT) AS discordant, "
+        "CAST(CASE WHEN COALESCE(SUM(c), 0) + COALESCE(SUM(d), 0) = 0 THEN 0 "
+        "ELSE ((SUM(c) - SUM(d))*1000000) // (SUM(c) + SUM(d)) END AS BIGINT) "
+        "AS gamma_micro FROM p"
+    )
+
+
+@query("ranker_rank_gamma", _gamma_sql)
 def q_ranker_rank_gamma(sf_dir: str):
     """RANK-AGREEMENT AUDIT over the ranker's top-``GAMMA_TOP`` events:
     Goodman–Kruskal gamma between the shares ordering (``value``) and the
@@ -251,36 +286,57 @@ def q_ranker_rank_gamma(sf_dir: str):
     )
 
 
-def _gamma_sql() -> str:
-    from .queries import AVG_TIME_DIFF_MS, NOW_MS
-
-    score = (
-        "(1 - EXP(-0.05*value) + 1)/2 * "
-        f"(EXP(-(({NOW_MS} - epoch_ms(ts))/{AVG_TIME_DIFF_MS})) + 1)/2"
-    )
-    return (
-        "WITH s AS (SELECT event_id, value, epoch_ms(ts) AS ms, "
-        f"CAST(FLOOR(({score})*1000000 + 0.5) AS BIGINT) AS score_micro "
-        "FROM events ORDER BY score_micro DESC, event_id ASC "
-        f"LIMIT {GAMMA_TOP}), "
-        "p AS (SELECT "
-        "CASE WHEN (a.value - b.value)*(a.ms - b.ms) > 0 THEN 1 ELSE 0 END AS c, "
-        "CASE WHEN (a.value - b.value)*(a.ms - b.ms) < 0 THEN 1 ELSE 0 END AS d "
-        "FROM s a JOIN s b ON a.event_id < b.event_id) "
-        "SELECT CAST((SELECT COUNT(*) FROM s) AS BIGINT) AS n_top, "
-        "CAST(COALESCE(SUM(c), 0) AS BIGINT) AS concordant, "
-        "CAST(COALESCE(SUM(d), 0) AS BIGINT) AS discordant, "
-        "CAST(CASE WHEN COALESCE(SUM(c), 0) + COALESCE(SUM(d), 0) = 0 THEN 0 "
-        "ELSE ((SUM(c) - SUM(d))*1000000) // (SUM(c) + SUM(d)) END AS BIGINT) "
-        "AS gamma_micro FROM p"
-    )
-
-
 # --------------------------------------------------------------------------
 # held-out trigram LM scoring with stupid backoff
 # --------------------------------------------------------------------------
 
 
+def _trigram_backoff_sql() -> str:
+    split = f"(doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_TRAIN_PCT}"
+    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
+    tri_un = (
+        "unnest(list_transform(range(1, len(l) - 1), "
+        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1] "
+        "|| ' ' || l[CAST(i AS INT)+2]))"
+    )
+    bg_un = (
+        "unnest(list_transform(range(1, len(l)), "
+        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1]))"
+    )
+    return (
+        f"WITH tokl AS MATERIALIZED (SELECT doc_id, {tok} AS l, {split} AS tr "
+        "FROM documents), "
+        f"c3 AS MATERIALIZED (SELECT tri, COUNT(*) AS c FROM (SELECT {tri_un} "
+        "AS tri FROM tokl WHERE tr AND len(l) >= 3) GROUP BY 1), "
+        f"c2 AS MATERIALIZED (SELECT bg, COUNT(*) AS c FROM (SELECT {bg_un} "
+        "AS bg FROM tokl WHERE tr AND len(l) >= 2) GROUP BY 1), "
+        "uni AS MATERIALIZED (SELECT unnest(l) AS t FROM tokl WHERE tr), "
+        "c1 AS MATERIALIZED (SELECT t, COUNT(*) AS c FROM uni GROUP BY 1), "
+        "tot AS (SELECT COUNT(*) AS tt, COUNT(DISTINCT t) AS vv FROM uni), "
+        f"dd AS (SELECT doc_id, tri, COUNT(*) AS n FROM (SELECT doc_id, "
+        f"{tri_un} AS tri FROM tokl WHERE NOT tr AND len(l) >= 3) GROUP BY 1, 2), "
+        "sc AS (SELECT dd.doc_id, dd.n, CASE "
+        "WHEN COALESCE(c3.c, 0) > 0 THEN "
+        "LOG10(CAST(c3.c AS DOUBLE) / c2ab.c) "
+        "WHEN COALESCE(c2bc.c, 0) > 0 THEN "
+        "LOG10(CAST(0.4 AS DOUBLE) * c2bc.c / c1b.c) "
+        "ELSE LOG10(CAST(0.16 AS DOUBLE) * (COALESCE(c1c.c, 0) + 1.0) "
+        "/ (tot.tt + tot.vv)) END AS lp_f "
+        "FROM dd LEFT JOIN c3 ON c3.tri = dd.tri "
+        "LEFT JOIN c2 c2ab ON c2ab.bg = "
+        "split_part(dd.tri, ' ', 1) || ' ' || split_part(dd.tri, ' ', 2) "
+        "LEFT JOIN c2 c2bc ON c2bc.bg = "
+        "split_part(dd.tri, ' ', 2) || ' ' || split_part(dd.tri, ' ', 3) "
+        "LEFT JOIN c1 c1b ON c1b.t = split_part(dd.tri, ' ', 2) "
+        "LEFT JOIN c1 c1c ON c1c.t = split_part(dd.tri, ' ', 3) "
+        "CROSS JOIN tot) "
+        "SELECT doc_id, CAST(SUM(n) AS BIGINT) AS n_trigrams, "
+        "CAST(SUM(CAST(FLOOR(lp_f * 1000000 + 0.5) AS BIGINT) * n) AS BIGINT) "
+        "AS logprob_micro FROM sc GROUP BY doc_id"
+    )
+
+
+@query("doc_trigram_backoff", _trigram_backoff_sql)
 def q_doc_trigram_backoff(sf_dir: str):
     """HELD-OUT TRIGRAM SCORING with stupid backoff (Brants et al. 2007):
     the LM trains on the deterministic 80% train split (the exact
@@ -540,51 +596,6 @@ def q_doc_trigram_backoff(sf_dir: str):
     )
 
 
-def _trigram_backoff_sql() -> str:
-    split = f"(doc_id * {SPLIT_MULT}) % {1 << 32} % 100 < {SPLIT_TRAIN_PCT}"
-    tok = "regexp_extract_all(lower(text), '[a-z0-9]+')"
-    tri_un = (
-        "unnest(list_transform(range(1, len(l) - 1), "
-        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1] "
-        "|| ' ' || l[CAST(i AS INT)+2]))"
-    )
-    bg_un = (
-        "unnest(list_transform(range(1, len(l)), "
-        "i -> l[CAST(i AS INT)] || ' ' || l[CAST(i AS INT)+1]))"
-    )
-    return (
-        f"WITH tokl AS MATERIALIZED (SELECT doc_id, {tok} AS l, {split} AS tr "
-        "FROM documents), "
-        f"c3 AS MATERIALIZED (SELECT tri, COUNT(*) AS c FROM (SELECT {tri_un} "
-        "AS tri FROM tokl WHERE tr AND len(l) >= 3) GROUP BY 1), "
-        f"c2 AS MATERIALIZED (SELECT bg, COUNT(*) AS c FROM (SELECT {bg_un} "
-        "AS bg FROM tokl WHERE tr AND len(l) >= 2) GROUP BY 1), "
-        "uni AS MATERIALIZED (SELECT unnest(l) AS t FROM tokl WHERE tr), "
-        "c1 AS MATERIALIZED (SELECT t, COUNT(*) AS c FROM uni GROUP BY 1), "
-        "tot AS (SELECT COUNT(*) AS tt, COUNT(DISTINCT t) AS vv FROM uni), "
-        f"dd AS (SELECT doc_id, tri, COUNT(*) AS n FROM (SELECT doc_id, "
-        f"{tri_un} AS tri FROM tokl WHERE NOT tr AND len(l) >= 3) GROUP BY 1, 2), "
-        "sc AS (SELECT dd.doc_id, dd.n, CASE "
-        "WHEN COALESCE(c3.c, 0) > 0 THEN "
-        "LOG10(CAST(c3.c AS DOUBLE) / c2ab.c) "
-        "WHEN COALESCE(c2bc.c, 0) > 0 THEN "
-        "LOG10(CAST(0.4 AS DOUBLE) * c2bc.c / c1b.c) "
-        "ELSE LOG10(CAST(0.16 AS DOUBLE) * (COALESCE(c1c.c, 0) + 1.0) "
-        "/ (tot.tt + tot.vv)) END AS lp_f "
-        "FROM dd LEFT JOIN c3 ON c3.tri = dd.tri "
-        "LEFT JOIN c2 c2ab ON c2ab.bg = "
-        "split_part(dd.tri, ' ', 1) || ' ' || split_part(dd.tri, ' ', 2) "
-        "LEFT JOIN c2 c2bc ON c2bc.bg = "
-        "split_part(dd.tri, ' ', 2) || ' ' || split_part(dd.tri, ' ', 3) "
-        "LEFT JOIN c1 c1b ON c1b.t = split_part(dd.tri, ' ', 2) "
-        "LEFT JOIN c1 c1c ON c1c.t = split_part(dd.tri, ' ', 3) "
-        "CROSS JOIN tot) "
-        "SELECT doc_id, CAST(SUM(n) AS BIGINT) AS n_trigrams, "
-        "CAST(SUM(CAST(FLOOR(lp_f * 1000000 + 0.5) AS BIGINT) * n) AS BIGINT) "
-        "AS logprob_micro FROM sc GROUP BY doc_id"
-    )
-
-
 # --------------------------------------------------------------------------
 # hostgraph co-citation (link-farm / related-host detection)
 # --------------------------------------------------------------------------
@@ -592,6 +603,7 @@ def _trigram_backoff_sql() -> str:
 COCITE_MIN = 2  # keep pairs co-cited by ≥ 2 distinct source hosts
 
 
+@query("host_cocitation_pairs", lambda: _cocitation_sql(small_table("pages")), small=True)
 def q_host_cocitation_pairs(sf_dir: str):
     """CO-CITATION pairs over the hostgraph (Small 1973, applied to the
     web by Dean & Henzinger 1999): two hosts are related when the same
@@ -672,6 +684,7 @@ def _cocitation_sql(pages: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query("host_fairness_index", lambda: _fairness_sql(small_table("pages")), small=True)
 def q_host_fairness_index(sf_dir: str):
     """JAIN'S FAIRNESS INDEX over per-host fetched-page counts:
     J = (Σx)² / (n·Σx²) ∈ (1/n, 1] — the one-number politeness audit
@@ -740,6 +753,7 @@ def _fairness_sql(pages: str) -> str:
 # --------------------------------------------------------------------------
 
 
+@query("ann_recall_at10", partial(oracles_ext.extended, "ann_recall_at10"), small=True)
 def q_ann_recall_at10(sf_dir: str):
     """RETRIEVAL EVAL: per-query recall@10 of the IVF index (nlist=16,
     nprobe=4) against the exact brute-force top-10 — the index-quality
@@ -808,6 +822,11 @@ def _ann_recall_sql(emb01: str) -> str:
     )
 
 
+@query(
+    "host_pagerank_weighted",
+    lambda: _host_pr_weighted_sql(small_table("pages"), PPR_ITERS),
+    small=True,
+)
 def q_host_pagerank_weighted(sf_dir: str):
     """WEIGHTED PageRank over the hostgraph: each host's rank flows along
     its out-links in proportion to the LINK COUNT (``host_link_matrix``'s
@@ -884,6 +903,35 @@ def _host_pr_weighted_sql(pages: str, iters: int) -> str:
     )
 
 
+def _lang_mix_sql() -> str:
+    from .oracles_ext import _LANG_PROFILES as _PROFILES
+    from .oracles_ext import _WORD_PAT
+
+    cnts = ", ".join(
+        "len(list_filter(toks, t -> list_contains(["
+        + ",".join(f"'{w}'" for w in words.split())
+        + f"], t))) AS c_{lang}"
+        for lang, words in _PROFILES
+    )
+    s_expr = " + ".join(f"c_{lang}" for lang, _ in _PROFILES)
+    term = (
+        "(CASE WHEN c_{l} > 0 THEN -(CAST(c_{l} AS DOUBLE)/s) "
+        "* LOG2(CAST(c_{l} AS DOUBLE)/s) ELSE 0.0 END)"
+    )
+    h_expr = " + ".join(term.format(l=lang) for lang, _ in _PROFILES)
+    return (
+        "WITH t AS (SELECT doc_id, "
+        f"list_transform(regexp_extract_all(text, '{_WORD_PAT}'), "
+        "x -> lower(x)) AS toks FROM documents), "
+        f"c AS (SELECT doc_id, {cnts} FROM t), "
+        f"m AS (SELECT doc_id, {s_expr} AS s, c.* FROM c) "
+        "SELECT doc_id, CAST(s AS BIGINT) AS n_matched, "
+        f"CAST(CASE WHEN s = 0 THEN 0 ELSE FLOOR(({h_expr}) * 1000000 + 0.5) "
+        "END AS BIGINT) AS entropy_micro FROM m"
+    )
+
+
+@query("doc_lang_mix_entropy", _lang_mix_sql)
 def q_doc_lang_mix_entropy(sf_dir: str):
     """CODE-SWITCHING SCORE: per-document Shannon entropy (bits, micro
     units) of the language-profile match distribution — the langid
@@ -935,34 +983,11 @@ def q_doc_lang_mix_entropy(sf_dir: str):
     ).map_batches(score, batch_format="pyarrow")
 
 
-def _lang_mix_sql() -> str:
-    from .oracles_ext import _LANG_PROFILES as _PROFILES
-    from .oracles_ext import _WORD_PAT
-
-    cnts = ", ".join(
-        "len(list_filter(toks, t -> list_contains(["
-        + ",".join(f"'{w}'" for w in words.split())
-        + f"], t))) AS c_{lang}"
-        for lang, words in _PROFILES
-    )
-    s_expr = " + ".join(f"c_{lang}" for lang, _ in _PROFILES)
-    term = (
-        "(CASE WHEN c_{l} > 0 THEN -(CAST(c_{l} AS DOUBLE)/s) "
-        "* LOG2(CAST(c_{l} AS DOUBLE)/s) ELSE 0.0 END)"
-    )
-    h_expr = " + ".join(term.format(l=lang) for lang, _ in _PROFILES)
-    return (
-        "WITH t AS (SELECT doc_id, "
-        f"list_transform(regexp_extract_all(text, '{_WORD_PAT}'), "
-        "x -> lower(x)) AS toks FROM documents), "
-        f"c AS (SELECT doc_id, {cnts} FROM t), "
-        f"m AS (SELECT doc_id, {s_expr} AS s, c.* FROM c) "
-        "SELECT doc_id, CAST(s AS BIGINT) AS n_matched, "
-        f"CAST(CASE WHEN s = 0 THEN 0 ELSE FLOOR(({h_expr}) * 1000000 + 0.5) "
-        "END AS BIGINT) AS entropy_micro FROM m"
-    )
-
-
+@query(
+    "pagerank_convergence",
+    lambda: _pr_convergence_sql(small_table("pages"), PPR_ITERS),
+    small=True,
+)
 def q_pagerank_convergence(sf_dir: str):
     """PAGERANK CONVERGENCE CURVE: the global L1 step size
     Σ_nodes |r_k − r_{k−1}| (micro units) after each of the
@@ -1021,6 +1046,7 @@ def _pr_convergence_sql(pages: str, iters: int) -> str:
 RECALL_PROBES = (1, 2, 4, 8, 16)  # nprobe sweep; 16 == nlist → exact
 
 
+@query("ann_recall_curve", partial(oracles_ext.extended, "ann_recall_curve"), small=True)
 def q_ann_recall_curve(sf_dir: str):
     """IVF TUNING CURVE: mean recall@10 across the query set at nprobe ∈
     {1, 2, 4, 8, 16} (nlist = 16) — the actual recall-vs-read-cost trade
@@ -1120,6 +1146,29 @@ def _levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def _snm_sql() -> str:
+    leads = []
+    pair_sel = []
+    for off in range(1, SNM_W):
+        leads.append(
+            f"LEAD(nm, {off}) OVER w AS nm{off}, "
+            f"LEAD(p_partkey, {off}) OVER w AS pk{off}"
+        )
+        pair_sel.append(
+            f"SELECT p_partkey AS part_a, pk{off} AS part_b, nm AS name_a, "
+            f"nm{off} AS name_b FROM o WHERE pk{off} IS NOT NULL"
+        )
+    return (
+        "WITH s AS (SELECT p_partkey, lower(p_name) AS nm FROM part), "
+        "o AS (SELECT p_partkey, nm, " + ", ".join(leads) + " FROM s "
+        "WINDOW w AS (ORDER BY nm, p_partkey)), "
+        "pairs AS (" + " UNION ALL ".join(pair_sel) + ") "
+        "SELECT part_a, part_b, CAST(levenshtein(name_a, name_b) AS BIGINT) "
+        f"AS dist FROM pairs WHERE levenshtein(name_a, name_b) <= {SNM_MAXD}"
+    )
+
+
+@query("sorted_neighborhood_pairs", _snm_sql)
 def q_sorted_neighborhood_pairs(sf_dir: str):
     """SORTED-NEIGHBORHOOD blocking (Hernández & Stolfo 1995): slide a
     ``SNM_W``-row window over part names sorted by (lower(name), partkey)
@@ -1263,28 +1312,6 @@ def q_sorted_neighborhood_pairs(sf_dir: str):
     return pairs.union(cross)
 
 
-def _snm_sql() -> str:
-    leads = []
-    pair_sel = []
-    for off in range(1, SNM_W):
-        leads.append(
-            f"LEAD(nm, {off}) OVER w AS nm{off}, "
-            f"LEAD(p_partkey, {off}) OVER w AS pk{off}"
-        )
-        pair_sel.append(
-            f"SELECT p_partkey AS part_a, pk{off} AS part_b, nm AS name_a, "
-            f"nm{off} AS name_b FROM o WHERE pk{off} IS NOT NULL"
-        )
-    return (
-        "WITH s AS (SELECT p_partkey, lower(p_name) AS nm FROM part), "
-        "o AS (SELECT p_partkey, nm, " + ", ".join(leads) + " FROM s "
-        "WINDOW w AS (ORDER BY nm, p_partkey)), "
-        "pairs AS (" + " UNION ALL ".join(pair_sel) + ") "
-        "SELECT part_a, part_b, CAST(levenshtein(name_a, name_b) AS BIGINT) "
-        f"AS dist FROM pairs WHERE levenshtein(name_a, name_b) <= {SNM_MAXD}"
-    )
-
-
 # --------------------------------------------------------------------------
 # temperature-scaled sampling odds (mT5 / XLM-R alpha sampling)
 # --------------------------------------------------------------------------
@@ -1292,6 +1319,20 @@ def _snm_sql() -> str:
 TEMP_ALPHA = 0.3  # mT5's published exponent
 
 
+def _temperature_odds_sql() -> str:
+    tok = "len(regexp_extract_all(lower(text), '[a-z0-9]+'))"
+    return (
+        f"WITH l AS (SELECT lang, CAST(SUM({tok}) AS BIGINT) AS n "
+        "FROM documents GROUP BY 1), "
+        "r AS (SELECT n AS nref FROM l ORDER BY n DESC, lang ASC LIMIT 1) "
+        "SELECT lang, n AS n_tokens, "
+        "CAST(FLOOR(POWER(CAST(n AS DOUBLE) / nref, "
+        f"CAST({TEMP_ALPHA} AS DOUBLE)) * 1000000 + 0.5) AS BIGINT) "
+        "AS odds_micro FROM l CROSS JOIN r"
+    )
+
+
+@query("lang_temperature_odds", _temperature_odds_sql)
 def q_lang_temperature_odds(sf_dir: str):
     """TEMPERATURE-SCALED language sampling odds (mT5/XLM-R α-sampling,
     α = 0.3): each language's sampling-rate multiplier relative to the
@@ -1359,23 +1400,6 @@ def q_lang_temperature_odds(sf_dir: str):
     )
 
 
-def _temperature_odds_sql() -> str:
-    tok = "len(regexp_extract_all(lower(text), '[a-z0-9]+'))"
-    return (
-        f"WITH l AS (SELECT lang, CAST(SUM({tok}) AS BIGINT) AS n "
-        "FROM documents GROUP BY 1), "
-        "r AS (SELECT n AS nref FROM l ORDER BY n DESC, lang ASC LIMIT 1) "
-        "SELECT lang, n AS n_tokens, "
-        "CAST(FLOOR(POWER(CAST(n AS DOUBLE) / nref, "
-        f"CAST({TEMP_ALPHA} AS DOUBLE)) * 1000000 + 0.5) AS BIGINT) "
-        "AS odds_micro FROM l CROSS JOIN r"
-    )
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
 # --------------------------------------------------------------------------
 # two-sample Kolmogorov–Smirnov over event-type value distributions
 # --------------------------------------------------------------------------
@@ -1383,6 +1407,30 @@ def _temperature_odds_sql() -> str:
 KS_BUCKETS_FLOOR = 32  # value-range partitions (scale.derive_buckets floor)
 
 
+def _event_ks_sql() -> str:
+    return (
+        "WITH e AS (SELECT event_type AS t, value AS v FROM events), "
+        "n AS (SELECT t, CAST(COUNT(*) AS BIGINT) AS n FROM e GROUP BY t), "
+        "cnt AS (SELECT t, v, CAST(COUNT(*) AS BIGINT) AS c "
+        "FROM e GROUP BY t, v), "
+        "vals AS (SELECT DISTINCT v FROM e), "
+        "grid AS (SELECT n.t, vals.v FROM n CROSS JOIN vals), "
+        "j AS (SELECT g.t, g.v, COALESCE(c.c, 0) AS c FROM grid g "
+        "LEFT JOIN cnt c ON c.t = g.t AND c.v = g.v), "
+        "cum AS (SELECT t, v, CAST(SUM(c) OVER "
+        "(PARTITION BY t ORDER BY v) AS BIGINT) AS cum FROM j), "
+        "ks AS (SELECT a.t AS type_a, b.t AS type_b, "
+        "MAX(ABS(a.cum * nb.n - b.cum * na.n)) AS ks_num "
+        "FROM cum a JOIN cum b ON a.v = b.v AND a.t < b.t "
+        "JOIN n na ON na.t = a.t JOIN n nb ON nb.t = b.t GROUP BY 1, 2) "
+        "SELECT ks.type_a, ks.type_b, na.n AS n_a, nb.n AS n_b, "
+        "ks.ks_num, ks.ks_num * 1000000 // (na.n * nb.n) AS ks_micro "
+        "FROM ks JOIN n na ON na.t = ks.type_a "
+        "JOIN n nb ON nb.t = ks.type_b"
+    )
+
+
+@query("event_value_ks_pairs", _event_ks_sql)
 def q_event_value_ks_pairs(sf_dir: str):
     """TWO-SAMPLE KOLMOGOROV–SMIRNOV statistic between every pair of
     event types' value distributions — the distribution-drift audit that
@@ -1523,29 +1571,6 @@ def q_event_value_ks_pairs(sf_dir: str):
     )
 
 
-def _event_ks_sql() -> str:
-    return (
-        "WITH e AS (SELECT event_type AS t, value AS v FROM events), "
-        "n AS (SELECT t, CAST(COUNT(*) AS BIGINT) AS n FROM e GROUP BY t), "
-        "cnt AS (SELECT t, v, CAST(COUNT(*) AS BIGINT) AS c "
-        "FROM e GROUP BY t, v), "
-        "vals AS (SELECT DISTINCT v FROM e), "
-        "grid AS (SELECT n.t, vals.v FROM n CROSS JOIN vals), "
-        "j AS (SELECT g.t, g.v, COALESCE(c.c, 0) AS c FROM grid g "
-        "LEFT JOIN cnt c ON c.t = g.t AND c.v = g.v), "
-        "cum AS (SELECT t, v, CAST(SUM(c) OVER "
-        "(PARTITION BY t ORDER BY v) AS BIGINT) AS cum FROM j), "
-        "ks AS (SELECT a.t AS type_a, b.t AS type_b, "
-        "MAX(ABS(a.cum * nb.n - b.cum * na.n)) AS ks_num "
-        "FROM cum a JOIN cum b ON a.v = b.v AND a.t < b.t "
-        "JOIN n na ON na.t = a.t JOIN n nb ON nb.t = b.t GROUP BY 1, 2) "
-        "SELECT ks.type_a, ks.type_b, na.n AS n_a, nb.n AS n_b, "
-        "ks.ks_num, ks.ks_num * 1000000 // (na.n * nb.n) AS ks_micro "
-        "FROM ks JOIN n na ON na.t = ks.type_a "
-        "JOIN n nb ON nb.t = ks.type_b"
-    )
-
-
 # --------------------------------------------------------------------------
 # Matryoshka truncation retrieval eval
 # --------------------------------------------------------------------------
@@ -1553,6 +1578,40 @@ def _event_ks_sql() -> str:
 MRL_DIM = 16  # truncated prefix dims (of 64) — the MRL storage tier
 
 
+def _matryoshka_sql() -> str:
+    from .queries import N_QUERIES, TOP_K
+
+    def side(slice_expr: str) -> str:
+        cos = "list_cosine_similarity(q.qe, v.ve)"
+        if slice_expr:  # zero-norm prefix → cosine 0 (the engine's rule)
+            cos = (
+                "CASE WHEN list_dot_product(q.qe, q.qe) = 0 OR "
+                f"list_dot_product(v.ve, v.ve) = 0 THEN 0.0 ELSE {cos} END"
+            )
+        return (
+            "SELECT q.query_id, v.vec_id FROM "
+            "(SELECT vec_id AS query_id, "
+            f"list_transform(embedding{slice_expr}, x -> CAST(x AS DOUBLE)) AS qe "
+            f"FROM embeddings WHERE vec_id < {N_QUERIES}) q CROSS JOIN "
+            "(SELECT vec_id, "
+            f"list_transform(embedding{slice_expr}, x -> CAST(x AS DOUBLE)) AS ve "
+            "FROM embeddings) v "
+            "WHERE v.vec_id != q.query_id "
+            "QUALIFY ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
+            f"CAST(FLOOR({cos}*1000000 + 0.5) "
+            f"AS BIGINT) DESC, v.vec_id ASC) <= {TOP_K}"
+        )
+
+    return (
+        f"WITH f AS ({side('')}), tr AS ({side(f'[1:{MRL_DIM}]')}) "
+        "SELECT f.query_id, CAST(COUNT(tr.vec_id) AS BIGINT) AS n_hits, "
+        f"CAST(COUNT(tr.vec_id) * 1000000 // {TOP_K} AS BIGINT) AS recall_micro "
+        "FROM f LEFT JOIN tr ON tr.query_id = f.query_id "
+        "AND tr.vec_id = f.vec_id GROUP BY f.query_id"
+    )
+
+
+@query("ann_matryoshka_recall", _matryoshka_sql)
 def q_ann_matryoshka_recall(sf_dir: str):
     """MATRYOSHKA (MRL) TRUNCATION EVAL: exact cosine top-10 retrieval
     using only the FIRST ``MRL_DIM`` embedding dimensions, scored
@@ -1660,39 +1719,6 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.where(norm == 0, 1.0, norm)
 
 
-def _matryoshka_sql() -> str:
-    from .queries import N_QUERIES, TOP_K
-
-    def side(slice_expr: str) -> str:
-        cos = "list_cosine_similarity(q.qe, v.ve)"
-        if slice_expr:  # zero-norm prefix → cosine 0 (the engine's rule)
-            cos = (
-                "CASE WHEN list_dot_product(q.qe, q.qe) = 0 OR "
-                f"list_dot_product(v.ve, v.ve) = 0 THEN 0.0 ELSE {cos} END"
-            )
-        return (
-            "SELECT q.query_id, v.vec_id FROM "
-            "(SELECT vec_id AS query_id, "
-            f"list_transform(embedding{slice_expr}, x -> CAST(x AS DOUBLE)) AS qe "
-            f"FROM embeddings WHERE vec_id < {N_QUERIES}) q CROSS JOIN "
-            "(SELECT vec_id, "
-            f"list_transform(embedding{slice_expr}, x -> CAST(x AS DOUBLE)) AS ve "
-            "FROM embeddings) v "
-            "WHERE v.vec_id != q.query_id "
-            "QUALIFY ROW_NUMBER() OVER (PARTITION BY q.query_id ORDER BY "
-            f"CAST(FLOOR({cos}*1000000 + 0.5) "
-            f"AS BIGINT) DESC, v.vec_id ASC) <= {TOP_K}"
-        )
-
-    return (
-        f"WITH f AS ({side('')}), tr AS ({side(f'[1:{MRL_DIM}]')}) "
-        "SELECT f.query_id, CAST(COUNT(tr.vec_id) AS BIGINT) AS n_hits, "
-        f"CAST(COUNT(tr.vec_id) * 1000000 // {TOP_K} AS BIGINT) AS recall_micro "
-        "FROM f LEFT JOIN tr ON tr.query_id = f.query_id "
-        "AND tr.vec_id = f.vec_id GROUP BY f.query_id"
-    )
-
-
 # --------------------------------------------------------------------------
 # k-means cluster purity (clustering-quality eval vs labels)
 # --------------------------------------------------------------------------
@@ -1748,6 +1774,36 @@ def _kmeans_cells(sf_dir: str):
     )
 
 
+def _kmeans_purity_sql() -> str:
+    from .queries_ml import KMEANS_K
+
+    return (
+        "WITH c AS (SELECT vec_id AS centroid_id, "
+        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
+        f"FROM embeddings WHERE vec_id < {KMEANS_K}), "
+        "v AS (SELECT vec_id, CAST(label AS BIGINT) AS label, "
+        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve "
+        "FROM embeddings), "
+        "s AS (SELECT v.vec_id, v.label, c.centroid_id, "
+        "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) "
+        "AS BIGINT) AS cm FROM v CROSS JOIN c), "
+        "a AS (SELECT vec_id, label, centroid_id FROM s "
+        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
+        "ORDER BY cm DESC, centroid_id ASC) = 1), "
+        "cell AS (SELECT centroid_id, label, CAST(COUNT(*) AS BIGINT) AS cnt "
+        "FROM a GROUP BY 1, 2), "
+        "tot AS (SELECT centroid_id, CAST(SUM(cnt) AS BIGINT) AS n_vecs "
+        "FROM cell GROUP BY 1), "
+        "top AS (SELECT centroid_id, label AS top_label, cnt AS top_count "
+        "FROM cell QUALIFY ROW_NUMBER() OVER (PARTITION BY centroid_id "
+        "ORDER BY cnt DESC, label ASC) = 1) "
+        "SELECT t.centroid_id, t.n_vecs, p.top_label, p.top_count, "
+        "p.top_count * 1000000 // t.n_vecs AS purity_micro "
+        "FROM tot t JOIN top p USING (centroid_id)"
+    )
+
+
+@query("kmeans_purity", _kmeans_purity_sql)
 def q_kmeans_purity(sf_dir: str):
     """K-MEANS CLUSTER PURITY: the E-step assignment of
     ``kmeans_assign`` (micro-cosine nearest of the K deterministic
@@ -1781,88 +1837,6 @@ def q_kmeans_purity(sf_dir: str):
             "top_label": pa.array([r[2] for r in rows], pa.int64()),
             "top_count": pa.array([r[3] for r in rows], pa.int64()),
             "purity_micro": pa.array([r[4] for r in rows], pa.int64()),
-        }
-    )
-
-
-def _kmeans_purity_sql() -> str:
-    from .queries_ml import KMEANS_K
-
-    return (
-        "WITH c AS (SELECT vec_id AS centroid_id, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ce "
-        f"FROM embeddings WHERE vec_id < {KMEANS_K}), "
-        "v AS (SELECT vec_id, CAST(label AS BIGINT) AS label, "
-        "list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve "
-        "FROM embeddings), "
-        "s AS (SELECT v.vec_id, v.label, c.centroid_id, "
-        "CAST(FLOOR(list_cosine_similarity(c.ce, v.ve)*1000000 + 0.5) "
-        "AS BIGINT) AS cm FROM v CROSS JOIN c), "
-        "a AS (SELECT vec_id, label, centroid_id FROM s "
-        "QUALIFY ROW_NUMBER() OVER (PARTITION BY vec_id "
-        "ORDER BY cm DESC, centroid_id ASC) = 1), "
-        "cell AS (SELECT centroid_id, label, CAST(COUNT(*) AS BIGINT) AS cnt "
-        "FROM a GROUP BY 1, 2), "
-        "tot AS (SELECT centroid_id, CAST(SUM(cnt) AS BIGINT) AS n_vecs "
-        "FROM cell GROUP BY 1), "
-        "top AS (SELECT centroid_id, label AS top_label, cnt AS top_count "
-        "FROM cell QUALIFY ROW_NUMBER() OVER (PARTITION BY centroid_id "
-        "ORDER BY cnt DESC, label ASC) = 1) "
-        "SELECT t.centroid_id, t.n_vecs, p.top_label, p.top_count, "
-        "p.top_count * 1000000 // t.n_vecs AS purity_micro "
-        "FROM tot t JOIN top p USING (centroid_id)"
-    )
-
-
-def q_kmeans_nmi(sf_dir: str):
-    """NORMALIZED MUTUAL INFORMATION of the k-means assignment vs the
-    ground-truth labels — the information-theoretic complement to
-    ``kmeans_purity`` (purity rewards many tiny clusters; NMI does
-    not). All terms use the house entropy envelope (lp =
-    floor(log10(c/T)·10⁶ + 0.5), H = Σ c·(−lp) // T, micro-Hartleys):
-    MI = H(label) − Σ_c (n_c/n)·H(label | cluster=c) (the info-gain
-    identity), NMI_sum = 2·MI / (H(label) + H(cluster)) × 10⁶. One
-    output row: (n_vecs, h_label_micro, h_cluster_micro,
-    h_within_micro, mi_micro, nmi_micro).
-
-    Scale shape: the same single assignment pass as kmeans_purity
-    (shared ``_kmeans_cells``); every entropy folds over the
-    K × |labels|-bounded contingency table in PYTHON ints."""
-    return _nmi_row(_kmeans_cells(sf_dir))
-
-
-def _nmi_row(cells) -> pa.Table:
-    """The NMI fold over a (centroid_id, label, cnt) contingency frame."""
-
-    def _h(c: np.ndarray) -> tuple[int, int]:
-        t = int(c.sum())
-        lp = np.floor(np.log10(c / float(t)) * 1_000_000 + 0.5).astype(
-            np.int64
-        )
-        return t, int((c.astype(object) * (-lp).astype(object)).sum()) // t
-
-    n, h_label = _h(
-        cells.groupby("label", sort=True)["cnt"].sum().to_numpy(np.int64)
-    )
-    _, h_cluster = _h(
-        cells.groupby("centroid_id", sort=True)["cnt"].sum().to_numpy(np.int64)
-    )
-    h_within_num = 0
-    for _, g in cells.groupby("centroid_id", sort=True):
-        t_c, h_c = _h(g["cnt"].to_numpy(np.int64))
-        h_within_num += t_c * h_c
-    h_within = h_within_num // n
-    mi = h_label - h_within
-    denom = h_label + h_cluster
-    nmi = (2 * mi * 1_000_000) // denom if denom else 0
-    return pa.table(
-        {
-            "n_vecs": pa.array([n], pa.int64()),
-            "h_label_micro": pa.array([h_label], pa.int64()),
-            "h_cluster_micro": pa.array([h_cluster], pa.int64()),
-            "h_within_micro": pa.array([h_within], pa.int64()),
-            "mi_micro": pa.array([mi], pa.int64()),
-            "nmi_micro": pa.array([nmi], pa.int64()),
         }
     )
 
@@ -1919,45 +1893,56 @@ def _kmeans_nmi_sql() -> str:
     )
 
 
-def q_kmeans_ari(sf_dir: str):
-    """ADJUSTED RAND INDEX of the k-means assignment vs the labels —
-    the chance-corrected pair-counting metric completing the trio
-    (purity rewards fragmenting, NMI depends on entropy scale; ARI is
-    0 in expectation for random assignments). Exact integers
-    throughout: with index = Σ C(n_ij,2), A = Σ C(a_i,2),
-    B = Σ C(b_j,2), P = C(n,2), the identity ARI =
-    (index − A·B/P) / ((A+B)/2 − A·B/P) clears denominators to
-    num = 2·(index·P − A·B), den = (A+B)·P − 2·A·B, and
-    ari_micro = num·10⁶ // den with the house sign-split floor (ARI
-    can be negative). One row: (n_vecs, sum_pairs_both,
-    sum_pairs_cluster, sum_pairs_label, ari_micro).
+@query("kmeans_nmi", _kmeans_nmi_sql)
+def q_kmeans_nmi(sf_dir: str):
+    """NORMALIZED MUTUAL INFORMATION of the k-means assignment vs the
+    ground-truth labels — the information-theoretic complement to
+    ``kmeans_purity`` (purity rewards many tiny clusters; NMI does
+    not). All terms use the house entropy envelope (lp =
+    floor(log10(c/T)·10⁶ + 0.5), H = Σ c·(−lp) // T, micro-Hartleys):
+    MI = H(label) − Σ_c (n_c/n)·H(label | cluster=c) (the info-gain
+    identity), NMI_sum = 2·MI / (H(label) + H(cluster)) × 10⁶. One
+    output row: (n_vecs, h_label_micro, h_cluster_micro,
+    h_within_micro, mi_micro, nmi_micro).
 
-    Scale shape: the same single assignment pass (shared
-    ``_kmeans_cells``); all pair sums fold over the K×|labels|-bounded
-    table in PYTHON ints (C(n,2) wraps int64 past ~4.3×10⁹-member
-    cells — same headroom rule as image_dedup_eval)."""
-    cells = _kmeans_cells(sf_dir)
+    Scale shape: the same single assignment pass as kmeans_purity
+    (shared ``_kmeans_cells``); every entropy folds over the
+    K × |labels|-bounded contingency table in PYTHON ints."""
+    return _nmi_row(_kmeans_cells(sf_dir))
 
-    def c2(v) -> int:
-        return sum(int(x) * (int(x) - 1) // 2 for x in v)
 
-    n = int(cells["cnt"].sum())
-    index = c2(cells["cnt"])
-    a_sum = c2(cells.groupby("centroid_id")["cnt"].sum())
-    b_sum = c2(cells.groupby("label")["cnt"].sum())
-    p = n * (n - 1) // 2
-    num = 2 * (index * p - a_sum * b_sum)
-    den = (a_sum + b_sum) * p - 2 * a_sum * b_sum
-    # Python // floors toward -inf (ARI can be negative); the SQL side
-    # sign-splits DuckDB's truncating // to match
-    ari = (num * 1_000_000) // den if den else 0
+def _nmi_row(cells) -> pa.Table:
+    """The NMI fold over a (centroid_id, label, cnt) contingency frame."""
+
+    def _h(c: np.ndarray) -> tuple[int, int]:
+        t = int(c.sum())
+        lp = np.floor(np.log10(c / float(t)) * 1_000_000 + 0.5).astype(
+            np.int64
+        )
+        return t, int((c.astype(object) * (-lp).astype(object)).sum()) // t
+
+    n, h_label = _h(
+        cells.groupby("label", sort=True)["cnt"].sum().to_numpy(np.int64)
+    )
+    _, h_cluster = _h(
+        cells.groupby("centroid_id", sort=True)["cnt"].sum().to_numpy(np.int64)
+    )
+    h_within_num = 0
+    for _, g in cells.groupby("centroid_id", sort=True):
+        t_c, h_c = _h(g["cnt"].to_numpy(np.int64))
+        h_within_num += t_c * h_c
+    h_within = h_within_num // n
+    mi = h_label - h_within
+    denom = h_label + h_cluster
+    nmi = (2 * mi * 1_000_000) // denom if denom else 0
     return pa.table(
         {
             "n_vecs": pa.array([n], pa.int64()),
-            "sum_pairs_both": pa.array([index], pa.int64()),
-            "sum_pairs_cluster": pa.array([a_sum], pa.int64()),
-            "sum_pairs_label": pa.array([b_sum], pa.int64()),
-            "ari_micro": pa.array([ari], pa.int64()),
+            "h_label_micro": pa.array([h_label], pa.int64()),
+            "h_cluster_micro": pa.array([h_cluster], pa.int64()),
+            "h_within_micro": pa.array([h_within], pa.int64()),
+            "mi_micro": pa.array([mi], pa.int64()),
+            "nmi_micro": pa.array([nmi], pa.int64()),
         }
     )
 
@@ -2004,6 +1989,50 @@ def _kmeans_ari_sql() -> str:
     )
 
 
+@query("kmeans_ari", _kmeans_ari_sql)
+def q_kmeans_ari(sf_dir: str):
+    """ADJUSTED RAND INDEX of the k-means assignment vs the labels —
+    the chance-corrected pair-counting metric completing the trio
+    (purity rewards fragmenting, NMI depends on entropy scale; ARI is
+    0 in expectation for random assignments). Exact integers
+    throughout: with index = Σ C(n_ij,2), A = Σ C(a_i,2),
+    B = Σ C(b_j,2), P = C(n,2), the identity ARI =
+    (index − A·B/P) / ((A+B)/2 − A·B/P) clears denominators to
+    num = 2·(index·P − A·B), den = (A+B)·P − 2·A·B, and
+    ari_micro = num·10⁶ // den with the house sign-split floor (ARI
+    can be negative). One row: (n_vecs, sum_pairs_both,
+    sum_pairs_cluster, sum_pairs_label, ari_micro).
+
+    Scale shape: the same single assignment pass (shared
+    ``_kmeans_cells``); all pair sums fold over the K×|labels|-bounded
+    table in PYTHON ints (C(n,2) wraps int64 past ~4.3×10⁹-member
+    cells — same headroom rule as image_dedup_eval)."""
+    cells = _kmeans_cells(sf_dir)
+
+    def c2(v) -> int:
+        return sum(int(x) * (int(x) - 1) // 2 for x in v)
+
+    n = int(cells["cnt"].sum())
+    index = c2(cells["cnt"])
+    a_sum = c2(cells.groupby("centroid_id")["cnt"].sum())
+    b_sum = c2(cells.groupby("label")["cnt"].sum())
+    p = n * (n - 1) // 2
+    num = 2 * (index * p - a_sum * b_sum)
+    den = (a_sum + b_sum) * p - 2 * a_sum * b_sum
+    # Python // floors toward -inf (ARI can be negative); the SQL side
+    # sign-splits DuckDB's truncating // to match
+    ari = (num * 1_000_000) // den if den else 0
+    return pa.table(
+        {
+            "n_vecs": pa.array([n], pa.int64()),
+            "sum_pairs_both": pa.array([index], pa.int64()),
+            "sum_pairs_cluster": pa.array([a_sum], pa.int64()),
+            "sum_pairs_label": pa.array([b_sum], pa.int64()),
+            "ari_micro": pa.array([ari], pa.int64()),
+        }
+    )
+
+
 # --------------------------------------------------------------------------
 # k-center greedy coreset (diversity sampling)
 # --------------------------------------------------------------------------
@@ -2011,6 +2040,49 @@ def _kmeans_ari_sql() -> str:
 KCENTER_K = 8  # selected coreset size (unrolled in the SQL oracle)
 
 
+def _kcenter_sql() -> str:
+    k = KCENTER_K
+
+    def cosm(ci: str) -> str:
+        return (
+            f"CAST(FLOOR(list_cosine_similarity(v.e, {ci}.e)*1000000 + 0.5) "
+            "AS BIGINT)"
+        )
+
+    parts = [
+        "v AS (SELECT vec_id, list_transform(embedding, "
+        "x -> CAST(x AS DOUBLE)) AS e FROM embeddings)",
+        "c1 AS MATERIALIZED (SELECT vec_id, e FROM v ORDER BY vec_id LIMIT 1)",
+    ]
+    sel = [
+        "SELECT CAST(1 AS BIGINT) AS sel_rank, vec_id, "
+        "CAST(0 AS BIGINT) AS min_dist_micro FROM c1"
+    ]
+    joins = "v CROSS JOIN c1"
+    maxcos = cosm("c1")  # max cosine to the selected set so far
+    for i in range(2, k + 1):
+        exclude = " UNION ALL ".join(
+            f"SELECT vec_id FROM c{j}" for j in range(1, i)
+        )
+        parts.append(
+            f"d{i} AS MATERIALIZED (SELECT v.vec_id, v.e, {maxcos} AS mc FROM {joins} "
+            f"WHERE v.vec_id NOT IN ({exclude}))"
+        )
+        # farthest point = the one whose max-cos to the set is SMALLEST
+        parts.append(
+            f"c{i} AS MATERIALIZED (SELECT vec_id, e, mc FROM d{i} "
+            "ORDER BY mc ASC, vec_id ASC LIMIT 1)"
+        )
+        sel.append(
+            f"SELECT CAST({i} AS BIGINT) AS sel_rank, vec_id, "
+            f"CAST(1000000 - mc AS BIGINT) AS min_dist_micro FROM c{i}"
+        )
+        joins += f" CROSS JOIN c{i}"
+        maxcos = f"GREATEST({maxcos}, {cosm(f'c{i}')})"
+    return "WITH " + ", ".join(parts) + " " + " UNION ALL ".join(sel)
+
+
+@query("kcenter_coreset", _kcenter_sql)
 def q_kcenter_coreset(sf_dir: str):
     """K-CENTER GREEDY CORESET: the classic farthest-point diversity
     selection over the embedding table (Sener & Savarese 2018's coreset
@@ -2113,53 +2185,37 @@ def q_kcenter_coreset(sf_dir: str):
     )
 
 
-def _kcenter_sql() -> str:
-    k = KCENTER_K
-
-    def cosm(ci: str) -> str:
-        return (
-            f"CAST(FLOOR(list_cosine_similarity(v.e, {ci}.e)*1000000 + 0.5) "
-            "AS BIGINT)"
-        )
-
-    parts = [
-        "v AS (SELECT vec_id, list_transform(embedding, "
-        "x -> CAST(x AS DOUBLE)) AS e FROM embeddings)",
-        "c1 AS MATERIALIZED (SELECT vec_id, e FROM v ORDER BY vec_id LIMIT 1)",
-    ]
-    sel = [
-        "SELECT CAST(1 AS BIGINT) AS sel_rank, vec_id, "
-        "CAST(0 AS BIGINT) AS min_dist_micro FROM c1"
-    ]
-    joins = "v CROSS JOIN c1"
-    maxcos = cosm("c1")  # max cosine to the selected set so far
-    for i in range(2, k + 1):
-        exclude = " UNION ALL ".join(
-            f"SELECT vec_id FROM c{j}" for j in range(1, i)
-        )
-        parts.append(
-            f"d{i} AS MATERIALIZED (SELECT v.vec_id, v.e, {maxcos} AS mc FROM {joins} "
-            f"WHERE v.vec_id NOT IN ({exclude}))"
-        )
-        # farthest point = the one whose max-cos to the set is SMALLEST
-        parts.append(
-            f"c{i} AS MATERIALIZED (SELECT vec_id, e, mc FROM d{i} "
-            "ORDER BY mc ASC, vec_id ASC LIMIT 1)"
-        )
-        sel.append(
-            f"SELECT CAST({i} AS BIGINT) AS sel_rank, vec_id, "
-            f"CAST(1000000 - mc AS BIGINT) AS min_dist_micro FROM c{i}"
-        )
-        joins += f" CROSS JOIN c{i}"
-        maxcos = f"GREATEST({maxcos}, {cosm(f'c{i}')})"
-    return "WITH " + ", ".join(parts) + " " + " UNION ALL ".join(sel)
-
-
 # --------------------------------------------------------------------------
 # inter-arrival exponential-fit (one-sample KS per event type)
 # --------------------------------------------------------------------------
 
 
+def _expfit_sql() -> str:
+    return (
+        "WITH e AS (SELECT event_type AS t, epoch_us(ts) AS ts FROM events), "
+        "g AS (SELECT t, ts - LAG(ts) OVER (PARTITION BY t ORDER BY ts) AS v "
+        "FROM e QUALIFY v IS NOT NULL), "
+        "n AS (SELECT t, CAST(COUNT(*) AS BIGINT) AS n, "
+        "CAST(SUM(v) AS BIGINT) AS s FROM g GROUP BY t), "
+        "d AS (SELECT t, v, CAST(COUNT(*) AS BIGINT) AS c FROM g "
+        "GROUP BY t, v), "
+        "cum AS (SELECT t, v, CAST(SUM(c) OVER "
+        "(PARTITION BY t ORDER BY v) AS BIGINT) AS le, "
+        "CAST(SUM(c) OVER (PARTITION BY t ORDER BY v) - c AS BIGINT) AS lt "
+        "FROM d), "
+        "f AS (SELECT cum.t, n.n, n.s, "
+        "CAST(FLOOR((1 - EXP(-(CAST(cum.v AS DOUBLE) * n.n) / n.s)) "
+        "* 1000000 + 0.5) AS BIGINT) AS fm, "
+        "cum.le * 1000000 // n.n AS lem, cum.lt * 1000000 // n.n AS ltm "
+        "FROM cum JOIN n USING (t)) "
+        "SELECT t AS event_type, ANY_VALUE(n) AS n_gaps, "
+        "ANY_VALUE(s) AS sum_gap_us, "
+        "CAST(MAX(GREATEST(ABS(lem - fm), ABS(ltm - fm))) AS BIGINT) "
+        "AS ks_micro FROM f GROUP BY t"
+    )
+
+
+@query("event_interarrival_expfit", _expfit_sql)
 def q_event_interarrival_expfit(sf_dir: str):
     """INTER-ARRIVAL EXPONENTIAL FIT: per event type, the one-sample
     Kolmogorov–Smirnov distance between the empirical inter-arrival-gap
@@ -2387,31 +2443,6 @@ def q_event_interarrival_expfit(sf_dir: str):
     )
 
 
-def _expfit_sql() -> str:
-    return (
-        "WITH e AS (SELECT event_type AS t, epoch_us(ts) AS ts FROM events), "
-        "g AS (SELECT t, ts - LAG(ts) OVER (PARTITION BY t ORDER BY ts) AS v "
-        "FROM e QUALIFY v IS NOT NULL), "
-        "n AS (SELECT t, CAST(COUNT(*) AS BIGINT) AS n, "
-        "CAST(SUM(v) AS BIGINT) AS s FROM g GROUP BY t), "
-        "d AS (SELECT t, v, CAST(COUNT(*) AS BIGINT) AS c FROM g "
-        "GROUP BY t, v), "
-        "cum AS (SELECT t, v, CAST(SUM(c) OVER "
-        "(PARTITION BY t ORDER BY v) AS BIGINT) AS le, "
-        "CAST(SUM(c) OVER (PARTITION BY t ORDER BY v) - c AS BIGINT) AS lt "
-        "FROM d), "
-        "f AS (SELECT cum.t, n.n, n.s, "
-        "CAST(FLOOR((1 - EXP(-(CAST(cum.v AS DOUBLE) * n.n) / n.s)) "
-        "* 1000000 + 0.5) AS BIGINT) AS fm, "
-        "cum.le * 1000000 // n.n AS lem, cum.lt * 1000000 // n.n AS ltm "
-        "FROM cum JOIN n USING (t)) "
-        "SELECT t AS event_type, ANY_VALUE(n) AS n_gaps, "
-        "ANY_VALUE(s) AS sum_gap_us, "
-        "CAST(MAX(GREATEST(ABS(lem - fm), ABS(ltm - fm))) AS BIGINT) "
-        "AS ks_micro FROM f GROUP BY t"
-    )
-
-
 # --------------------------------------------------------------------------
 # UniMax waterfill allocation (per-source token budgets)
 # --------------------------------------------------------------------------
@@ -2419,6 +2450,40 @@ def _expfit_sql() -> str:
 UNIMAX_BUDGET_PCT = 50  # total token budget as % of corpus tokens
 
 
+def _unimax_sql() -> str:
+    pct = UNIMAX_BUDGET_PCT
+    return (
+        "WITH c AS (SELECT source, CAST(SUM(len(regexp_extract_all("
+        "lower(text), '[a-z0-9]+'))) AS BIGINT) AS n "
+        "FROM documents GROUP BY source), "
+        f"t AS (SELECT SUM(n) * {pct} // 100 AS T FROM c), "
+        "o AS (SELECT source, n, ROW_NUMBER() OVER (ORDER BY n, source) AS i, "
+        "SUM(n) OVER (ORDER BY n, source ROWS UNBOUNDED PRECEDING) AS ps, "
+        "COUNT(*) OVER () AS k FROM c), "
+        # pivot: first i (in (n, source) order) whose suffix can absorb
+        # the remaining budget at a uniform level
+        "piv AS (SELECT MIN(o.i) AS pi FROM o, t "
+        "WHERE (t.T - (o.ps - o.n)) <= o.n * (o.k - o.i + 1)), "
+        "lvl0 AS (SELECT "
+        "(SELECT T FROM t) - COALESCE((SELECT SUM(o.n) FROM o, piv "
+        "WHERE o.i < piv.pi), 0) AS rem, "
+        "(SELECT MAX(k) FROM o) - (SELECT pi FROM piv) + 1 AS m), "
+        "lvl AS (SELECT rem // m AS s, rem % m AS r FROM lvl0), "
+        "ranked AS (SELECT o.source, o.n, o.i, p.pi, "
+        "ROW_NUMBER() OVER (PARTITION BY (o.i >= p.pi) ORDER BY o.source) "
+        "AS name_rank FROM o CROSS JOIN piv p) "
+        "SELECT ranked.source, ranked.n AS n_tokens, "
+        "CAST(CASE WHEN ranked.i < ranked.pi THEN ranked.n "
+        "ELSE lvl.s + CASE WHEN ranked.name_rank <= lvl.r THEN 1 ELSE 0 END "
+        "END AS BIGINT) AS alloc_tokens, "
+        "(CASE WHEN ranked.i < ranked.pi THEN ranked.n "
+        "ELSE lvl.s + CASE WHEN ranked.name_rank <= lvl.r THEN 1 ELSE 0 END "
+        "END) = ranked.n AS capped "
+        "FROM ranked CROSS JOIN lvl"
+    )
+
+
+@query("unimax_allocation", _unimax_sql)
 def q_unimax_allocation(sf_dir: str):
     """UNIMAX WATERFILL ALLOCATION (Chung et al. 2023's UniMax sampling,
     the cap-aware alternative to temperature sampling): split a total
@@ -2507,100 +2572,3 @@ def q_unimax_allocation(sf_dir: str):
             "capped": pa.array(out["capped"].tolist(), pa.bool_()),
         }
     )
-
-
-def _unimax_sql() -> str:
-    pct = UNIMAX_BUDGET_PCT
-    return (
-        "WITH c AS (SELECT source, CAST(SUM(len(regexp_extract_all("
-        "lower(text), '[a-z0-9]+'))) AS BIGINT) AS n "
-        "FROM documents GROUP BY source), "
-        f"t AS (SELECT SUM(n) * {pct} // 100 AS T FROM c), "
-        "o AS (SELECT source, n, ROW_NUMBER() OVER (ORDER BY n, source) AS i, "
-        "SUM(n) OVER (ORDER BY n, source ROWS UNBOUNDED PRECEDING) AS ps, "
-        "COUNT(*) OVER () AS k FROM c), "
-        # pivot: first i (in (n, source) order) whose suffix can absorb
-        # the remaining budget at a uniform level
-        "piv AS (SELECT MIN(o.i) AS pi FROM o, t "
-        "WHERE (t.T - (o.ps - o.n)) <= o.n * (o.k - o.i + 1)), "
-        "lvl0 AS (SELECT "
-        "(SELECT T FROM t) - COALESCE((SELECT SUM(o.n) FROM o, piv "
-        "WHERE o.i < piv.pi), 0) AS rem, "
-        "(SELECT MAX(k) FROM o) - (SELECT pi FROM piv) + 1 AS m), "
-        "lvl AS (SELECT rem // m AS s, rem % m AS r FROM lvl0), "
-        "ranked AS (SELECT o.source, o.n, o.i, p.pi, "
-        "ROW_NUMBER() OVER (PARTITION BY (o.i >= p.pi) ORDER BY o.source) "
-        "AS name_rank FROM o CROSS JOIN piv p) "
-        "SELECT ranked.source, ranked.n AS n_tokens, "
-        "CAST(CASE WHEN ranked.i < ranked.pi THEN ranked.n "
-        "ELSE lvl.s + CASE WHEN ranked.name_rank <= lvl.r THEN 1 ELSE 0 END "
-        "END AS BIGINT) AS alloc_tokens, "
-        "(CASE WHEN ranked.i < ranked.pi THEN ranked.n "
-        "ELSE lvl.s + CASE WHEN ranked.name_rank <= lvl.r THEN 1 ELSE 0 END "
-        "END) = ranked.n AS capped "
-        "FROM ranked CROSS JOIN lvl"
-    )
-
-
-ML9_QUERIES = {
-    "event_value_ks_pairs": q_event_value_ks_pairs,
-    "unimax_allocation": q_unimax_allocation,
-    "ann_matryoshka_recall": q_ann_matryoshka_recall,
-    "kcenter_coreset": q_kcenter_coreset,
-    "kmeans_purity": q_kmeans_purity,
-    "kmeans_nmi": q_kmeans_nmi,
-    "kmeans_ari": q_kmeans_ari,
-    "event_interarrival_expfit": q_event_interarrival_expfit,
-    "host_components": q_host_components,
-    "pagerank_seeded_top20": q_pagerank_seeded_top20,
-    "ranker_rank_gamma": q_ranker_rank_gamma,
-    "doc_trigram_backoff": q_doc_trigram_backoff,
-    "sorted_neighborhood_pairs": q_sorted_neighborhood_pairs,
-    "lang_temperature_odds": q_lang_temperature_odds,
-    "host_cocitation_pairs": q_host_cocitation_pairs,
-    "host_fairness_index": q_host_fairness_index,
-    "ann_recall_at10": q_ann_recall_at10,
-    "ann_recall_curve": q_ann_recall_curve,
-    "pagerank_convergence": q_pagerank_convergence,
-    "doc_lang_mix_entropy": q_doc_lang_mix_entropy,
-    "host_pagerank_weighted": q_host_pagerank_weighted,
-}
-
-
-def build_ml9_oracles() -> dict[str, str]:
-    """Fixture-path oracles bind the sf0.01 ('small') tier like
-    build_crawl_oracles — the driver gate runs there; the tiny tier is
-    pinned by tests/test_ml9_graph_ops.py against in-process references."""
-    from .queries_media import fixture_dir_for
-
-    fdir = fixture_dir_for("/root/testdata/sf0.01")
-    pages = os.path.join(fdir, "pages.parquet")
-    seeds = os.path.join(fdir, "frontier_seed.parquet")
-    return {
-        "event_value_ks_pairs": _event_ks_sql(),
-        "unimax_allocation": _unimax_sql(),
-        "ann_matryoshka_recall": _matryoshka_sql(),
-        "kcenter_coreset": _kcenter_sql(),
-        "kmeans_purity": _kmeans_purity_sql(),
-        "kmeans_nmi": _kmeans_nmi_sql(),
-        "kmeans_ari": _kmeans_ari_sql(),
-        "event_interarrival_expfit": _expfit_sql(),
-        "host_components": _host_cc_sql(pages),
-        "pagerank_seeded_top20": _ppr_sql(pages, seeds, PPR_ITERS, PPR_TOP),
-        "ranker_rank_gamma": _gamma_sql(),
-        "doc_trigram_backoff": _trigram_backoff_sql(),
-        "sorted_neighborhood_pairs": _snm_sql(),
-        "lang_temperature_odds": _temperature_odds_sql(),
-        "host_cocitation_pairs": _cocitation_sql(pages),
-        "host_fairness_index": _fairness_sql(pages),
-        "pagerank_convergence": _pr_convergence_sql(pages, PPR_ITERS),
-        "doc_lang_mix_entropy": _lang_mix_sql(),
-        "host_pagerank_weighted": _host_pr_weighted_sql(pages, PPR_ITERS),
-        # ann_recall_at10 is registered by oracles_ext.build_extended_oracles
-        # (NOT here): its builder trains the IVF codebook with a Ray Data
-        # job, and build_ml9_oracles runs at queries-module IMPORT — a Ray
-        # job there deadlocks the cluster when a WORKER re-imports the
-        # module to unpickle a UDF (nested job inside a worker task). The
-        # lazy oracle_sql() path is the only place Ray-costly oracle
-        # builders may run.
-    }

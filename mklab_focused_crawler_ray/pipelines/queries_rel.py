@@ -11,8 +11,14 @@ import numpy as np
 import pyarrow as pa
 
 from .queries import _cents, _p
+from .registry import query
 
 
+@query(
+    "orders_per_customer_segment",
+    "SELECT c_mktsegment, COUNT(*) AS n_orders FROM orders "
+    "JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment",
+)
 def q_orders_per_customer_segment(sf_dir: str):
     """orders ⋈ customer (small side broadcast) → counts per market segment."""
     import pyarrow.parquet as pq
@@ -54,6 +60,12 @@ def q_orders_per_customer_segment(sf_dir: str):
     )
 
 
+@query(
+    "brand_price_stats",
+    "SELECT p_brand, "
+    "CAST(SUM(CAST(FLOOR(p_retailprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_price_cents, "
+    "COUNT(*) AS n_parts FROM part GROUP BY p_brand",
+)
 def q_brand_price_stats(sf_dir: str):
     """Per-brand part stats: count + total retail price in cents."""
     import ray.data as rd
@@ -80,6 +92,12 @@ def q_brand_price_stats(sf_dir: str):
     )
 
 
+@query(
+    "supplier_region_counts",
+    "SELECT r_name, COUNT(*) AS n_suppliers FROM supplier "
+    "JOIN nation ON s_nationkey = n_nationkey "
+    "JOIN region ON n_regionkey = r_regionkey GROUP BY r_name",
+)
 def q_supplier_region_counts(sf_dir: str):
     """supplier ⋈ nation ⋈ region — both small sides broadcast as one
     composed lookup (supplier count per region name)."""
@@ -123,6 +141,11 @@ def q_supplier_region_counts(sf_dir: str):
     )
 
 
+@query(
+    "events_value_histogram",
+    "SELECT CAST(FLOOR(value/50.0) AS BIGINT) AS bucket, COUNT(*) AS n "
+    "FROM events GROUP BY 1",
+)
 def q_events_value_histogram(sf_dir: str):
     """Bucketed histogram of event values (50-unit buckets)."""
     import ray.data as rd
@@ -147,6 +170,7 @@ def q_events_value_histogram(sf_dir: str):
     )
 
 
+@query("crawl_status_counts")
 def q_crawl_status_counts(sf_dir: str):
     """Read back the crawl's round-partitioned parquet output (resumable
     layout) and aggregate fetch statuses per round — demonstrates the
@@ -186,33 +210,3 @@ def q_crawl_status_counts(sf_dir: str):
     )
     ds = rd.read_parquet(files, columns=["round", "status"])
     return ds.groupby(["round", "status"]).aggregate(Count(alias_name="n"))
-
-
-REL_QUERIES = {
-    "orders_per_customer_segment": q_orders_per_customer_segment,
-    "brand_price_stats": q_brand_price_stats,
-    "supplier_region_counts": q_supplier_region_counts,
-    "events_value_histogram": q_events_value_histogram,
-    "crawl_status_counts": q_crawl_status_counts,
-}
-
-REL_ORACLE_SQL = {
-    "orders_per_customer_segment": (
-        "SELECT c_mktsegment, COUNT(*) AS n_orders FROM orders "
-        "JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment"
-    ),
-    "brand_price_stats": (
-        "SELECT p_brand, "
-        "CAST(SUM(CAST(FLOOR(p_retailprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS total_price_cents, "
-        "COUNT(*) AS n_parts FROM part GROUP BY p_brand"
-    ),
-    "supplier_region_counts": (
-        "SELECT r_name, COUNT(*) AS n_suppliers FROM supplier "
-        "JOIN nation ON s_nationkey = n_nationkey "
-        "JOIN region ON n_regionkey = r_regionkey GROUP BY r_name"
-    ),
-    "events_value_histogram": (
-        "SELECT CAST(FLOOR(value/50.0) AS BIGINT) AS bucket, COUNT(*) AS n "
-        "FROM events GROUP BY 1"
-    ),
-}

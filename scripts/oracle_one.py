@@ -1,7 +1,9 @@
-"""Check a single query against its DuckDB oracle at one sf tier.
+"""Check a single query against its DuckDB oracle at one or more sf tiers.
 
 Usage: python scripts/oracle_one.py NAME [SF_DIR ...]
-Mirrors scripts/oracle_sweep.py's canonicalisation exactly.
+
+Each check is ``Registry.check``: a small-tier query runs at sf0.01
+whatever tier is asked for, and the frames must be equal, dtypes included.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
-    import duckdb
-    import pandas as pd
     import ray
 
     if not ray.is_initialized():
@@ -29,40 +29,20 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as e
+    from mklab_focused_crawler_ray.pipelines.registry import SMALL_SF, load
 
+    reg = load()
     name = sys.argv[1]
-    tiers = sys.argv[2:] or ["/root/testdata/sf0.001", "/root/testdata/sf0.01"]
-    queries, oracles = e.queries(), e.oracle_sql()
-
-    def canon(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[sorted(df.columns)]
-        return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
-
+    tiers = sys.argv[2:] or ["/root/testdata/sf0.001", SMALL_SF]
     rc = 0
     for sf in tiers:
-        con = duckdb.connect()
-        for t in (
-            "region nation customer supplier part orders lineitem events "
-            "documents embeddings"
-        ).split():
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
-            )
         t0 = time.time()
         try:
-            res = queries[name](sf)
-            df = res.to_pandas() if hasattr(res, "to_pandas") else res
-            odf = con.execute(oracles[name]).fetchdf()
-            a, b = canon(df), canon(odf)
-            assert a.shape == b.shape and list(a.columns) == list(b.columns), (
-                f"shape {a.shape}{list(a.columns)} vs {b.shape}{list(b.columns)}"
-            )
-            pd.testing.assert_frame_equal(a, b, check_dtype=True)
-            print(f"OK   {name} @{sf} rows={len(a)} {time.time() - t0:.1f}s")
+            rows = reg.check(name, sf)
+            print(f"OK   {name} @{reg.tier(name, sf)} rows={rows} {time.time() - t0:.1f}s")
         except Exception as ex:  # noqa: BLE001
             rc = 1
-            print(f"FAIL {name} @{sf}: {str(ex).splitlines()[0]}")
+            print(f"FAIL {name} @{reg.tier(name, sf)}: {str(ex).splitlines()[0]}")
     ray.shutdown()
     return rc
 

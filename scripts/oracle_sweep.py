@@ -4,8 +4,9 @@ given sf tier — the local rehearsal of the driver's correctness gate.
 Usage: python scripts/oracle_sweep.py [/root/testdata/sf0.01]
 
 Prints one OK/FAIL line per query and a final FAILURES list; exits 1 on
-any failure. Owns its own Ray session (the driver contract forbids the
-library from calling ray.init, but scripts may)."""
+any failure. Each check is ``Registry.check`` (a small-tier query runs at
+sf0.01 whatever tier is asked for). Owns its own Ray session (the driver
+contract forbids the library from calling ray.init, but scripts may)."""
 
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> int:
-    import duckdb
-    import pandas as pd
     import ray
 
     if not ray.is_initialized():
@@ -32,44 +31,16 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import __ray_entry__ as e
+    from mklab_focused_crawler_ray.pipelines.registry import SMALL_SF, load
 
-    queries, oracles = e.queries(), e.oracle_sql()
-    sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-
-    def canon(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[sorted(df.columns)]
-        return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
-
-    con = duckdb.connect()
-    for t in (
-        "region nation customer supplier part orders lineitem events "
-        "documents embeddings"
-    ).split():
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
-        )
-
-    # fixture-backed oracles (inlined sf0.01-trained constants / absolute
-    # small-fixture paths) are only meaningful at the driver scale — run
-    # their query side at sf0.01 regardless of the requested tier, exactly
-    # as tests/test_queries_oracle.py does
-    from tests.test_queries_oracle import FIXTURE_BACKED
-
+    reg = load()
+    sf = sys.argv[1] if len(sys.argv) > 1 else SMALL_SF
     fails: list[str] = []
-    for name in sorted(oracles):
+    for name in reg.checked():
         t0 = time.time()
         try:
-            qsf = "/root/testdata/sf0.01" if name in FIXTURE_BACKED else sf
-            res = queries[name](qsf)
-            df = res.to_pandas() if hasattr(res, "to_pandas") else res
-            odf = con.execute(oracles[name]).fetchdf()
-            a, b = canon(df), canon(odf)
-            assert a.shape == b.shape and list(a.columns) == list(b.columns), (
-                f"shape {a.shape}{list(a.columns)} vs {b.shape}{list(b.columns)}"
-            )
-            pd.testing.assert_frame_equal(a, b, check_dtype=True)
-            print(f"OK   {name} rows={len(a)} {time.time() - t0:.1f}s", flush=True)
+            rows = reg.check(name, sf)
+            print(f"OK   {name} rows={rows} {time.time() - t0:.1f}s", flush=True)
         except Exception as ex:  # noqa: BLE001 — report and continue
             fails.append(name)
             print(f"FAIL {name}: {str(ex).splitlines()[0]}", flush=True)

@@ -2,7 +2,8 @@
 (pipelines/queries_crawl.py): the vectorized robots ANY-prefix gate, the
 score-micro replay vs DuckDB's float engine, and the politeness round
 quantization. The full query-vs-oracle equality at the driver tier is
-covered by tests/test_queries_oracle.py (FIXTURE_BACKED entries)."""
+covered by tests/test_queries_oracle.py (these queries register with
+``small=True``, so they are checked at sf0.01)."""
 
 from __future__ import annotations
 

@@ -1,200 +1,53 @@
-"""Local mirror of the driver's correctness gate: every SQL-checked query in
-``__ray_entry__.queries()`` is run side-by-side with its ``oracle_sql()``
-DuckDB equivalent at sf0.001 and compared on row count, column names and
-sorted values — the same comparison shape the driver applies at sf0.01."""
+"""Local mirror of the driver's correctness gate: every query with an
+oracle in the registry is checked against its DuckDB oracle by
+``Registry.check`` at sf0.001 (a small-tier query at sf0.01), with the
+strict frame comparison the sweep and the benchmark use. Each oracle is
+built inside its own test; collection only lists names."""
 
 from __future__ import annotations
 
-import duckdb
-import numpy as np
 import pandas as pd
 import pytest
 
+from mklab_focused_crawler_ray.pipelines.registry import SMALL_SF, Registry, load
+
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = [
-    "region",
-    "nation",
-    "customer",
-    "supplier",
-    "part",
-    "orders",
-    "lineitem",
-    "events",
-    "documents",
-    "embeddings",
-]
+REG = load()
 
 
-def _duck(sql: str) -> pd.DataFrame:
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF_DIR}/{t}.parquet')"
-        )
-    return con.execute(sql).fetchdf()
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    df = df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
-    return df
-
-
-def _to_df(res) -> pd.DataFrame:
-    import pyarrow as pa
-    import ray
-
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def _sql_checked_queries():
-    import __ray_entry__ as e
-
-    oracles = e.oracle_sql()
-    return sorted(oracles.keys())
-
-
-# oracles whose SQL reads the SMALL fixture tier by absolute path — the
-# driver's correctness scale is sf0.01 (tier "small"), so the query side
-# must run there too for the comparison to be meaningful
-FIXTURE_BACKED = {
-    "items_top100",
-    "items_tag_counts",
-    "items_json_roundtrip",
-    "platform_media_extract",
-    "items_bigrams",
-    "items_ne_tokens",
-    "items_entities",
-    "items_pos_tokens",
-    "items_event_candidates",
-    # ANN oracles inline constants trained on the sf0.01 table
-    "ann_ivf_top10",
-    "ann_ivf_partitioned_top10",
-    "ann_lsh_top10",
-    # image oracles read the small fixture's images table by absolute path
-    "image_phash_pairs",
-    "image_decode_check",
-    "image_clusters",
-    "image_format_stats",
-    "image_aspect_stats",
-    "image_phash_dup_groups",
-    "caption_quality",
-    "multimodal_filter_kept",
-    "caption_image_alignment",
-    "multimodal_filter_aligned",
-    "caption_to_image_topk",
-    "image_ar_buckets",
-    "image_thumbnails",
-    "image_embed",
-    "image_blur_scores",
-    "image_exposure_stats",
-    "image_junk_gate",
-    "pagerank_top20",
-    "pagerank_seeded_top20",
-    "host_components",
-    "host_cocitation_pairs",
-    "host_fairness_index",
-    "ann_recall_at10",
-    "ann_recall_curve",
-    "pagerank_convergence",
-    "host_pagerank_weighted",
-    "page_image_join_stats",
-    "seed_hop_distance",
-    "hits_top20",
-    "image_token_cost",
-    "image_pack_batches",
-    # audio/video oracles read the small fixture's sequential-signature
-    # tables by absolute path (same discipline as image_thumbnails)
-    "audio_clip_stats",
-    "video_frame_stats",
-    "video_dup_pairs",
-    "video_scene_cuts",
-    "simhash_docs",
-    # these two read the engine-materialized small-fixture pseudo-embedding
-    # table (values engine-produced; pairing/replay logic oracle-checked)
-    "image_embed_dup_pairs",
-    "image_visual_clusters",
-    "image_topk_similar",
-    "caption_token_counts",
-    # simhash pairing oracle reads the engine-materialized signature table
-    # at the driver scale (sf0.01)
-    "simhash_dup_pairs",
-    # crawl scheduler oracles read the small fixture's frontier/redirects/
-    # robots tables by absolute path (queries_crawl.build_crawl_oracles)
-    "robots_gate_counts",
-    # closing-session fixture-backed additions (signature tables /
-    # raw_urls / robots_wildcards / dupmap bind the sf0.01 tier)
-    "image_color_stats",
-    "crossmodal_recall",
-    "image_dedup_eval",
-    "hrw_shard_rebalance",
-    "url_canonical_audit",
-    "robots_wildcard_gate",
-    "bloom_fp_audit",
-    "image_dhash_agreement",
-    "image_curation_funnel",
-    "url_expand_final",
-    "politeness_rounds",
-    "frontier_schedule",
-    "host_link_matrix",
-    "frontier_hll_distinct",
-    "frontier_skew_plan",
-    "host_fetch_health",
-    "recrawl_due_counts",
-}
-
-
-@pytest.mark.parametrize("name", _sql_checked_queries())
+@pytest.mark.parametrize("name", REG.checked())
 def test_query_matches_duckdb_oracle(ray_session, name):
-    import __ray_entry__ as e
+    REG.check(name, SF_DIR)
 
-    sf = "/root/testdata/sf0.01" if name in FIXTURE_BACKED else SF_DIR
-    ray_df = _canon(_to_df(e.queries()[name](sf)))
-    duck_df = _canon(_duck(e.oracle_sql()[name]))
-    assert list(ray_df.columns) == list(duck_df.columns), name
-    assert len(ray_df) == len(duck_df), name
-    for c in ray_df.columns:
-        a, b = ray_df[c].to_numpy(), duck_df[c].to_numpy()
-        if a.dtype.kind in "iuf" or b.dtype.kind in "iuf":
-            assert np.array_equal(
-                a.astype(np.int64), b.astype(np.int64)
-            ), f"{name}.{c}"
-        else:
-            assert (a.astype(str) == b.astype(str)).all(), f"{name}.{c}"
+
+def test_small_query_is_checked_at_sf001():
+    """A small-tier query asked for at sf0.001 runs at sf0.01, and its
+    oracle reads that tier's tables too."""
+    seen = []
+    reg = Registry()
+
+    @reg.query("probe", "SELECT o_orderkey FROM orders", small=True)
+    def probe(sf_dir: str) -> pd.DataFrame:
+        seen.append(sf_dir)
+        return pd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
+
+    n = reg.check("probe", SF_DIR)
+    assert seen == [SMALL_SF]
+    assert n == len(pd.read_parquet(f"{SMALL_SF}/orders.parquet"))
 
 
 def test_rows_only_queries_run(ray_session):
     """Rows-only pipelines (non-SQL-expressible) must at least execute and
     return a stable, non-degenerate schema at sf0.001."""
-    import __ray_entry__ as e
-
-    oracles = set(e.oracle_sql())
     expected_cols = {
-        "simhash_docs": {"doc_id", "simhash"},
-        "doc_fingerprints": {"doc_id", "fingerprint"},
-        "simhash_dup_pairs": {"doc_a", "doc_b"},
-        "image_clusters": {"image_id", "cluster_id"},
-        "image_embed": {"image_id", "emb_hash"},
-        "image_thumbnails": {"image_id", "thumb", "mean_r_x100"},
-        "ann_ivf_top10": {"query_id", "vec_id", "cos_micro"},
-        "ann_lsh_top10": {"query_id", "vec_id", "cos_micro"},
-        "ann_ivf_partitioned_top10": {"query_id", "vec_id", "cos_micro"},
-        "image_embed_dup_pairs": {"doc_a", "doc_b"},
-        "image_visual_clusters": {"image_id", "cluster_id"},
         "image_visual_clusters_parallel": {"image_id", "cluster_id"},
-        "event_candidates": {"window", "token"},
-        "items_event_candidates": {"window", "token"},
         "crawl_trace": {"round", "rank", "url"},
         "crawl_status_counts": {"round", "status", "n"},
         "approx_distinct_users": {"event_type", "est_users"},
     }
-    for name, fn in e.queries().items():
-        if name in oracles:
-            continue
-        df = _to_df(fn(SF_DIR))
-        assert name in expected_cols, f"untracked rows-only query {name}"
+    rows_only = sorted(set(REG.queries) - set(REG.checked()))
+    assert rows_only == sorted(expected_cols)
+    for name in rows_only:
+        res = REG.queries[name](SF_DIR)
+        df = res.to_pandas() if hasattr(res, "to_pandas") else res
         assert expected_cols[name] <= set(df.columns), name

@@ -1,14 +1,19 @@
 """Wiring guards for the driver contract: every bench query must be
 registered, every oracle key must have a query, the library must never
-call ray.init at import time (the driver owns the session), and every
-registered callable must be importable. These catch the
-forgot-to-register / renamed-one-side mistakes that otherwise surface
-only inside the driver's correctness run."""
+call ray.init at import time (the driver owns the session), every
+registered callable must be importable, and queries register only
+through ``registry.query`` (no second container, no name twice). These
+catch the forgot-to-register / renamed-one-side mistakes that otherwise
+surface only inside the driver's correctness run."""
 
 from __future__ import annotations
 
 import ast
 import os
+import subprocess
+import sys
+
+import pytest
 
 
 def _repo_root() -> str:
@@ -80,3 +85,96 @@ def test_all_registered_queries_are_callables():
 
     bad = [k for k, v in e.queries().items() if not callable(v)]
     assert not bad, bad
+
+
+def test_registering_a_name_twice_raises():
+    from mklab_focused_crawler_ray.pipelines.registry import Registry, load
+
+    reg = Registry()
+    reg.query("a", "SELECT 1")(len)
+    with pytest.raises(ValueError, match="registered twice"):
+        reg.query("a")(abs)
+    assert reg.queries == {"a": len} and reg.oracles == {"a": "SELECT 1"}
+
+    with pytest.raises(ValueError, match="registered twice"):
+        load().query("lang_counts")(abs)
+    assert load().queries["lang_counts"].__name__ == "q_lang_counts"
+
+
+def _container_offenders(src: str) -> list[str]:
+    """Module-level dicts named ``*QUERIES`` / ``*ORACLE*``, and any
+    ``.update(...)`` or item assignment onto such a name."""
+
+    def container(name: str) -> bool:
+        return name.endswith("QUERIES") or "ORACLE" in name
+
+    out = []
+    tree = ast.parse(src)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            value = node.value
+            is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "dict"
+            )
+            for t in targets:
+                if isinstance(t, ast.Name) and container(t.id) and is_dict:
+                    out.append(f"dict {t.id} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "update"
+            and isinstance(node.func.value, ast.Name)
+            and container(node.func.value.id)
+        ):
+            out.append(f"{node.func.value.id}.update (line {node.lineno})")
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if (
+                    isinstance(t, ast.Subscript)
+                    and isinstance(t.value, ast.Name)
+                    and container(t.value.id)
+                ):
+                    out.append(f"{t.value.id}[...] = (line {node.lineno})")
+    return out
+
+
+def test_queries_register_only_through_the_registry():
+    """The registry is the only query and oracle container in pipelines/
+    (``queries.QUERIES`` is the registry's dict and ``queries.ORACLE_SQL``
+    a view over it)."""
+    pkg = os.path.join(_repo_root(), "mklab_focused_crawler_ray", "pipelines")
+    offenders = []
+    for f in sorted(os.listdir(pkg)):
+        if f.endswith(".py") and f != "registry.py":
+            with open(os.path.join(pkg, f)) as fh:
+                offenders += [f"{f}: {o}" for o in _container_offenders(fh.read())]
+    assert not offenders, offenders
+
+
+def test_container_scan_bites():
+    src = (
+        "X_QUERIES = {'a': f}\n"
+        "MEDIA_ORACLE_SQL = dict(a='SELECT 1')\n"
+        "def g():\n    X_QUERIES.update({'b': h})\n"
+        "ORACLE_SQL['c'] = 'SELECT 2'\n"
+        "N_QUERIES = 5\n"
+    )
+    assert len(_container_offenders(src)) == 4
+
+
+def test_listing_queries_and_oracles_starts_no_ray():
+    """Listing the queries and the names of their oracles builds no
+    oracle, so it runs no Ray job and starts no Ray session."""
+    code = (
+        "import ray\n"
+        "import __ray_entry__ as e\n"
+        "from mklab_focused_crawler_ray.pipelines import queries, registry\n"
+        "names = registry.load().checked()\n"
+        "assert set(queries.ORACLE_SQL) < set(names) <= set(e.queries())\n"
+        "assert not ray.is_initialized()\n"
+    )
+    subprocess.run([sys.executable, "-c", code], cwd=_repo_root(), check=True, timeout=300)
