@@ -343,7 +343,7 @@ def run_crawl(num_cpus: int, tier: str | None = None, warm: bool = False) -> dic
         cfg = CrawlConfig(
             n_shards=16, per_host_budget=1500, round_budget=55_000, max_rounds=2,
             fetch_concurrency=num_cpus, fetch_batch_size=256, hot_threshold=2000,
-            embed_media=True, seen_capacity=1 << 20,
+            embed_media=True,
             # uncached embed = compute-representative workload for N vs 4N
             # (the fixture repeats 8k images ~8x/page; real crawls don't)
             embed_cache=False,

@@ -10,7 +10,7 @@ shuffle-shaped state (URL frontier, seen-set, near-dup index).
 Layout:
   fixtures/   deterministic synthetic corpus (images+captions, frontier, pages)
   functions/  pure vectorized kernels (scores, hashes, tokenizers, url utils)
-  state/      sharded mutable state (frontier actors, cuckoo/bloom, politeness)
+  state/      sharded mutable state (frontier actors, cuckoo gate, politeness)
   sources/    table readers (Lance-or-Parquet)
   stages/     Dataset stage callables (expand, fetch, extract, decode, embed,
               dedup, ann, text ops)

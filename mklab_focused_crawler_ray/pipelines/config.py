@@ -35,7 +35,6 @@ class CrawlConfig:
     round_duration_ms: int = 0
     hot_threshold: int = 50  # seed-count per host above which the host is salted
     max_salts: int = 4
-    seen_capacity: int = 1 << 17
     fetch_concurrency: int = 4  # target fetch-stage parallelism (block fan-out)
     fetch_batch_size: int = 256
     # CPU share requested per map task: >1.0 leaves scheduler slack so the

@@ -288,7 +288,6 @@ class RayCrawler:
                 salt_map=self.salt_map,
                 per_host_budget=cfg.per_host_budget,
                 seen_ttl_ms=cfg.seen_ttl_ms,
-                seen_capacity=cfg.seen_capacity,
                 robots=robots,
                 round_duration_ms=cfg.round_duration_ms,
             )

@@ -1,14 +1,15 @@
-"""Cuckoo filter (with a Bloom filter fallback) for the URL-seen set.
+"""Cuckoo filter for the URL-seen gate.
 
 The reference keeps an EXACT seen-set in a Redis hash
-(bolts/media/StatusCheckBolt.java:59-68). The north rule requires a
-cuckoo-filter seen-set with bloom fallback at 10^10-URL scale. Because the
-final URL-seen set must match the oracle EXACTLY, shards pair the cuckoo
-filter (fast membership, no false negatives) with a partition-local exact
-ledger: a cuckoo hit is verified against the ledger so false positives never
-change behavior (SURVEY.md §7.4). The filter is still load-bearing — it is
-the O(1) first-pass gate that at scale avoids touching the (spilled) ledger
-for the overwhelmingly-common miss case.
+(bolts/media/StatusCheckBolt.java:59-68). Because the final URL-seen set
+must match the oracle EXACTLY, frontier shards pair this filter with a
+partition-local exact ledger: a filter hit is verified against the ledger,
+so false positives never change behavior (SURVEY.md §7.4), and a filter
+miss skips the ledger. That makes a false negative a re-crawl, so the
+filter must hold every ledger key. An :meth:`CuckooFilter.add` that fails
+has already evicted another key's fingerprint; the shard then replaces the
+filter with :meth:`CuckooFilter.holding` at twice the capacity, refilled
+from the ledger.
 
 Implementation: standard 2-choice cuckoo hashing with 4-slot buckets and
 16-bit fingerprints (Fan et al., "Cuckoo Filter: Practically Better Than
@@ -16,6 +17,8 @@ Bloom", CoNEXT 2014), numpy-backed, serializable for checkpoints.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection
 
 import numpy as np
 
@@ -38,7 +41,9 @@ def _mix64_int(x: int) -> int:
 
 class CuckooFilter:
     def __init__(self, capacity: int, seed: int = 7):
-        # buckets sized to next power of two of capacity/SLOTS at ~95% load
+        # buckets sized to next power of two of capacity/SLOTS at ~95% load,
+        # so doubling ``capacity`` doubles the table
+        self.capacity = capacity
         n_buckets = 1
         while n_buckets * _SLOTS * 0.95 < capacity:
             n_buckets <<= 1
@@ -98,7 +103,19 @@ class CuckooFilter:
             idx = self._alt_index_one(idx, cur)
             if self._put(idx, cur):
                 return True
-        return False  # table full — caller falls back (bloom / resize)
+        return False  # table full; the evicted fingerprint is lost
+
+    @classmethod
+    def holding(cls, keys: Collection[int], capacity: int, seed: int = 7) -> CuckooFilter:
+        """A filter of ``capacity`` or more that holds every key of
+        ``keys``: while an add fails, the capacity doubles and the table is
+        refilled from ``keys`` (a failed add has lost another key's
+        fingerprint, so the table is rebuilt, never patched)."""
+        while True:
+            f = cls(capacity, seed)
+            if all(f.add(k) for k in keys):
+                return f
+            capacity *= 2
 
     def __contains__(self, key: int) -> bool:
         return bool(self.contains_many(np.array([key], dtype=np.uint64))[0])
@@ -133,36 +150,3 @@ class CuckooFilter:
         f.table = np.frombuffer(data, dtype=np.uint16).reshape(f.n_buckets, _SLOTS).copy()
         f.count = count
         return f
-
-
-class BloomFilter:
-    """Plain k-hash Bloom filter — the documented fallback when the cuckoo
-    filter rejects inserts at extreme load (no deletes, no false negatives)."""
-
-    def __init__(self, capacity: int, fp_rate: float = 1e-3, seed: int = 7):
-        m = max(64, int(-capacity * np.log(fp_rate) / (np.log(2) ** 2)))
-        self.m = 1 << int(np.ceil(np.log2(m)))
-        self.k = max(1, int(round(self.m / max(1, capacity) * np.log(2))))
-        self.seed = seed
-        self.bits = np.zeros(self.m // 8, dtype=np.uint8)
-
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        h1 = mix64(keys ^ np.uint64(self.seed))
-        h2 = mix64(h1 ^ np.uint64(0x9E3779B97F4A7C15))
-        i = np.arange(self.k, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            pos = (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(self.m)
-        return pos.astype(np.int64)
-
-    def add_many(self, keys: np.ndarray) -> None:
-        pos = self._positions(keys).ravel()
-        np.bitwise_or.at(self.bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
-
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        pos = self._positions(keys)
-        got = (self.bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-        return got.all(axis=1).astype(bool)
-
-    def to_bytes(self) -> bytes:
-        return self.bits.tobytes()

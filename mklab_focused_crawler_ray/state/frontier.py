@@ -13,11 +13,14 @@ claims (spouts/MongoDbSpout.java:92-95). Here those become:
   explicit, static skew-splitting config: hot registered domains are split
   over several shards, each owning an exact share of the host's politeness
   budget (state/politeness.py:salt_quota) so the per-host cap is preserved.
-- seen-set: per-shard CuckooFilter (bloom fallback) as the O(1) gate, plus
-  the partition-exact ledger (url_hash64 → seen_at_ms) that makes cuckoo
-  false positives behaviorally invisible and gives the EXACT final seen-set
-  the north rule demands. 24 h TTL recrawl semantics follow
-  utils/CrawlDecider.java:14,23-27.
+- seen-set: the partition-exact ledger (url_hash64 → seen_at_ms) gives the
+  EXACT final seen-set the north rule demands; a per-shard CuckooFilter
+  holding every ledger key is the O(1) gate in front of it. A gate miss
+  skips the ledger, a gate hit is verified in it, so cuckoo false positives
+  are behaviorally invisible. When the table refuses a key it doubles and
+  is refilled from the ledger, so the gate never misses a seen URL;
+  ``seen_capacity`` is only its starting size. 24 h TTL recrawl semantics
+  follow utils/CrawlDecider.java:14,23-27.
 - scheduling: per (domain,salt) min-heaps; a round ``propose(budget)``
   drains each host's top quota, merges, and the driver takes the global top
   ``budget`` under the crawl order (score desc, url asc). Deterministic and
@@ -136,7 +139,7 @@ class FrontierShard:
         salt_map: dict[str, int] | None = None,
         per_host_budget: int = DEFAULT_PER_HOST_BUDGET,
         seen_ttl_ms: int | None = None,
-        seen_capacity: int = 1 << 16,
+        seen_capacity: int = 1 << 17,
         robots: RobotsCache | None = None,
         round_duration_ms: int = 0,
     ):
@@ -259,16 +262,29 @@ class FrontierShard:
             bool(g) and self._is_seen(int(h), now_ms) for g, h in zip(gate, hashes)
         ]
 
+    def _gate(self, new: list[int]) -> None:
+        """Add hashes that just entered the ledger to the cuckoo gate. When
+        the table refuses one, the gate is rebuilt from the ledger, which
+        already holds every hash of ``new``, at twice the capacity."""
+        add = self.cuckoo.add
+        for h in new:
+            if not add(h):
+                self.cuckoo = CuckooFilter.holding(self.seen, 2 * self.cuckoo.capacity)
+                return
+
     def mark_seen(self, urls: list[str], now_ms: int = 0) -> None:
         """Directly mark URLs seen (redirect-expanded targets). Cancels the
         URL if it is pending (lazy deletion — stale heap entries are skipped
         at propose time) so first-wins holds across redirect aliases."""
+        seen = self.seen
+        new = []
         for u in urls:
             h = url_hash64(u)
-            if h not in self.seen:
-                self.cuckoo.add(h)
-            self.seen[h] = now_ms
+            if h not in seen:
+                new.append(h)
+            seen[h] = now_ms
             self._live.pop(u, None)
+        self._gate(new)
 
     # -- round protocol ---------------------------------------------------
     def propose(self, budget: int) -> dict:
@@ -327,10 +343,9 @@ class FrontierShard:
         sel_hashes = url_hash64_vec(selected_urls).tolist()
         popped = [self._proposed.pop(u) for u in selected_urls]
         seen = self.seen
-        for h in sel_hashes:
-            if h not in seen:
-                self.cuckoo.add(h)
+        new = [h for h in dict.fromkeys(sel_hashes) if h not in seen]
         seen.update((h, now_ms) for h in sel_hashes)
+        self._gate(new)
         live = self._live
         for u in selected_urls:
             live.pop(u, None)
@@ -468,9 +483,10 @@ class FrontierShard:
         self.per_host_budget = m["per_host_budget"]
         self.seen_ttl_ms = m["seen_ttl_ms"]
         self.seen = dict(zip(hashes, ats))
-        self.cuckoo = CuckooFilter(self.seen_capacity)
-        for h in hashes:
-            self.cuckoo.add(h)
+        capacity = self.seen_capacity
+        while capacity < len(self.seen):
+            capacity *= 2
+        self.cuckoo = CuckooFilter.holding(self.seen, capacity)
         salts, scores, shares, dates = cols
         payloads = list(zip(shares, dates))
         self.queues = {}

@@ -30,7 +30,12 @@ SF = "/root/testdata/sf0.001"
 # one query per bucketed-kernel family: sessionization, shuffle-hash join,
 # per-user mode, basket pair mining, bucketed co-group share, chunk dedup,
 # the composed frontier schedule (string host keys), star-contraction
-# connected components, and a two-sided string-keyed media join
+# connected components, and a two-sided string-keyed media join; then the
+# remaining scale.cogroup callers of the crawl/curation modules: the as-of
+# join, per-host politeness rounds, the keep-one-per-phash curation gate,
+# the exact internal-edge check under PageRank's graph layout, the
+# distributed event finisher (stages/nlp) and the embedding near-dup
+# blocking join (stages/dedup)
 CASES = [
     ("queries", "q_user_sessions"),
     ("queries_ml", "q_orders_join_nation"),
@@ -41,6 +46,12 @@ CASES = [
     ("queries_crawl", "q_frontier_schedule"),
     ("queries_ml9", "q_host_components"),
     ("queries_media", "q_page_image_join_stats"),
+    ("queries", "q_events_asof_click"),
+    ("queries_crawl", "q_politeness_rounds"),
+    ("queries_media", "q_multimodal_filter_kept"),
+    ("queries_media", "q_pagerank_top20"),
+    ("queries_media", "q_event_candidates"),
+    ("queries_media", "q_image_embed_dup_pairs"),
 ]
 
 

@@ -21,7 +21,6 @@ CFG = dict(
     round_budget=1500,
     max_rounds=3,
     hot_threshold=300,  # several Zipf-hot hosts get salted at this tier
-    seen_capacity=1 << 18,
 )
 
 

@@ -1,15 +1,19 @@
-"""Wiring guards for the driver contract: every bench query must be
-registered, every oracle key must have a query, the library must never
-call ray.init at import time (the driver owns the session), every
-registered callable must be importable, and queries register only
-through ``registry.query`` (no second container, no name twice). These
-catch the forgot-to-register / renamed-one-side mistakes that otherwise
-surface only inside the driver's correctness run."""
+"""Wiring guards for the driver contract: every name a correctness gate
+has checked, every benchmark query and every crawl-frontier query must
+stay registered with its oracle, every bench query must be registered,
+every oracle key must have a query, the library must never call ray.init
+at import time (the driver owns the session), every registered callable
+must be importable, and queries register only through ``registry.query``
+(no second container, no name twice). These catch the
+forgot-to-register / renamed-one-side mistakes that otherwise surface
+only inside the driver's correctness run."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +22,56 @@ import pytest
 
 def _repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# the frontier queries of queries_crawl: URL normalization, robots,
+# politeness, scheduling, hostgraph and seen-set sizing
+CRAWL_QUERIES = (
+    "bloom_fp_audit",
+    "frontier_hll_distinct",
+    "frontier_schedule",
+    "frontier_skew_plan",
+    "host_fetch_health",
+    "host_link_matrix",
+    "hrw_shard_rebalance",
+    "politeness_rounds",
+    "recrawl_due_counts",
+    "robots_gate_counts",
+    "robots_wildcard_gate",
+    "url_canonical_audit",
+    "url_expand_final",
+)
+# checked by rows and schema only: a crawl's trace has no SQL form
+ROWS_ONLY = {"crawl_status_counts", "crawl_trace"}
+
+
+def _contract_names() -> set[str]:
+    """Every name a correctness gate record (CORRECTNESS_r*.json at the
+    repository root) has checked, plus the benchmark's query mix and the
+    crawl-frontier queries."""
+    from perfbench.spec import ALL_QUERIES
+
+    names = set(ALL_QUERIES) | set(CRAWL_QUERIES)
+    root = _repo_root()
+    gates = sorted(f for f in os.listdir(root) if re.fullmatch(r"CORRECTNESS_r\d+\.json", f))
+    assert gates, "no correctness gate records found"
+    for f in gates:
+        with open(os.path.join(root, f)) as fh:
+            names |= set(json.load(fh))
+    return names
+
+
+def test_contract_names_stay_registered_with_oracles():
+    from mklab_focused_crawler_ray.pipelines.registry import load
+
+    reg = load()
+    names = _contract_names()
+    missing = sorted(names - set(reg.queries))
+    assert not missing, f"contract names not registered: {missing}"
+    unchecked = sorted(names - set(reg.checked()) - ROWS_ONLY)
+    assert not unchecked, f"contract names without an oracle: {unchecked}"
+    crawl = {n for n, fn in reg.queries.items() if fn.__module__.endswith(".queries_crawl")}
+    assert crawl == set(CRAWL_QUERIES), sorted(crawl ^ set(CRAWL_QUERIES))
 
 
 def test_every_bench_query_is_registered():

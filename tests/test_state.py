@@ -1,5 +1,6 @@
-"""Unit tests: cuckoo/bloom filters, bounded priority queue, politeness,
-frontier shard semantics incl. checkpoint/restore and the 24 h TTL rule."""
+"""Unit tests: cuckoo filter, bounded priority queue, politeness, frontier
+shard semantics incl. the seen gate past its starting table,
+checkpoint/restore and the 24 h TTL rule."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from mklab_focused_crawler_ray.state.bounded_pq import BoundedPQueue
 from mklab_focused_crawler_ray.functions.urls import url_hash64, url_hash64_vec, utf8_unblob
-from mklab_focused_crawler_ray.state.cuckoo import _MAX_KICKS, _SLOTS, BloomFilter, CuckooFilter
+from mklab_focused_crawler_ray.state.cuckoo import _MAX_KICKS, _SLOTS, CuckooFilter
 from mklab_focused_crawler_ray.state.frontier import FrontierShard, build_salt_map
 from mklab_focused_crawler_ray.state.politeness import RobotsCache, salt_quota
 
@@ -84,16 +85,6 @@ def test_cuckoo_int_add_matches_numpy_reference_through_kicks():
     for k in probe:
         hit = bool(got.contains_many(np.array([k], dtype=np.uint64))[0])
         assert got.delete(k) == hit
-
-
-def test_bloom_no_false_negatives():
-    b = BloomFilter(10_000)
-    keys = np.random.default_rng(0).integers(0, 2**63, 10_000, dtype=np.uint64)
-    b.add_many(keys)
-    assert b.contains_many(keys).all()
-    other = np.random.default_rng(9).integers(0, 2**63, 10_000, dtype=np.uint64)
-    fresh = other[~np.isin(other, keys)]
-    assert b.contains_many(fresh).mean() < 0.01
 
 
 def test_bounded_pq_reference_semantics():
@@ -251,6 +242,36 @@ def test_shard_checkpoint_roundtrip_is_exact(tmp_path):
         assert t.propose(7) == s.propose(7)
         sel = sorted(s._proposed)[::2]
         assert t.commit(sel, now_ms=rnd) == s.commit(sel, now_ms=rnd)
+
+
+def test_seen_gate_has_no_false_negatives_past_its_starting_table(tmp_path):
+    """A shard that sees twice as many URLs as its cuckoo table has slots
+    still reports every one of them seen and re-admits none, through
+    commit and mark_seen alike, and again after checkpoint/restore: a
+    refused insert grows the table from the exact ledger instead of
+    dropping the fingerprint it evicted."""
+    s = FrontierShard(shard_id=0, n_shards=1, per_host_budget=10**6, seen_capacity=1000)
+    slots = s.cuckoo.table.size
+    assert slots == 2048
+    urls = [f"https://h{i % 5}.com/p/{i}" for i in range(2 * slots)]
+    rows = {"url": urls, "domain": [u.split("/")[2] for u in urls], "score": [0.5] * len(urls)}
+    half = len(urls) // 2
+    s.enqueue({k: v[:half] for k, v in rows.items()}, now_ms=1)
+    s.commit(s.propose(half)["url"], now_ms=1)
+    s.mark_seen(urls[half:], now_ms=1)
+    assert len(s.seen) == len(urls) and s.cuckoo.table.size > slots
+
+    def assert_all_seen(shard):
+        assert all(shard.contains_urls(urls, now_ms=2))
+        assert shard.enqueue(rows, now_ms=2)["added"] == 0
+        assert shard.pending_count() == 0
+
+    assert_all_seen(s)
+    s.checkpoint(str(tmp_path), tag=1)
+    t = FrontierShard(shard_id=0, n_shards=1, seen_capacity=1000)
+    assert t.restore(str(tmp_path), 1)
+    assert t.seen == s.seen
+    assert_all_seen(t)
 
 
 @pytest.mark.parametrize("name", ["pending.npz", "seen.npz"])
