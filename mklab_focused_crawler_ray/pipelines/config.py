@@ -14,7 +14,7 @@ The scheduling rule the north rule holds both implementations to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..fixtures.generate import DAY_MS, EPOCH0_MS
 
@@ -37,11 +37,6 @@ class CrawlConfig:
     max_salts: int = 4
     fetch_concurrency: int = 4  # target fetch-stage parallelism (block fan-out)
     fetch_batch_size: int = 256
-    # CPU share requested per map task: >1.0 leaves scheduler slack so the
-    # (num_cpus=0.05) frontier shard actors and the driver aren't starved
-    # when map tasks saturate every core — the measured cause of the
-    # control-phase inflation at high CPU counts
-    map_task_num_cpus: float = 1.0
     embed_media: bool = False  # decode+embed extracted media (vIndexer path)
     # worker-local (phash, embedding) memo per image id — bit-identical
     # outputs, removes redundant decode+embed of repeated references. OFF
@@ -59,4 +54,3 @@ class CrawlConfig:
     fetch_mode: str = "fixture"
     live_fetch_timeout_s: float = 30.0  # FetcherBolt.java:83-95
     live_expand_timeout_s: float = 2.0  # URLExpansionBolt.java:118
-    extra: dict = field(default_factory=dict)

@@ -7,14 +7,17 @@ Each crawl round:
    from_arrow → expander (redirect expansion + routing; broadcast map) →
    [driver-side expanded-URL dedup against the owning shards — exact,
    order-sensitive within the round] → fetch_extract task stage (offline
-   fetch join against a zero-copy broadcast Arrow page store +
-   article/image extraction over Arrow batches) →
+   fetch join against the broadcast page store + article/image extraction
+   over Arrow batches) →
    enqueue_links (discovered URLs scored + routed + enqueued into shards
    from inside the stage — link volume never lands on the driver) →
    write_parquet (one directory per round → resumable output).
    All three stages are TASK-based (plain functions over broadcast
    ObjectRefs), not per-round actor pools: actor spawn latency every round
    dominated wall time and inverted scaling in the pool design.
+   Every keyed lookup — pages, redirects, images, URL metadata — is one
+   ``stages/store.KeyedStore``: a url-hash-sorted Arrow table broadcast
+   once, probed per batch by one exact ``find``.
 3. Round R+1's control starts once every selected row of round R has
    cleared the enqueue stage — counted per round on shard 0
    (``ack_rows``/``acked_rows``), which each enqueue task acks after its
@@ -38,11 +41,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.scoring import webpage_score
-from ..functions.urls import host_of, url_hash64, url_hash64_vec
-from ..state.frontier import FrontierShard, build_salt_map, route, route_many
+from ..functions.urls import host_of, url_hash64_vec
+from ..state.frontier import FrontierShard, build_salt_map, route_many
 from ..state.politeness import RobotsCache
 from ..stages.expand import make_expander
-from ..stages.fetch import build_page_store, make_fetch_extract
+from ..stages.fetch import make_fetch_extract
+from ..stages.store import KeyedStore
 from .config import CrawlConfig
 
 
@@ -79,10 +83,11 @@ class _MediaIdCollector:
 def _shard_actor_class(cls):
     """``ray.remote`` wrapper of a shard class, built once per class: Ray
     exports (and disassembles, for its collision check) every new actor
-    class it is handed, which cost each crawler ~0.14 s. Tiny num_cpus:
-    shard actors are control-plane (RPC-driven python state); reserving
-    real CPU slots starves map tasks on small nodes."""
-    return _ray.remote(num_cpus=0.05)(cls)
+    class it is handed, which cost each crawler ~0.14 s. num_cpus=0, as
+    for the media collectors: shard actors are control-plane (RPC-driven
+    python state), and the expand and map tasks each need one whole CPU:
+    at ``num_cpus=1``, any reservation by the shards leaves them none."""
+    return _ray.remote(num_cpus=0)(cls)
 
 
 def _route_media_ids(mids: list[str], collectors) -> list:
@@ -98,65 +103,67 @@ def _route_media_ids(mids: list[str], collectors) -> list:
     return futs
 
 
-def make_enqueue_links(
-    shards, meta_ref, salt_map, n_shards, now_ms, score_now_ms=None,
-    counter=None, rnd=None,
-):
+def _enqueue_scored(shards, salt_map, urls, hosts, shares, dates, score_now_ms, now_ms) -> list:
+    """Score URLs on the fixed score clock, route them by (registered
+    domain, salt) and send each shard its rows — the one enqueue path for
+    seeds and discovered links. Returns the shards' enqueue futures."""
+    scores = webpage_score(shares, dates, score_now_ms)
+    shard_arr, salt_arr, _ = route_many(urls, hosts, len(shards), salt_map)
+    urls_np = np.asarray(urls, dtype=object)
+    hosts_np = np.asarray(hosts, dtype=object)
+    futs = []
+    for s in np.unique(shard_arr):
+        m = shard_arr == s
+        rows = {
+            "url": urls_np[m].tolist(),
+            "domain": hosts_np[m].tolist(),
+            "salt": salt_arr[m].tolist(),
+            "score": scores[m].tolist(),
+            "shares": shares[m].tolist(),
+            "date_ms": dates[m].tolist(),
+        }
+        futs.append(shards[int(s)].enqueue.remote(rows, now_ms))
+    return futs
+
+
+def make_enqueue_links(shards, meta_ref, salt_map, now_ms, score_now_ms, counter, rnd):
     """Task-based map_batches sink-stage factory: discovered out_links are
-    scored (universe metadata via broadcast zero-copy numpy lookup arrays),
-    routed by (registered_domain, salt) and enqueued into the frontier shard
-    actors directly from the worker — the driver never sees the link stream.
-    Enqueue order across tasks is irrelevant: a URL's score derives from the
-    URL alone, and the shard's first-wins dedup is order-insensitive for the
-    final pending/seen state (oracle equivalence argument in
-    pipelines/oracle.py)."""
+    scored (universe metadata from the broadcast ``KeyedStore`` keyed by
+    url; a URL it lacks scores with shares=0 and date=score clock, as in
+    the oracle), routed by (registered_domain, salt) and enqueued into the
+    frontier shard actors directly from the worker — the driver never sees
+    the link stream. Enqueue order across tasks is irrelevant: a URL's
+    score derives from the URL alone, and the shard's first-wins dedup is
+    order-insensitive for the final pending/seen state (oracle equivalence
+    argument in pipelines/oracle.py). ``now_ms`` is the advancing logical
+    clock, used only for seen-TTL bookkeeping."""
 
     def enqueue_links(batch: pa.Table) -> pa.Table:
         import ray
 
-        sorted_hashes, meta_shares, meta_dates = ray.get(meta_ref)
-        futs = []
         links: list[str] = []
         for cell in batch["out_links"]:
             links.extend(cell.as_py() or [])
         if links:
             # de-dup within the batch (cheap pre-filter; shards dedup exactly)
             links = list(dict.fromkeys(links))
-            h = url_hash64_vec(links)
-            idx = np.searchsorted(sorted_hashes, h)
-            idx_c = np.clip(idx, 0, max(0, len(sorted_hashes) - 1))
-            found = (
-                (sorted_hashes[idx_c] == h)
-                if len(sorted_hashes)
-                else np.zeros(len(links), bool)
+            meta = ray.get(meta_ref)
+            idx = meta.find(links)
+            found = idx >= 0
+            rows = meta.table.take(idx[found])
+            shares = np.zeros(len(links), dtype=np.int64)
+            dates = np.full(len(links), score_now_ms, dtype=np.int64)
+            shares[found] = rows["shares"].to_numpy()
+            dates[found] = rows["date_ms"].to_numpy()
+            ray.get(
+                _enqueue_scored(
+                    shards, salt_map, links, [host_of(u) for u in links],
+                    shares, dates, score_now_ms, now_ms,
+                )
             )
-            # score clock stays FIXED (reproducible ordering); now_ms is the
-            # advancing logical clock used only for seen-TTL bookkeeping
-            sn = score_now_ms if score_now_ms is not None else now_ms
-            shares = np.where(found, meta_shares[idx_c], 0).astype(np.int64)
-            dates = np.where(found, meta_dates[idx_c], sn).astype(np.int64)
-            scores = webpage_score(shares, dates, sn)
-            hosts = [host_of(u) for u in links]
-            shard_arr, salt_arr, _ = route_many(links, hosts, n_shards, salt_map)
-            links_np = np.asarray(links, dtype=object)
-            hosts_np = np.asarray(hosts, dtype=object)
-            for s in np.unique(shard_arr):
-                m = shard_arr == s
-                rows = {
-                    "url": links_np[m].tolist(),
-                    "domain": hosts_np[m].tolist(),
-                    "salt": salt_arr[m].tolist(),
-                    "score": scores[m].tolist(),
-                    "shares": shares[m].tolist(),
-                    "date_ms": dates[m].tolist(),
-                }
-                futs.append(shards[int(s)].enqueue.remote(rows, now_ms))
-        if futs:
-            ray.get(futs)
-        if counter is not None:
-            # fired AFTER the acks above: actor ordering means acked_rows(rnd)
-            # covering the round's rows implies all its enqueues completed
-            counter.ack_rows.remote(rnd, batch.num_rows)
+        # fired AFTER the acks above: actor ordering means acked_rows(rnd)
+        # covering the round's rows implies all its enqueues completed
+        counter.ack_rows.remote(rnd, batch.num_rows)
         return batch
 
     return enqueue_links
@@ -202,19 +209,21 @@ class RayCrawler:
 
         self.seeds = pq.read_table(os.path.join(fixture_dir, "frontier_seed.parquet"))
         self.live = cfg.fetch_mode == "live"
+        # every offline lookup is one KeyedStore (stages/store.py), put in
+        # the object store once: tasks map its numpy/Arrow buffers
+        # zero-copy, where a pickled dict cost ~0.5 s per task
         if not self.live:
-            from ..stages.expand import build_redirect_store
-
-            redirects = pq.read_table(os.path.join(fixture_dir, "redirects.parquet"))
-            # zero-copy (hash index + Arrow strings) — per-task ray.get maps
-            # plasma buffers; a pickled dict cost ~0.5 s per expand task
-            self.redirect_store_ref = ray.put(
-                build_redirect_store(
-                    redirects["src"].to_pylist(), redirects["dst"].to_pylist()
-                )
+            redirects = pq.read_table(
+                os.path.join(fixture_dir, "redirects.parquet"), columns=["src", "dst"]
             )
+            self.redirect_store_ref = ray.put(KeyedStore(redirects, "src"))
+            pages = pq.read_table(
+                os.path.join(fixture_dir, "pages.parquet"),
+                columns=["url", "status_code", "content_type", "html"],
+            )
+            self.page_store_ref = ray.put(KeyedStore(pages, "url"))
         else:
-            self.redirect_store_ref = None
+            self.redirect_store_ref = self.page_store_ref = None
         if cfg.embed_media:
             from ..stages.visual import build_image_store
 
@@ -225,36 +234,24 @@ class RayCrawler:
             self.image_store_ref = ray.put(build_image_store(images))
         else:
             self.image_store_ref = None
-        if not self.live:
-            pages = pq.read_table(os.path.join(fixture_dir, "pages.parquet"))
-            # offline page store (broadcast, zero-copy: sorted url-hash numpy
-            # index + Arrow table). At 100 TB this becomes a hash-partitioned
-            # Lance store + bucketed join — see stages/fetch.py.
-            self.page_store_ref = ray.put(build_page_store(pages))
-        else:
-            self.page_store_ref = None
+        # universe metadata for link scoring; a live crawl of an unknown
+        # universe has none, so every discovered link scores with shares=0
+        # and date=score clock
         uni_path = os.path.join(fixture_dir, "urls.parquet")
-        if os.path.exists(uni_path):
-            uni = pq.read_table(uni_path, columns=["url", "shares", "date"])
-            h = url_hash64_vec(uni["url"].to_pylist())
-            order = np.argsort(h, kind="stable")
-            self.meta_ref = ray.put(
-                (
-                    h[order],
-                    uni["shares"].to_numpy()[order].astype(np.int64),
-                    uni["date"].cast(pa.int64()).to_numpy()[order],
-                )
-            )
-        else:
-            # live crawl of an unknown universe: discovered links score with
-            # shares=0 and date=score clock
-            self.meta_ref = ray.put(
-                (
-                    np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            )
+        uni_schema = pa.schema({"url": pa.string(), "shares": pa.int64(), "date": pa.int64()})
+        uni = (
+            pq.read_table(uni_path, columns=uni_schema.names)
+            if os.path.exists(uni_path)
+            else uni_schema.empty_table()
+        )
+        meta = pa.table(
+            {
+                "url": uni["url"],
+                "shares": uni["shares"].cast(pa.int64()),
+                "date_ms": uni["date"].cast(pa.int64()),
+            }
+        )
+        self.meta_ref = ray.put(KeyedStore(meta, "url"))
         if robots is None:
             if self.live:
                 from ..stages.live import fetch_robots
@@ -356,29 +353,16 @@ class RayCrawler:
     def enqueue_seeds(self) -> None:
         import ray
 
-        urls = self.seeds["url"].to_pylist()
-        domains = self.seeds["domain"].to_pylist()
-        shares = self.seeds["shares"].to_numpy().astype(np.int64)
-        dates = self.seeds["date"].cast(pa.int64()).to_numpy()
-        scores = webpage_score(shares, dates, self.cfg.now_ms)
-        shard_arr, salt_arr, _ = route_many(
-            urls, domains, self.cfg.n_shards, self.salt_map
+        seeds = self.seeds
+        ray.get(
+            _enqueue_scored(
+                self.shards, self.salt_map,
+                seeds["url"].to_pylist(), seeds["domain"].to_pylist(),
+                seeds["shares"].to_numpy().astype(np.int64),
+                seeds["date"].cast(pa.int64()).to_numpy(),
+                self.cfg.now_ms, self.cfg.now_ms,
+            )
         )
-        urls_np = np.asarray(urls, dtype=object)
-        domains_np = np.asarray(domains, dtype=object)
-        futs = []
-        for s in np.unique(shard_arr):
-            m = shard_arr == s
-            rows = {
-                "url": urls_np[m].tolist(),
-                "domain": domains_np[m].tolist(),
-                "salt": salt_arr[m].tolist(),
-                "score": scores[m].tolist(),
-                "shares": shares[m].tolist(),
-                "date_ms": dates[m].tolist(),
-            }
-            futs.append(self.shards[int(s)].enqueue.remote(rows, self.cfg.now_ms))
-        ray.get(futs)
 
     # -- one round --------------------------------------------------------
     def _round_control(self, rnd: int):
@@ -575,24 +559,20 @@ class RayCrawler:
             fetch_stage = make_live_fetch_extract(timeout=cfg.live_fetch_timeout_s)
         else:
             fetch_stage = make_fetch_extract(self.page_store_ref)
-        rra = {"num_cpus": cfg.map_task_num_cpus}
         ds2 = (
             rd.from_arrow(tbl2, override_num_blocks=n_blocks)
             .map_batches(
                 fetch_stage,
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch_size,
-                **rra,
             )
             .map_batches(
                 make_enqueue_links(
-                    self.shards, self.meta_ref, self.salt_map, cfg.n_shards, now,
-                    score_now_ms=cfg.now_ms,
-                    counter=self.enq_counter, rnd=rnd,
+                    self.shards, self.meta_ref, self.salt_map, now,
+                    score_now_ms=cfg.now_ms, counter=self.enq_counter, rnd=rnd,
                 ),
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch_size,
-                **rra,
             )
         )
         if self.image_store_ref is not None:
@@ -607,14 +587,12 @@ class RayCrawler:
                 ),
                 batch_format="pyarrow",
                 batch_size=cfg.fetch_batch_size,
-                **rra,
             )
             if self.media_collectors is not None:
                 ds2 = ds2.map_batches(
                     make_media_collect(self.media_collectors),
                     batch_format="pyarrow",
                     batch_size=cfg.fetch_batch_size,
-                    **rra,
                 )
         return ds2
 

@@ -28,8 +28,8 @@ Scale shapes (10^10-URL frontier):
 - robots table is per-host bounded (millions of rows, not corpus-shaped):
   broadcast once via ``ray.put`` as sorted arrays, searchsorted lookup
   inside ``map_batches``. Past broadcast size, bucket-join by host.
-- redirect store: broadcast zero-copy Arrow store (stages/expand), the
-  same layout the crawl loop ships; a corpus-shaped redirect map would
+- redirect store: the broadcast zero-copy ``stages/store.KeyedStore`` the
+  crawl loop ships; a corpus-shaped redirect map would
   switch to 2 pointer-doubling rounds of hash-bucketed co-groups (the
   stationary-shard machinery in stages/pregel.py) — documented, not
   needed while redirect tables are orders smaller than frontiers.
@@ -222,15 +222,11 @@ def q_url_expand_final(sf_dir: str):
     import ray.data as rd
 
     from ..scale import cogroup, derive_buckets
-    from ..stages.expand import build_redirect_store, make_expander
+    from ..stages.expand import make_expander
+    from ..stages.store import KeyedStore
 
-    redirects = pq.read_table(_fx(sf_dir, "redirects"))
-    store_ref = ray.put(
-        build_redirect_store(
-            redirects["src"].to_pylist(), redirects["dst"].to_pylist()
-        )
-    )
-    expander = make_expander(store_ref)
+    redirects = pq.read_table(_fx(sf_dir, "redirects"), columns=["src", "dst"])
+    expander = make_expander(ray.put(KeyedStore(redirects, "src")))
     nb = derive_buckets(_fx(sf_dir, "frontier_seed"), floor=8)
 
     # dedupe = local per-batch unique, then one bucketed cross-batch pass
@@ -391,16 +387,12 @@ def q_frontier_schedule(sf_dir: str):
     import ray.data as rd
 
     from ..scale import cogroup, derive_buckets
-    from ..stages.expand import build_redirect_store, make_expander
+    from ..stages.expand import make_expander
+    from ..stages.store import KeyedStore
 
-    redirects = pq.read_table(_fx(sf_dir, "redirects"))
-    redirect_ref = ray.put(
-        build_redirect_store(
-            redirects["src"].to_pylist(), redirects["dst"].to_pylist()
-        )
-    )
+    redirects = pq.read_table(_fx(sf_dir, "redirects"), columns=["src", "dst"])
     robots_ref = _robots_store(sf_dir)
-    expander = make_expander(redirect_ref)
+    expander = make_expander(ray.put(KeyedStore(redirects, "src")))
 
     def gate_and_score(batch: pa.Table) -> pa.Table:
         batch = expander(batch)

@@ -8,9 +8,9 @@ Reference semantics (bolts/webpages/URLExpansionBolt.java):
 - sets expanded_url + domain (host of the expanded URL, :62-71)
 - routes by host: the 6-host social set → 'media', else 'webpage' (:42-47,76-81)
 
-Offline/synthetic mode (this sandbox): expansion is a lookup against the
-fixture redirect map, broadcast once via ``ray.put`` and resolved inside the
-stage — a pure vectorizable function, no network.
+Offline/synthetic mode: expansion is a lookup against the fixture redirect
+table, broadcast once via ``ray.put`` as a ``stages/store.KeyedStore`` and
+resolved inside the stage — a pure vectorized function, no network.
 """
 
 from __future__ import annotations
@@ -36,75 +36,38 @@ def expand_url(url: str, redirect_map: dict[str, str]) -> tuple[str, str]:
     return cur, "ok"
 
 
-def build_redirect_store(srcs: list[str], dsts: list[str]):
-    """Zero-copy broadcastable redirect table: (sorted src-hash uint64
-    array, src Arrow strings, dst Arrow strings), sorted by hash. A pickled
-    Python dict cost ~0.5 s to deserialize PER TASK at the 250k-entry
-    medium tier; numpy + Arrow map the plasma buffers directly."""
-    from ..functions.urls import url_hash64_vec
-
-    h = url_hash64_vec(srcs)
-    order = np.argsort(h, kind="stable")
-    src_arr = pa.array(srcs, pa.string()).take(pa.array(order))
-    dst_arr = pa.array(dsts, pa.string()).take(pa.array(order))
-    return h[order], src_arr, dst_arr
-
-
-def _lookup_redirects(urls: np.ndarray, hashes, srcs, dsts) -> np.ndarray:
-    """One vectorized redirect hop: object array of targets, None where a
-    URL has no redirect entry (hash prefilter + exact string verify)."""
-    from ..functions.urls import url_hash64_vec
-
-    out = np.full(len(urls), None, dtype=object)
-    if len(urls) == 0 or len(hashes) == 0:
-        return out
-    uh = url_hash64_vec(list(urls))
-    idx = np.searchsorted(hashes, uh)
-    for i in range(len(urls)):
-        j = int(idx[i])
-        while j < len(hashes) and hashes[j] == uh[i]:
-            if srcs[j].as_py() == urls[i]:
-                out[i] = dsts[j].as_py()
-                break
-            j += 1
-    return out
-
-
 def make_expander(redirect_store_ref):
-    """Task-based ``map_batches`` stage factory over the zero-copy redirect
-    store: ≤4 vectorized hop passes (each hop resolves every still-active
-    URL at once), then hosts/routes. Equals the per-URL ``expand_url``
+    """Task-based ``map_batches`` stage factory over the broadcast redirect
+    store (a ``KeyedStore`` keyed by src, with a dst column): ≤4 vectorized
+    hop passes (each hop resolves every still-active URL with one
+    ``find``), then hosts/routes. Equals the per-URL ``expand_url``
     semantics exactly (trace-conformance tests)."""
 
     def expander(batch: pa.Table) -> pa.Table:
         import ray
 
-        hashes, srcs, dsts = ray.get(redirect_store_ref)
-        urls = np.asarray(batch["url"].to_pylist(), dtype=object)
-        cur = urls.copy()
-        active = np.ones(len(cur), dtype=bool)
+        store = ray.get(redirect_store_ref)
+        dst = store.table["dst"]
+        cur = np.asarray(batch["url"].to_pylist(), dtype=object)
+        active = np.arange(len(cur))  # rows that followed every hop so far
         for _ in range(MAX_REDIRECTS):
-            if not active.any():
-                break
-            nxt = _lookup_redirects(cur[active], hashes, srcs, dsts)
-            hit = np.array([x is not None for x in nxt], dtype=bool)
-            act_idx = np.nonzero(active)[0]
-            cur[act_idx[hit]] = nxt[hit]
-            active[act_idx[~hit]] = False
-        statuses = np.where(active, "", "ok").astype(object)
-        if active.any():
-            # still redirecting after MAX hops? failed iff a further hop exists
-            more = _lookup_redirects(cur[active], hashes, srcs, dsts)
-            act_idx = np.nonzero(active)[0]
-            for k, m in enumerate(more):
-                statuses[act_idx[k]] = "expand_failed" if m is not None else "ok"
+            idx = store.find(cur[active])
+            hit = idx >= 0
+            cur[active[hit]] = dst.take(idx[hit]).to_pylist()
+            active = active[hit]
+        # still redirecting after MAX hops? failed iff a further hop exists
+        failed = np.zeros(len(cur), dtype=bool)
+        failed[active[store.find(cur[active]) >= 0]] = True
         hosts = [host_of(e) for e in cur]
         routes = [route_of_host(h) for h in hosts]
         return (
-            batch.append_column("expanded_url", pa.array(list(cur), pa.string()))
+            batch.append_column("expanded_url", pa.array(cur.tolist(), pa.string()))
             .append_column("expanded_host", pa.array(hosts, pa.string()))
             .append_column("route", pa.array(routes, pa.string()))
-            .append_column("status", pa.array(list(statuses), pa.string()))
+            .append_column(
+                "status",
+                pa.array(np.where(failed, "expand_failed", "ok").tolist(), pa.string()),
+            )
         )
 
     return expander

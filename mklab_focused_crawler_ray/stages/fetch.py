@@ -5,21 +5,24 @@ Reference semantics preserved:
 - non-2xx → failure (bolts/media/MediaFetcherBolt.java:80)
 - non-``text/html`` content rejected (bolts/FetcherBolt.java:214-221)
 - fetch + article parse live in ONE stage, like ArticleExtractionBolt's
-  internal 24-thread fetch pool + parse (:106-142,296-322) — here an actor
-  pool over Arrow batches; "fetch" in offline/synthetic mode is a lookup
-  into the fixture page store. Media-routed rows (social hosts) pass
-  through unparsed: at reference HEAD all platform retrievers are commented
-  out so MediaExtractionBolt emits the page unchanged
+  internal 24-thread fetch pool + parse (:106-142,296-322) — here a
+  task-based ``map_batches`` stage over Arrow batches; "fetch" in
+  offline/synthetic mode is a lookup into the fixture page store.
+  Media-routed rows (social hosts) pass through unparsed: at reference
+  HEAD all platform retrievers are commented out so MediaExtractionBolt
+  emits the page unchanged
   (bolts/webpages/MediaExtractionBolt.java:60-76,100-117).
 
-Scale note: the page store is broadcast via ``ray.put`` once (read per
-actor, not per batch) for sandbox-size fixtures; at 100 TB the store is a
-hash-partitioned Lance/Parquet layout and this stage becomes a bucketed
-hash-join (read only the row-groups whose url-hash bucket intersects the
-round's URLs). The stage interface is identical either way.
+Scale note: the page store is one ``stages/store.KeyedStore`` broadcast
+via ``ray.put`` once per crawl; each task maps it zero-copy. At 100 TB the
+store is a hash-partitioned Lance/Parquet layout and this stage becomes a
+bucketed hash-join (read only the row-groups whose url-hash bucket
+intersects the round's URLs). The stage interface is identical either way.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import pyarrow as pa
 
@@ -91,67 +94,32 @@ def fetch_and_extract_row(
     }
 
 
-def build_page_store(pages: pa.Table):
-    """Driver-side: turn the pages table into a zero-copy broadcast store —
-    (sorted url-hash numpy array, pages table sorted the same way). Workers
-    ``ray.get`` this per task at near-zero cost: numpy int arrays and Arrow
-    string/binary columns map the plasma buffers directly instead of
-    unpickling a Python dict (the dict deserialize was the per-round tax of
-    the previous actor-pool design)."""
-    import numpy as np
-
-    from ..functions.urls import url_hash64_vec
-
-    h = url_hash64_vec(pages["url"].to_pylist())
-    order = np.argsort(h, kind="stable")
-    sorted_tbl = pages.take(pa.array(order)).combine_chunks()
-    return h[order], sorted_tbl
-
-
-class _ArrowPageLookup:
-    """dict-like facade over the (hashes, sorted table) store so
-    fetch_and_extract_row (shared with the pure-Python oracle) stays
-    unchanged. 64-bit hash prefilter + exact string verify."""
-
-    def __init__(self, hashes, tbl: pa.Table):
-        import numpy as np
-
-        self._np = np
-        self.hashes = hashes
-        self.urls = tbl["url"]
-        self.status = tbl["status_code"]
-        self.ctype = tbl["content_type"]
-        self.html = tbl["html"]
-
-    def get(self, url: str):
-        from ..functions.urls import url_hash64
-
-        np = self._np
-        h = np.uint64(url_hash64(url))
-        i = int(np.searchsorted(self.hashes, h))
-        while i < len(self.hashes) and self.hashes[i] == h:
-            if self.urls[i].as_py() == url:
-                return (
-                    self.status[i].as_py(),
-                    self.ctype[i].as_py(),
-                    self.html[i].as_py(),
-                )
-            i += 1
-        return None
-
-
 def make_fetch_extract(page_store_ref):
-    """Task-based ``map_batches`` stage factory. Each task resolves the
-    broadcast Arrow page store (zero-copy) and processes one batch; worker
-    processes are reused across rounds, so there is no per-round actor-pool
-    spawn cost."""
+    """Task-based ``map_batches`` stage factory over the broadcast page
+    store (a ``KeyedStore`` keyed by url). Each task maps the store
+    zero-copy, resolves its batch's URLs with one ``find`` and processes the
+    batch; worker processes are reused across rounds, so there is no
+    per-round actor-pool spawn cost."""
 
     def fetch_extract(batch: pa.Table) -> pa.Table:
         import ray
 
-        hashes, tbl = ray.get(page_store_ref)
-        pages = _ArrowPageLookup(hashes, tbl)
+        store = ray.get(page_store_ref)
         urls = batch["expanded_url"].to_pylist()
+        idx = store.find(batch["expanded_url"])
+        hit = idx >= 0
+        rows = store.table.take(idx[hit])
+        # the batch's pages as the dict fetch_and_extract_row reads
+        pages = dict(
+            zip(
+                compress(urls, hit),
+                zip(
+                    rows["status_code"].to_pylist(),
+                    rows["content_type"].to_pylist(),
+                    rows["html"].to_pylist(),
+                ),
+            )
+        )
         routes = batch["route"].to_pylist()
         statuses = batch["status"].to_pylist()
         cols = {name: [] for name, _ in _EXTRACT_FIELDS}

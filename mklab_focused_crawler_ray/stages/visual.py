@@ -8,10 +8,10 @@ here the deterministic DCT pseudo-embedding of stages/image.py), with its
 pHash recomputed from pixels. Output columns are per-page lists aligned
 with the ``media`` struct list.
 
-The image store is broadcast once as (sorted id-hash numpy array, Arrow
-table) — zero-copy per task, the same pattern as stages/fetch.py. At 100 TB
-the store is hash-partitioned Lance and this becomes a bucketed join by
-image-id hash; the stage body is unchanged.
+The image store is a ``stages/store.KeyedStore`` keyed by image id,
+broadcast once — zero-copy per task, the same store as the page, redirect
+and URL-metadata lookups. At 100 TB the store is hash-partitioned Lance and
+this becomes a bucketed join by image-id hash; the stage body is unchanged.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ import numpy as np
 import pyarrow as pa
 
 from ..fixtures.codecs import decode, phash64
-from ..functions.urls import url_hash64, url_hash64_vec
+from ..functions.urls import url_hash64
 from .image import pseudo_embed_rgb
+from .store import KeyedStore
 
 
-def build_image_store(images: pa.Table):
-    """(image_id, bytes, fmt) → (sorted id-hash np.uint64, sorted table)."""
-    h = url_hash64_vec(images["image_id"].to_pylist())
-    order = np.argsort(h, kind="stable")
-    tbl = images.select(["image_id", "bytes", "fmt"]).take(pa.array(order)).combine_chunks()
-    return h[order], tbl
+def build_image_store(images: pa.Table) -> KeyedStore:
+    """(image_id, bytes, fmt) table → the broadcast image store."""
+    return KeyedStore(images.select(["image_id", "bytes", "fmt"]), "image_id")
 
 
 # Worker-process-local memo of (phash, embedding) per image id. Decode +
@@ -74,24 +72,17 @@ def make_media_embed(
     def media_embed(batch: pa.Table) -> pa.Table:
         import ray
 
-        hashes, tbl = ray.get(image_store_ref)
+        store = ray.get(image_store_ref)
         seen = ray.get(media_seen_ref) if media_seen_ref is not None else None
-        ids_col = tbl["image_id"]
-        bytes_col = tbl["bytes"]
-        fmt_col = tbl["fmt"]
-
-        def lookup(image_id: str):
-            h = np.uint64(url_hash64(image_id))
-            i = int(np.searchsorted(hashes, h))
-            while i < len(hashes) and hashes[i] == h:
-                if ids_col[i].as_py() == image_id:
-                    return bytes_col[i].as_py(), fmt_col[i].as_py()
-                i += 1
-            return None, None
+        bytes_col = store.table["bytes"]
+        fmt_col = store.table["fmt"]
+        media = [cell or [] for cell in batch["media"].to_pylist()]
+        # every image id of the batch resolved with one find
+        ids = [image_id_of_src(m["media_url"]) for items in media for m in items]
+        row_of = dict(zip(ids, store.find(ids).tolist()))
 
         out_ids, out_ph, out_vec = [], [], []
-        for media_cell in batch["media"]:
-            items = media_cell.as_py() or []
+        for items in media:
             ids_row, ph_row, vec_row = [], [], []
             for m in items:
                 image_id = image_id_of_src(m["media_url"])
@@ -103,10 +94,10 @@ def make_media_embed(
                 ck = (image_id, embed_dim, store_token)
                 cached = _EMBED_CACHE.get(ck) if use_cache else None
                 if cached is None:
-                    blob, fmt = lookup(image_id)
-                    if blob is None:
+                    r = row_of[image_id]
+                    if r < 0:
                         continue  # unknown image — reference drops silently
-                    rgb = decode(blob, fmt)
+                    rgb = decode(bytes_col[r].as_py(), fmt_col[r].as_py())
                     cached = (
                         phash64(rgb),
                         pseudo_embed_rgb(rgb).astype(np.float32)[:embed_dim].tolist(),

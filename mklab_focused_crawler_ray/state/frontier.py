@@ -373,7 +373,9 @@ class FrontierShard:
 
     # -- introspection ----------------------------------------------------
     def pending_count(self) -> int:
-        return sum(len(h) for h in self.queues.values())
+        """URLs with a live pending entry; cancelled heap entries are not
+        pending (a checkpoint drops them too)."""
+        return len(self._live)
 
     def seen_hashes(self) -> np.ndarray:
         return np.array(sorted(self.seen.keys()), dtype=np.uint64)

@@ -176,6 +176,19 @@ def test_shard_mark_seen_cancels_pending():
     assert props["url"] == ["u1"]
 
 
+def test_pending_count_skips_cancelled_entries(tmp_path):
+    """A URL cancelled by mark_seen keeps a stale heap entry; it is not
+    pending, and the count stays the same across checkpoint/restore."""
+    s = _mk_shard()
+    s.enqueue(_rows(["u1", "u2"], [0.9, 0.8]))
+    s.mark_seen(["u2"], now_ms=1)
+    assert s.pending_count() == s.stats()["pending"] == 1
+    s.checkpoint(str(tmp_path))
+    t = _mk_shard()
+    assert t.restore(str(tmp_path))
+    assert t.pending_count() == 1
+
+
 def test_shard_checkpoint_restore(tmp_path):
     s = _mk_shard(per_host_budget=1)
     s.enqueue(_rows(["u1", "u2", "u3"], [0.9, 0.8, 0.7]))
